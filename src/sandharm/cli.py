@@ -23,6 +23,7 @@ bound.  Randomized suites draw from numpy's default generator seeded by
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -338,22 +339,14 @@ def parse_poly(text, d, gamma=None):
 # -- green --------------------------------------------------------------------
 
 
-def _quadrature_spec(d, gamma, nodes):
-    if nodes is None:
-        return QuadratureSpec.default_for(d, gamma)
-    critical = gamma == 2 * d
-    return QuadratureSpec(
-        nodes_per_axis=nodes,
-        singularity_treatment="polar_patch" if critical else "none",
-        target_abs_error=1e-6 if critical else 1e-8,
-    )
-
-
 def cmd_green(ns):
     d, gamma = ns.d, ns.gamma
     radius = ns.radius if ns.radius is not None else (16 if d == 2 else 8)
     out = ns.out or "green_d%d_g%d_r%d.csv" % (d, gamma, radius)
-    table = compute_green(d, gamma, radius, _quadrature_spec(d, gamma, ns.nodes))
+    spec = QuadratureSpec.default_for(d, gamma)
+    if ns.nodes is not None:
+        spec = dataclasses.replace(spec, nodes_per_axis=ns.nodes)
+    table = compute_green(d, gamma, radius, spec)
     residual = fundamental_residual(table)
     residual_tol = 10.0 * table.accuracy
 
@@ -550,7 +543,7 @@ def _resolve_table(ns, d, gamma):
             )
         return table
     radius = ns.radius if ns.radius is not None else (16 if d == 2 else 8)
-    return compute_green(d, gamma, radius, _quadrature_spec(d, gamma, None))
+    return compute_green(d, gamma, radius)
 
 
 def _build_spec(g, table, trunc):

@@ -7,20 +7,22 @@ Fourier integral over the d-torus,
 
 with the integrand regularized by subtracting 1 from the numerator when
 gamma = 2d and d = 2.  For gamma > 2d the integrand is smooth and a plain
-tensor trapezoid rule (an FFT) is spectrally accurate.  At the critical
-value gamma = 2d the integrand has an integrable singularity at t = 0,
-handled by one of:
+tensor trapezoid rule is spectrally accurate.  At the critical value
+gamma = 2d the integrand has an integrable singularity at t = 0, handled by
+one of:
 
 * ``polar_patch`` (default): a smooth radial bump splits the integral into
-  a C-infinity torus part, evaluated by FFT, and a small disc/ball around
-  the origin, evaluated in polar or spherical coordinates where the
-  integrand is smooth again;
-* ``subtraction``: the bump times the exact quadratic model 1/(4 pi^2 |t|^2)
-  is subtracted; its transform reduces to smooth 1D radial integrals
-  (a Bessel J0 moment for d = 2, a sine moment for d = 3) and the bounded
-  remainder is integrated by the tensor rule;
+  a C-infinity torus part, evaluated by the trapezoid rule, and a small
+  disc/ball around the origin, evaluated in polar or spherical coordinates
+  where the integrand is smooth again;
 * ``none``: the plain tensor rule with the singular node dropped, which
   converges slowly but is honestly reported by the error model.
+
+Only the coefficients a table uses are evaluated, and without an FFT.  The
+torus integrand is even in each coordinate, so the N^d trapezoid sum folds
+onto the octant {0..N//2}^d and factors into per-axis cosine sums, one
+matrix contraction per axis.  The patch nodes are closed under each
+coordinate sign flip, so the same per-axis cosine form is exact there.
 
 Accuracy fields come from Richardson comparison of two node counts
 (N versus 2N, patch node counts doubled), scaled by a safety factor.
@@ -34,12 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import j0
 
 BUMP_OUTER = 0.24
 BUMP_INNER = 0.08
@@ -71,7 +71,7 @@ def _bump_scalar(rho):
 # -- specs and tables --------------------------------------------------------
 
 
-_TREATMENTS = ("none", "subtraction", "polar_patch")
+_TREATMENTS = ("none", "polar_patch")
 
 
 @dataclass(frozen=True)
@@ -178,54 +178,72 @@ class GreenTable:
         return cls(d, gamma, R, values, accuracy, method)
 
 
-# -- torus grids, memory-lean ------------------------------------------------
+# -- torus grids, folded onto the symmetry octant ----------------------------
+
+# Largest fine-pass octant grid, in points, that a table or entropy pass may
+# build; one float array of this size takes 128 MiB.
+GRID_POINT_BUDGET = 2**24
 
 
-def _grid_f_and_rho(d, gamma, N):
-    """Symbol F(t) and wrapped |t| on the N^d sampling grid, via broadcasting."""
-    t = np.arange(N) / N
-    tw = np.where(t > 0.5, t - 1.0, t)
+def _check_grid_budget(d, nodes):
+    """Refuse node counts whose fine pass (2 nodes per axis) exceeds GRID_POINT_BUDGET."""
+    side = nodes + 1
+    if side**d > GRID_POINT_BUDGET:
+        raise ValueError(
+            "nodes_per_axis=%d: the fine pass needs a %d^%d octant grid, over the budget of %d points"
+            % (nodes, side, d, GRID_POINT_BUDGET)
+        )
+
+
+def _octant_grid(d, gamma, N):
+    """Symbol F(t) and |t| on the octant {0..N//2}^d of the N^d sampling grid."""
+    t = np.arange(N // 2 + 1) / N
     cos_axis = np.cos(2 * np.pi * t)
-    sq_axis = tw * tw
-    shape = [1] * d
-    F = np.full((N,) * d if d > 1 else (N,), float(gamma))
-    R2 = np.zeros((N,) * d)
+    sq_axis = t * t
+    F = np.full((len(t),) * d, float(gamma))
+    R2 = np.zeros_like(F)
     for ax in range(d):
-        sh = shape[:]
-        sh[ax] = N
+        sh = [1] * d
+        sh[ax] = len(t)
         F = F - 2.0 * cos_axis.reshape(sh)
         R2 = R2 + sq_axis.reshape(sh)
     return F, np.sqrt(R2)
 
 
-def _fourier_block(d, gamma, N, treatment):
-    """DFT coefficients of the smooth (or remainder) part of the integrand.
+def _fold(G, N, radius):
+    """Trapezoid coefficients A_n, 0 <= n_j <= radius, of an N^d grid function
+    even in each coordinate, from its octant values G.
 
-    Returns the real array A with A[n % N] approximating the Fourier
-    coefficient at n of: (1-bump)/F for polar_patch, 1/F - bump/(4 pi^2 rho^2)
-    for subtraction, and 1/F with the singular node dropped for none.
+    A_n = N^-d sum_k G_k cos(2 pi <n,k>/N) over the full grid.  Folding k_j
+    and N - k_j together gives the weights 1 at k_j = 0 and at the Nyquist
+    node k_j = N/2 (even N only), 2 elsewhere; the sum is then a product of
+    per-axis cosine sums, one (radius+1) x (N//2+1) contraction per axis.
     """
-    F, rho = _grid_f_and_rho(d, gamma, N)
-    critical = gamma == 2 * d
-    if treatment == "polar_patch" and critical:
-        phi = _bump(rho)
-        G = np.zeros_like(F)
-        mask = phi < 1.0
-        G[mask] = (1.0 - phi[mask]) / F[mask]
-    elif treatment == "subtraction" and critical:
-        phi = _bump(rho)
-        G = np.zeros_like(F)
-        mask = rho > 0
-        G[mask] = 1.0 / F[mask] - phi[mask] / (4 * np.pi**2 * rho[mask] ** 2)
-        # the origin sample has a direction-dependent limit; the trapezoid
-        # weight of one node vanishes like N^-d and the Richardson model
-        # accounts for the bias
-    else:
-        G = np.zeros_like(F)
-        mask = F != 0
-        G[mask] = 1.0 / F[mask]
-    A = np.fft.fftn(G).real / float(N) ** d
-    return A
+    k = np.arange(G.shape[0])
+    fold = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
+    C = fold * np.cos(2 * np.pi * (np.outer(np.arange(radius + 1), k) % N) / N)
+    for _ in range(G.ndim):
+        G = np.tensordot(G, C, axes=([0], [1]))
+    return G
+
+
+def _fourier_block(d, gamma, N, radius, treatment):
+    """Trapezoid coefficients of the smooth part of the integrand.
+
+    Returns A with A[n] approximating the Fourier coefficient at n, for
+    0 <= n_j <= radius, of (1-bump)/F for polar_patch and of 1/F with the
+    singular node dropped for none.  Both are even in each coordinate, so
+    they are sampled on the octant only and folded (see ``_fold``); the
+    values equal the real part of the N^d DFT.
+    """
+    F, rho = _octant_grid(d, gamma, N)
+    G = np.zeros_like(F)
+    mask = F != 0
+    G[mask] = 1.0 / F[mask]
+    if treatment == "polar_patch" and gamma == 2 * d:
+        near = rho < BUMP_OUTER  # the bump vanishes elsewhere
+        G[near] *= 1.0 - _bump(rho[near])
+    return _fold(G, N, radius)
 
 
 # -- singular patches --------------------------------------------------------
@@ -268,56 +286,29 @@ def _patch_nodes(d, n_r, n_ang):
     return pts, jac, rad
 
 
-def _patch_values(d, gamma, sites, n_r, n_ang, regularized):
-    """Integral of bump * e^{-2 pi i n t} / F (minus 1 in the numerator when
-    ``regularized``) over the bump support, one value per site."""
+def _patch_values(d, gamma, radius, n_r, n_ang):
+    """Integral of bump * e^{-2 pi i <n,t>} / F over the bump support, for
+    0 <= n_j <= radius.
+
+    Expanding cos(2 pi <n,x>) into per-axis cosines and sines, every term
+    holding a sine is odd in that coordinate.  The node set is closed under
+    each coordinate sign flip with unchanged weights (even angle counts,
+    symmetric Gauss-Legendre), so those terms cancel and the sum is exactly
+    the node weights contracted with per-axis tables cos(2 pi n_j x_j).
+    """
     pts, jac, rad = _patch_nodes(d, n_r, n_ang)
     F = float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
     wts = _bump(rad) * jac / F
-    S = np.asarray(sites, dtype=float)
-    out = np.empty(len(sites))
-    chunk = max(1, int(4.0e6 / max(len(wts), 1)))
-    for i in range(0, len(sites), chunk):
-        phase = 2 * np.pi * (S[i : i + chunk] @ pts)
-        c = np.cos(phase)
-        if regularized:
-            c -= 1.0
-        out[i : i + chunk] = c @ wts
-    return out
-
-
-def _subtraction_model(d, sites):
-    """Transform of bump(|t|)/(4 pi^2 |t|^2), exact smooth 1D integrals."""
-    out = np.empty(len(sites))
-    cache = {}
-    for i, s in enumerate(sites):
-        nn = math.sqrt(sum(float(x) ** 2 for x in s))
-        if nn not in cache:
-            if d == 2:
-                if nn == 0:
-                    cache[nn] = 0.0
-                else:
-                    val, _ = quad(
-                        lambda r: _bump_scalar(r) * (j0(2 * np.pi * nn * r) - 1.0) / r,
-                        0.0,
-                        BUMP_OUTER,
-                        limit=400,
-                    )
-                    cache[nn] = val / (2 * np.pi)
-            else:
-                if nn == 0:
-                    val, _ = quad(lambda r: _bump_scalar(r), 0.0, BUMP_OUTER, limit=200)
-                    cache[nn] = val / np.pi
-                else:
-                    val, _ = quad(
-                        lambda r: _bump_scalar(r) * math.sin(2 * np.pi * nn * r) / r,
-                        0.0,
-                        BUMP_OUTER,
-                        limit=400,
-                    )
-                    cache[nn] = val / (2 * np.pi**2 * nn)
-        out[i] = cache[nn]
-    return out
+    n = np.arange(radius + 1)
+    out = np.zeros((radius + 1) ** d)
+    chunk = max(1, int(4.0e6 / (radius + 1) ** (d - 1)))
+    for i in range(0, len(wts), chunk):
+        C = [np.cos(2 * np.pi * np.outer(n, x[i : i + chunk])) for x in pts]
+        T = C[0] * wts[i : i + chunk]
+        for c in C[1:-1]:
+            T = (T[:, None, :] * c[None, :, :]).reshape(-1, c.shape[1])
+        out += (T @ C[-1].T).ravel()
+    return out.reshape((radius + 1,) * d)
 
 
 # -- table assembly ----------------------------------------------------------
@@ -335,34 +326,15 @@ def _default_patch_counts(d, fine):
 
 
 def _table_pass(d, gamma, radius, N, treatment, fine):
-    """One full evaluation at a given resolution; returns canonical value map."""
-    critical = gamma == 2 * d
-    A = _fourier_block(d, gamma, N, treatment)
-    canon = sorted({canonical_site(s) for s in itertools.product(*[range(0, radius + 1)] * d)})
-    vals = {}
-    zero = (0,) * d
-    a0 = float(A[zero])
-    if critical and treatment == "polar_patch":
-        n_r, n_ang = _default_patch_counts(d, fine)
-        P = _patch_values(d, gamma, canon, n_r, n_ang, regularized=(d == 2))
-        for s, p in zip(canon, P):
-            base = float(A[tuple(x % N for x in s)])
-            vals[s] = (base - a0 + p) if d == 2 else (base + p)
-    elif critical and treatment == "subtraction":
-        M = _subtraction_model(d, canon)
-        for s, m in zip(canon, M):
-            base = float(A[tuple(x % N for x in s)])
-            vals[s] = (base - a0 + m) if d == 2 else (base + m)
-    else:
-        # plain rule; for critical d=2 the difference A_n - A_0 realizes the
-        # regularized numerator
-        for s in canon:
-            base = float(A[tuple(x % N for x in s)])
-            if critical and d == 2:
-                vals[s] = base - a0
-            else:
-                vals[s] = base
-    return vals
+    """One evaluation at a given resolution: array of w_n for 0 <= n_j <= radius."""
+    A = _fourier_block(d, gamma, N, radius, treatment)
+    if gamma == 2 * d:
+        if treatment == "polar_patch":
+            A = A + _patch_values(d, gamma, radius, *_default_patch_counts(d, fine))
+        if d == 2:
+            # regularized numerator e^{-2 pi i <n,t>} - 1, so w_0 = 0 exactly
+            A = A - A[0, 0]
+    return A
 
 
 def compute_green(d, gamma, radius, spec=None):
@@ -372,7 +344,8 @@ def compute_green(d, gamma, radius, spec=None):
     returned values come from the finer pass and the accuracy field is the
     maximum discrepancy times a safety factor.  Values are mirrored from one
     representative per symmetry class, so permutation and sign-flip symmetry
-    is exact.
+    is exact.  Inputs the quadrature cannot serve, or whose fine grid
+    exceeds GRID_POINT_BUDGET, are refused before any grid is built.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -388,16 +361,18 @@ def compute_green(d, gamma, radius, spec=None):
             "nodes_per_axis=%d too small for radius %d (need >= %d)" % (N, radius, 4 * (radius + 1))
         )
     treatment = spec.singularity_treatment
+    if treatment == "polar_patch" and gamma == 2 * d and d not in (2, 3):
+        raise ValueError("patch quadrature implemented for d in {2, 3}")
+    _check_grid_budget(d, N)
     coarse = _table_pass(d, gamma, radius, N, treatment, fine=False)
     fine = _table_pass(d, gamma, radius, 2 * N, treatment, fine=True)
-    disc = max(abs(fine[s] - coarse[s]) for s in fine)
-    scale = max(abs(v) for v in fine.values())
+    # index of each table site's canonical representative (sorted |n_j|)
+    canon = tuple(np.sort(np.abs(np.indices((2 * radius + 1,) * d) - radius), axis=0))
+    values = fine[canon]
+    disc = float(np.max(np.abs(fine - coarse)[canon]))
+    scale = float(np.max(np.abs(values)))
     accuracy = float(_RICHARDSON_SAFETY * disc + 1e-15 * max(scale, 1.0))
-    values = np.empty((2 * radius + 1,) * d)
-    for site in itertools.product(*[range(-radius, radius + 1)] * d):
-        values[tuple(x + radius for x in site)] = fine[canonical_site(site)]
-    if gamma == 2 * d and d == 2:
-        values[(radius,) * d] = 0.0
+    # the label predates the folded sum; table headers and their readers parse it
     method = "fft+%s[N=%d]" % (treatment, 2 * N)
     return GreenTable(d, gamma, radius, values, accuracy, method)
 
@@ -456,45 +431,6 @@ def walk_distribution(d, n, kmax):
         for k in range(kmax + 1):
             a = np.arange(k + 1)
             nxt[k] = np.dot(B[k, : k + 1], col[: k + 1] * cur[k - a])
-        cur = nxt
-    return cur
-
-
-def walk_distribution_exact(d, n, kmax):
-    """Fraction-valued version of walk_distribution for small kmax."""
-    n = tuple(int(x) for x in n)
-    one = Fraction(1)
-    # 1D tables
-    W = [{0: one}]
-    for _ in range(kmax):
-        prev = W[-1]
-        nxt = {}
-        for x, p in prev.items():
-            nxt[x + 1] = nxt.get(x + 1, Fraction(0)) + p / 2
-            nxt[x - 1] = nxt.get(x - 1, Fraction(0)) + p / 2
-        W.append(nxt)
-    def col(x):
-        return [W[m].get(x, Fraction(0)) for m in range(kmax + 1)]
-    cur = col(n[-1])
-    axes_left = 1
-    for axis in range(d - 2, -1, -1):
-        axes_left += 1
-        p = Fraction(1, axes_left)
-        q = 1 - p
-        B = [[one]]
-        for k in range(kmax):
-            row = [q * B[k][0]]
-            for a in range(1, k + 1):
-                row.append(q * B[k][a] + p * B[k][a - 1])
-            row.append(p * B[k][k])
-            B.append(row)
-        c = col(n[axis])
-        nxt = []
-        for k in range(kmax + 1):
-            acc = Fraction(0)
-            for a in range(k + 1):
-                acc += B[k][a] * c[a] * cur[k - a]
-            nxt.append(acc)
         cur = nxt
     return cur
 
@@ -723,23 +659,21 @@ class EntropyResult:
 
 
 def _entropy_pass(d, gamma, N, n_r, n_ang):
-    critical = gamma == 2 * d
-    F, rho = _grid_f_and_rho(d, gamma, N)
-    if not critical:
-        return float(np.log(F).mean())
-    phi = _bump(rho)
+    F, rho = _octant_grid(d, gamma, N)
+    if gamma != 2 * d:
+        return _fold(np.log(F), N, 0).item()
     G = np.zeros_like(F)
-    mask = phi < 1.0
-    G[mask] = (1.0 - phi[mask]) * np.log(F[mask])
-    smooth = float(G.mean())
+    mask = F != 0
+    G[mask] = np.log(F[mask])
+    near = rho < BUMP_OUTER
+    G[near] *= 1.0 - _bump(rho[near])
+    smooth = _fold(G, N, 0).item()
     if d == 2:
         rad, _ = quad(lambda r: _bump_scalar(r) * 2.0 * math.log(2 * np.pi * r) * r, 0.0, BUMP_OUTER, limit=200)
         rad *= 2 * np.pi
-    elif d == 3:
+    else:
         rad, _ = quad(lambda r: _bump_scalar(r) * 2.0 * math.log(2 * np.pi * r) * r * r, 0.0, BUMP_OUTER, limit=200)
         rad *= 4 * np.pi
-    else:
-        raise ValueError("critical entropy implemented for d in {2, 3}")
     pts, jac, radial = _patch_nodes(d, n_r, n_ang)
     Fpt = float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
     u = Fpt / (4 * np.pi**2 * radial**2)
@@ -761,7 +695,10 @@ def entropy_quadrature(d, gamma, spec=None):
     if spec is None:
         nodes = 512 if d == 2 else 64
         spec = QuadratureSpec(nodes_per_axis=nodes, singularity_treatment="polar_patch", target_abs_error=1e-5)
+    if gamma == 2 * d and d not in (2, 3):
+        raise ValueError("critical entropy implemented for d in {2, 3}")
     N = spec.nodes_per_axis
+    _check_grid_budget(d, N)
     if d == 2:
         pr, pa = 48, 48
     else:

@@ -1,7 +1,8 @@
 """Shared table fixtures.
 
-Tables are the expensive ingredient (a second or two each), so they are
-computed once per session and shared.  Everything else builds its own
+Tables are the expensive ingredient (a tenth of a second to about a second
+each, the critical d=3 ones costing most), so they are computed once per
+session and shared.  Everything else builds its own
 small inputs.
 """
 

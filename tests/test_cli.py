@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sandharm.cli as cli
+import sandharm.green as green
 from sandharm.cli import main, parse_poly
 from sandharm.green import GreenTable
 from sandharm.harmonic import TorusPoint
@@ -126,6 +127,24 @@ def test_green_writes_table_and_oracle_report(tmp_path, capsys):
     assert "pass" in report
     manifest = json.loads((tmp_path / "w.csv.manifest.json").read_text())
     assert manifest["versions"]["sandharm"]
+
+
+def test_green_nodes_option_and_grid_budget(tmp_path, monkeypatch):
+    out = tmp_path / "w.csv"
+    rc = main([
+        "green", "--d", "2", "--gamma", "4", "--radius", "2", "--nodes", "16",
+        "--oracle-span", "-1", "--out", str(out),
+    ])
+    assert rc == 0
+    assert GreenTable.from_csv(out.read_text()).method == "fft+polar_patch[N=32]"
+
+    def no_grid(*args):
+        raise AssertionError("grid built for an input that must be refused")
+
+    monkeypatch.setattr(green, "_octant_grid", no_grid)
+    rc = main(["green", "--d", "3", "--gamma", "7", "--nodes", "1024", "--out", str(tmp_path / "big.csv")])
+    assert rc == 3
+    assert not (tmp_path / "big.csv").exists()
 
 
 # -- xi apply / check / demo ------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sandharm import green
 from sandharm.green import (
     GreenTable,
     QuadratureSpec,
@@ -182,3 +183,80 @@ def test_quadrature_spec_validation():
         compute_green(2, 3.5, 4)
     with pytest.raises(ValueError):
         compute_green(1, 2, 4)
+
+
+# -- folded quadrature against full-grid references ---------------------------
+
+
+def _full_grid(d, gamma, N):
+    """Symbol F and wrapped |t| on the whole N^d torus grid."""
+    t = np.arange(N) / N
+    axes = np.meshgrid(*[t] * d, indexing="ij")
+    F = float(gamma) - 2.0 * sum(np.cos(2 * np.pi * a) for a in axes)
+    rho = np.sqrt(sum(np.minimum(a, 1.0 - a) ** 2 for a in axes))
+    return F, rho
+
+
+@pytest.mark.parametrize("d,N", [(2, 20), (2, 21), (3, 16), (3, 17)])
+@pytest.mark.parametrize("critical", [True, False])
+def test_folded_coefficients_match_full_fft(d, N, critical):
+    gamma = 2 * d if critical else 2 * d + 1
+    treatment = "polar_patch" if critical else "none"
+    radius = 4
+    F, rho = _full_grid(d, gamma, N)
+    G = np.zeros_like(F)
+    G[F != 0] = 1.0 / F[F != 0]
+    if critical:
+        G *= 1.0 - green._bump(rho)
+    ref = (np.fft.fftn(G).real / float(N) ** d)[(slice(0, radius + 1),) * d]
+    A = green._fourier_block(d, gamma, N, radius, treatment)
+    assert A.shape == (radius + 1,) * d
+    assert np.max(np.abs(A - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_separable_patch_matches_direct_sum(d):
+    gamma, radius, n_r, n_ang = 2 * d, 3, 8, 6
+    P = green._patch_values(d, gamma, radius, n_r, n_ang)
+    pts, jac, rad = green._patch_nodes(d, n_r, n_ang)
+    wts = green._bump(rad) * jac / (gamma - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0))
+    for site in [(0, 0, 0), (1, 0, 0), (2, 3, 1), (3, 1, 2), (3, 3, 3)]:
+        site = site[:d]
+        c = np.cos(2 * np.pi * (np.array(site, dtype=float) @ pts))
+        assert abs(P[site] - np.dot(c, wts)) <= 1e-12
+        if d == 2:
+            # the regularized numerator e^{-2 pi i <n,t>} - 1 used at d = 2
+            assert abs((P[site] - P[0, 0]) - np.dot(c - 1.0, wts)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,N", [(2, 20), (2, 21), (3, 16), (3, 17)])
+def test_folded_entropy_mean_matches_full_grid(d, N):
+    F, rho = _full_grid(d, 2 * d, N)
+    G = np.zeros_like(F)
+    G[F != 0] = (1.0 - green._bump(rho[F != 0])) * np.log(F[F != 0])
+    Fo, rho_o = green._octant_grid(d, 2 * d, N)
+    Go = np.zeros_like(Fo)
+    Go[Fo != 0] = (1.0 - green._bump(rho_o[Fo != 0])) * np.log(Fo[Fo != 0])
+    assert abs(green._fold(Go, N, 0).item() - G.mean()) <= 1e-12
+    # dissipative entropy is the plain grid mean of log F
+    F, _ = _full_grid(d, 2 * d + 1, N)
+    assert abs(green._entropy_pass(d, 2 * d + 1, N, 8, 8) - np.log(F).mean()) <= 1e-12
+
+
+def _no_grid(*args):
+    raise AssertionError("grid built for an input that must be refused")
+
+
+def test_compute_green_refuses_before_building_grids(monkeypatch):
+    monkeypatch.setattr(green, "_octant_grid", _no_grid)
+    monkeypatch.setattr(green, "_patch_nodes", _no_grid)
+    with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
+        compute_green(4, 8, 1, QuadratureSpec(nodes_per_axis=8))
+    with pytest.raises(ValueError, match="budget of %d points" % green.GRID_POINT_BUDGET):
+        compute_green(3, 7, 1, QuadratureSpec(nodes_per_axis=1024, singularity_treatment="none"))
+    with pytest.raises(ValueError, match="budget"):
+        compute_green(2, 4, 16, QuadratureSpec(nodes_per_axis=8192))
+    with pytest.raises(ValueError, match="budget"):
+        entropy_quadrature(3, 6, QuadratureSpec(nodes_per_axis=1024))
+    with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
+        entropy_quadrature(4, 8, QuadratureSpec(nodes_per_axis=8))
