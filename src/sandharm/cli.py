@@ -442,29 +442,31 @@ def cmd_burn(ns):
         report = burning_test(v)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-    rounds = max((r for r, _ in report.burn_order), default=0)
+    rounds = int(report.rounds.max())
+    stuck = list(map(tuple, (np.argwhere(report.rounds == 0) + v.window.lo).tolist()))
     if report.recurrent:
         print("recurrent: all %d sites burned in %d rounds" % (v.window.size, rounds))
     else:
         print(
             "forbidden: %d of %d sites never burn (first stuck sites: %s)"
             % (
-                len(report.stuck_set),
+                len(stuck),
                 v.window.size,
-                ", ".join(str(s) for s in sorted(report.stuck_set)[:8]),
+                ", ".join(str(s) for s in stuck[:8]),
             )
         )
     if ns.report:
         lines = ["recurrent=%s rounds=%d" % (report.recurrent, rounds)]
-        for rnd, site in report.burn_order:
+        burnt_rounds, burnt_sites = report.burn_sequence()
+        for rnd, site in zip(burnt_rounds.tolist(), burnt_sites.tolist()):
             lines.append("%d %s" % (rnd, ",".join(str(x) for x in site)))
-        for site in sorted(report.stuck_set):
+        for site in stuck:
             lines.append("stuck %s" % (",".join(str(x) for x in site)))
         _atomic_write(ns.report, "\n".join(lines) + "\n")
         _write_manifest(
             ns.report,
             ns,
-            {"recurrent": report.recurrent, "rounds": rounds, "stuck": len(report.stuck_set)},
+            {"recurrent": report.recurrent, "rounds": rounds, "stuck": len(stuck)},
         )
         print("wrote %s" % ns.report)
     return EXIT_OK if report.recurrent else EXIT_NEGATIVE

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from . import sandpile
 from .green import decay_profile, multiplier_table, tail_beyond
@@ -281,6 +281,19 @@ def _extended_heights(v, slab_window, extension, constant):
     return out
 
 
+def _convolve_valid(field, kernel):
+    """Valid-mode linear convolution of two real float arrays by real FFTs.
+
+    The arithmetic of ``scipy.signal.fftconvolve(field, kernel, "valid")``:
+    transforms zero-padded to ``next_fast_len`` of the full length, product,
+    inverse, then the valid part, which starts at kernel.shape - 1.
+    """
+    full = [a + b - 1 for a, b in zip(field.shape, kernel.shape)]
+    fshape = [fft.next_fast_len(n, True) for n in full]
+    conv = fft.irfftn(fft.rfftn(field, fshape) * fft.rfftn(kernel, fshape), fshape)
+    return conv[tuple(slice(b - 1, a) for a, b in zip(field.shape, kernel.shape))]
+
+
 def xi_apply(spec, v, extension="constant", constant=None, out_window=None):
     """Image of an integer field under the truncated covering map.
 
@@ -304,7 +317,7 @@ def xi_apply(spec, v, extension="constant", constant=None, out_window=None):
     T = spec.trunc_radius
     slab_window = out_window.dilated(T)
     slab = _extended_heights(v, slab_window, extension, constant)
-    conv = fftconvolve(slab, spec.kernel, mode="valid")
+    conv = _convolve_valid(slab, spec.kernel)
     if conv.shape != out_window.shape:
         raise AssertionError("convolution shape %r != window %r" % (conv.shape, out_window.shape))
     sup = float(np.abs(slab).max()) if slab.size else 0.0

@@ -5,13 +5,21 @@ box window.  Sites holding at least ``gamma`` grains topple, sending one
 grain to each of the 2d nearest lattice neighbours; grains sent outside the
 window vanish (open boundary), and for gamma > 2d each toppling additionally
 dissipates gamma - 2d grains.  Stabilization is order-independent (the
-abelian property), which this module exploits by toppling in bulk sweeps; a
-single-site reference driver is kept for randomized cross-checks.
+abelian property), and its odometer is the least nonnegative integer field
+whose toppling leaves the configuration stable (least action, Fey-Levine-
+Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
+odometer in one step (the continuous solve L^-1 (h - (gamma - 1)) by DST-I),
+finishes with bulk sweeps, and certifies minimality with a burning test on
+the odometer's support, untoppling any stuck set.  ``stabilize_serial``,
+which topples one site at a time, is kept for randomized cross-checks.
 
 Recurrent configurations are characterized by the burning test: repeatedly
 remove every site whose height is at least its count of not-yet-removed
 neighbours; the configuration is recurrent exactly when all sites burn.
-Their number equals the determinant of the toppling matrix, computed here
+The burning kernel returns each site's burn round as an int array and,
+after the first round, rechecks only the neighbours of the sites that
+burnt in the round before.  The number of recurrent configurations
+equals the determinant of the toppling matrix, computed here
 exactly (fraction-free elimination) or in the log domain through the exact
 eigenvalues available on box windows.
 
@@ -29,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import fft, ndimage
 
 from .laurent import LaurentPoly, laplacian_poly
 from .window import BoxWindow
@@ -143,11 +151,33 @@ class Odometer:
     total_mass_lost: int
 
 
-@dataclass
+@dataclass(eq=False)
 class BurnReport:
-    recurrent: bool
-    burn_order: tuple
-    stuck_set: frozenset
+    """Outcome of the burning test: each site's 1-based burn round, 0 if it never burns."""
+
+    window: BoxWindow
+    rounds: np.ndarray
+
+    @property
+    def recurrent(self):
+        return bool(self.rounds.all())
+
+    def burn_sequence(self):
+        """Rounds and window sites of the burnt sites, by round, lexicographic within one."""
+        flat = self.rounds.ravel()
+        order = np.argsort(flat, kind="stable")[np.count_nonzero(flat == 0) :]
+        sites = np.column_stack(np.unravel_index(order, self.rounds.shape)) + self.window.lo
+        return flat[order], sites
+
+    @property
+    def burn_order(self):
+        rounds, sites = self.burn_sequence()
+        return tuple(zip(rounds.tolist(), zip(*sites.T.tolist())))
+
+    @property
+    def stuck_set(self):
+        stuck = np.argwhere(self.rounds == 0) + self.window.lo
+        return frozenset(zip(*stuck.T.tolist()))
 
 
 # -- elementary operations ---------------------------------------------------
@@ -172,9 +202,9 @@ def _neighbour_shift_sum(field):
     return out
 
 
-def _neighbour_count_grid(window):
-    ones = np.ones(window.shape, dtype=np.int64)
-    return _neighbour_shift_sum(ones)
+def _laplacian(field, gamma):
+    """Toppling-matrix product L field, with L = gamma I - A on the window."""
+    return gamma * field - _neighbour_shift_sum(field)
 
 
 def topple_at(v, site):
@@ -193,29 +223,95 @@ def topple_at(v, site):
     return HeightConfig(v.window, v.gamma, out)
 
 
+def _flat_layout(shape):
+    """Padded shape and flat axis strides of an array with a one-site border.
+
+    On the flattened padded array the 2d neighbours of a site lie at +-stride,
+    so stencil updates become contiguous 1-d slice operations.
+    """
+    padded = tuple(n + 2 for n in shape)
+    return padded, [math.prod(padded[ax + 1 :]) for ax in range(len(shape))]
+
+
+# border height of the padded sweep arrays: a sink site never reaches gamma
+_SINK = -(1 << 62)
+
+
+def _box_eigenvalues(shape, gamma):
+    """Eigenvalues gamma - 2 sum cos(pi k_j/(s_j+1)) of the toppling matrix on a box.
+
+    The eigenvectors are products of sines, so DST-I diagonalizes the matrix.
+    """
+    grids = np.meshgrid(
+        *[2.0 * np.cos(np.pi * np.arange(1, s + 1) / (s + 1)) for s in shape],
+        indexing="ij",
+        sparse=True,
+    )
+    return float(gamma) - sum(grids)
+
+
+def _odometer_floor(heights, gamma):
+    """Integer lower bound on the odometer that stabilizes nonnegative heights.
+
+    The odometer u satisfies L u = h - h_stable >= h - (gamma - 1), and
+    L^-1 is entrywise nonnegative, so u >= L^-1 (h - (gamma - 1)), solved
+    exactly up to rounding by DST-I.  The 1e-6 margin keeps the floor below
+    the true odometer; ``stabilize`` does not rely on it being exact.
+    """
+    rhs = fft.dstn(heights - (gamma - 1.0), type=1) / _box_eigenvalues(heights.shape, gamma)
+    bound = np.floor(fft.idstn(rhs, type=1) - 1e-6)
+    return np.maximum(bound, 0).astype(np.int64)
+
+
 def stabilize(v):
     """Topple until stable; returns the final configuration and odometer.
 
-    Bulk sweeps: every unstable site topples floor(h / gamma) times at once,
-    which the abelian property makes equivalent to any one-at-a-time order.
-    The exact integer identity  final = initial - (gamma*counts - shifts)
-    holds by construction and is asserted cheap in tests.
+    Least action (Fey-Levine-Peres): the odometer u is the smallest
+    nonnegative integer field with h - L u <= gamma - 1, and any field
+    below u stays below it under legal topplings.  So ``stabilize``
+
+    1. topples the head start ``_odometer_floor`` in one step;
+    2. sweeps legally, toppling floor(h / gamma) times at every site at or
+       above gamma until none is left, on a flat padded array whose border
+       is a sink;
+    3. certifies the result.  A stable s = h - L w is the stabilization
+       exactly when the burning test run on supp(w) alone burns all of it;
+       a stuck set A is then forbidden, and w - 1_A still stabilizes, so A
+       is untoppled and the test repeated.
+
+    The certificate makes the result exact even if rounding in the head
+    start overshoots.  final = initial - L counts holds by construction.
     """
     if (v.heights < 0).any():
         raise ValueError("stabilize requires nonnegative heights")
-    h = v.heights.copy()
-    counts = np.zeros_like(h)
     gamma = v.gamma
+    start = _odometer_floor(v.heights, gamma)
+    padded, strides = _flat_layout(v.window.shape)
+    h = np.pad(v.heights - _laplacian(start, gamma), 1, constant_values=_SINK)
+    flat = h.ravel()
+    swept = np.zeros_like(flat)
+    k = np.empty_like(flat)
     while True:
-        k = h // gamma
+        np.floor_divide(flat, gamma, out=k)
         np.maximum(k, 0, out=k)
         if not k.any():
             break
-        counts += k
-        h -= gamma * k
-        h += _neighbour_shift_sum(k)
-    lost = int(v.heights.sum() - h.sum())
-    return HeightConfig(v.window, v.gamma, h), Odometer(counts, lost)
+        swept += k
+        flat -= gamma * k
+        for st in strides:
+            flat[st:] += k[:-st]
+            flat[:-st] += k[st:]
+    inner = (slice(1, -1),) * v.dim
+    counts, stable = start + swept.reshape(padded)[inner], h[inner]
+    while True:
+        stuck = counts > 0
+        stuck &= _burn_rounds(stable, stuck) == 0
+        if not stuck.any():
+            break
+        counts -= stuck
+        stable += _laplacian(stuck.astype(np.int64), gamma)
+    lost = int(v.heights.sum() - stable.sum())
+    return HeightConfig(v.window, v.gamma, stable), Odometer(counts, lost)
 
 
 def stabilize_serial(v, rng=None):
@@ -248,31 +344,53 @@ def stabilize_serial(v, rng=None):
     return HeightConfig(v.window, v.gamma, h), Odometer(counts, lost)
 
 
+def _burn_rounds(heights, alive):
+    """Parallel burn round of each site: 1-based, or 0 if it never burns.
+
+    Only ``alive`` sites take part; the others count as burnt from the
+    start.  A site burns in round r when its height is at least its number
+    of alive neighbours not burnt before round r.  A site's count changes
+    only when a neighbour burns, so after round 1 the kernel rechecks just
+    the alive neighbours of the previous round's sites, on flat padded
+    arrays, decrementing their counts once per stencil offset.
+    """
+    padded, strides = _flat_layout(heights.shape)
+    offsets = [step * st for st in strides for step in (-1, 1)]
+    h = np.pad(heights, 1).ravel()
+    live = np.pad(alive, 1).ravel()
+    count = np.pad(_neighbour_shift_sum(alive.astype(np.int64)), 1).ravel()
+    rounds = np.zeros(h.size, dtype=np.int64)
+    front = np.flatnonzero(live & (h >= count))
+    rnd = 0
+    while front.size:
+        rnd += 1
+        rounds[front] = rnd
+        live[front] = False
+        touched = [front + off for off in offsets]
+        for nb in touched:
+            count[nb] -= 1
+        touched = np.concatenate(touched)
+        touched = touched[live[touched]]
+        front = np.unique(touched[h[touched] >= count[touched]])
+    return rounds.reshape(padded)[(slice(1, -1),) * len(padded)]
+
+
 def burning_test(v):
-    """Dhar's burning test with parallel rounds.
+    """Dhar's burning test with parallel rounds, as a per-site rounds array.
 
     Each round removes every remaining site whose height is at least its
-    count of remaining neighbours; the order within a round is lexicographic.
-    Heights may be arbitrary integers (negative sites simply never burn),
-    but a height above gamma - 1 is rejected since the test is only
-    meaningful for stable configurations.
+    count of remaining neighbours (``_burn_rounds``, which checks only the
+    neighbours of the previous round's sites).  Heights may be arbitrary
+    integers (negative sites simply never burn), but a height above
+    gamma - 1 is rejected since the test is only meaningful for stable
+    configurations.  The report's ``burn_order`` lists sites by round,
+    lexicographically within a round; ``stuck_set`` holds those that
+    never burn.
     """
     if (v.heights > v.gamma - 1).any():
         raise ValueError("burning test requires heights <= gamma - 1")
     alive = np.ones(v.window.shape, dtype=bool)
-    order = []
-    rnd = 0
-    while alive.any():
-        rnd += 1
-        n_alive = _neighbour_shift_sum(alive.astype(np.int64))
-        eligible = alive & (v.heights >= n_alive)
-        if not eligible.any():
-            break
-        for idx in np.argwhere(eligible):
-            order.append((rnd, v.window.site_of(tuple(idx))))
-        alive &= ~eligible
-    stuck = frozenset(v.window.site_of(tuple(idx)) for idx in np.argwhere(alive))
-    return BurnReport(not alive.any(), tuple(order), stuck)
+    return BurnReport(v.window, _burn_rounds(v.heights, alive))
 
 
 def is_recurrent(v):
@@ -330,16 +448,10 @@ def toppling_determinant_exact(window, gamma):
 
 def _log_det_box(window, gamma):
     """log det via the exact eigenvalues gamma - 2 sum cos(pi i_j/(s_j+1))."""
-    shape = window.shape
-    total = np.zeros((), dtype=float)
-    grids = np.meshgrid(
-        *[2.0 * np.cos(np.pi * np.arange(1, s + 1) / (s + 1)) for s in shape], indexing="ij"
-    )
-    eig = float(gamma) - sum(grids)
+    eig = _box_eigenvalues(window.shape, gamma)
     if (eig <= 0).any():
         raise ValueError("toppling matrix not positive definite")
-    total = np.log(eig).sum()
-    return float(total)
+    return float(np.log(eig).sum())
 
 
 def _burn_all(configs, window, gamma):
@@ -434,8 +546,8 @@ def correct_to_recurrent(v, M):
     Two phases.  Phase 1 subtracts f at any Q_M site holding at least 2d
     grains (like toppling without a boundary: the surplus lands on the
     M+1 shell, which the window must contain).  Phase 2 adds rounds of 0/1
-    polynomials: each round's support is the burning-test stuck set plus
-    all negative sites, extended until the addition creates no fresh
+    polynomials: each round's support is the burning-test stuck set (which
+    holds every negative site), extended until the addition creates no fresh
     negatives; heights on Q_M stay below 2d throughout, so the rounds
     decrease the stuck region monotonically in an onion-peeling fashion.
     The result is unique regardless of these order choices.
@@ -475,31 +587,24 @@ def correct_to_recurrent(v, M):
         spread[interior] = k
         box_view(cur, outer)[...] += _neighbour_shift_sum(spread)
 
-    # phase 2: add 0/1 rounds on the stuck/negative set until recurrent
+    # phase 2: add 0/1 rounds on the stuck set until recurrent
     for _ in range(1_000_000):
         sub = box_view(cur, inner)
-        report = burning_test(HeightConfig(inner, two_d, sub.copy()))
-        negatives = {inner.site_of(tuple(i)) for i in np.argwhere(sub < 0)}
-        if report.recurrent and not negatives:
+        # negative sites never burn, so the stuck set holds them all
+        support = burning_test(HeightConfig(inner, two_d, sub)).rounds == 0
+        if not support.any():
             break
-        support = set(report.stuck_set) | negatives
         while True:
-            s_mask = np.zeros(inner.shape, dtype=np.int64)
-            for s in support:
-                s_mask[inner.index_of(s)] = 1
-            delta_inner = two_d * s_mask - _neighbour_shift_sum(s_mask)
-            fresh = {
-                inner.site_of(tuple(i))
-                for i in np.argwhere((sub + delta_inner < 0) & (s_mask == 0))
-            }
-            if not fresh:
+            s_mask = support.astype(np.int64)
+            fresh = (sub + _laplacian(s_mask, two_d) < 0) & ~support
+            if not fresh.any():
                 break
             support |= fresh
         h_net += s_mask
         spread = np.zeros(outer.shape, dtype=np.int64)
         interior = tuple(slice(1, -1) for _ in range(d))
         spread[interior] = s_mask
-        box_view(cur, outer)[...] += two_d * spread - _neighbour_shift_sum(spread)
+        box_view(cur, outer)[...] += _laplacian(spread, two_d)
     else:
         raise RuntimeError("correction did not converge")
 

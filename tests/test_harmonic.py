@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sandharm.harmonic import (
+    EXTENSIONS,
     TorusPoint,
     XiSpec,
     addition_operator_demo,
@@ -25,6 +26,7 @@ from sandharm.harmonic import (
     xi_apply,
     xi_tuple,
 )
+from sandharm.harmonic import _convolve_valid, _extended_heights
 from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, standard_polys
 from sandharm.sandpile import (
     HeightConfig,
@@ -59,6 +61,20 @@ def test_zero_field_maps_to_zero_exactly(spec_d2):
     x = xi_apply(spec_d2, v, extension="zero")
     assert np.all(x.values == 0.0)
     assert x.err == 0.0
+
+
+def test_valid_convolution_matches_fftconvolve(specs_d2, table_d3_g6, rng):
+    # the slabs and kernels xi_apply convolves, for every extension rule
+    from scipy.signal import fftconvolve
+
+    for specs, side in ((specs_d2, 16), (specs_d2, 7), (standard_specs(table_d3_g6), 6)):
+        for spec in specs:
+            d = spec.dim
+            v = HeightConfig(suite_window(d, side), spec.gamma, rng.integers(0, spec.gamma, size=(side,) * d))
+            for extension in EXTENSIONS:
+                slab = _extended_heights(v, v.window.dilated(spec.trunc_radius), extension, spec.gamma - 1)
+                expected = fftconvolve(slab, spec.kernel, mode="valid")
+                assert np.array_equal(_convolve_valid(slab, spec.kernel), expected)
 
 
 def test_spec_build_rejects_non_summable(table_d2_g4):

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sandharm import sandpile
 from sandharm.laurent import LaurentPoly, laplacian_poly
 from sandharm.sandpile import (
     HeightConfig,
@@ -29,7 +32,7 @@ from sandharm.sandpile import (
     toppling_matrix,
     witness_report,
 )
-from sandharm.sandpile import _burn_all
+from sandharm.sandpile import _burn_all, _burn_rounds
 from sandharm.window import BoxWindow
 
 
@@ -41,6 +44,63 @@ def lattice_neighbours(site):
     for ax in range(len(site)):
         for step in (-1, 1):
             yield site[:ax] + (site[ax] + step,) + site[ax + 1 :]
+
+
+def neighbour_sum(a):
+    """Sum of the 2d nearest-neighbour values, zero outside the array."""
+    padded = np.pad(a, 1)
+    out = np.zeros_like(a)
+    for ax in range(a.ndim):
+        for step in (-1, 1):
+            idx = [slice(1, -1)] * a.ndim
+            idx[ax] = slice(1 + step, a.shape[ax] + 1 + step)
+            out += padded[tuple(idx)]
+    return out
+
+
+def sweep_reference(heights, gamma):
+    """Plain bulk sweeps from zero: every site topples floor(h / gamma) times per sweep."""
+    h = heights.copy()
+    counts = np.zeros_like(h)
+    while True:
+        k = np.maximum(h // gamma, 0)
+        if not k.any():
+            return h, counts
+        counts += k
+        h += neighbour_sum(k) - gamma * k
+
+
+def burn_rounds_reference(heights, alive):
+    """Full-array parallel rounds: recount the live neighbours of every site each round."""
+    rounds = np.zeros(heights.shape, dtype=np.int64)
+    live = alive.copy()
+    rnd = 0
+    while True:
+        rnd += 1
+        eligible = live & (heights >= neighbour_sum(live.astype(np.int64)))
+        if not eligible.any():
+            return rounds
+        rounds[eligible] = rnd
+        live &= ~eligible
+
+
+@st.composite
+def sandpile_inputs(draw):
+    """A window of dimension 1-3, a threshold 2d..2d+2, and a pile, an all-max + U load or a random field."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, (24, 9, 5)[d - 1]), min_size=d, max_size=d)))
+    gamma = draw(st.integers(2 * d, 2 * d + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["pile", "all-max + U", "field"]))
+    if kind == "pile":
+        heights = np.zeros(shape, dtype=np.int64)
+        heights[tuple(int(rng.integers(n)) for n in shape)] = draw(st.integers(0, 5000))
+    elif kind == "all-max + U":
+        heights = gamma - 1 + rng.integers(0, gamma, size=shape)
+    else:
+        heights = rng.integers(0, 4 * gamma, size=shape)
+    return HeightConfig(BoxWindow.from_shape(shape), gamma, heights)
 
 
 def has_forbidden_subset(v):
@@ -166,6 +226,52 @@ def test_abelian_under_random_orders(rng):
             assert np.array_equal(odo.counts, odo_ref.counts)
 
 
+@given(sandpile_inputs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_stabilize_matches_sweep_reference(v):
+    ref_heights, ref_counts = sweep_reference(v.heights, v.gamma)
+    out, odo = stabilize(v)
+    assert np.array_equal(out.heights, ref_heights)
+    assert np.array_equal(odo.counts, ref_counts)
+    assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
+
+
+def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
+    # the head start is only a floor up to rounding; if it ever overshoots,
+    # the least-action certificate must untopple back to the exact odometer
+    floor = sandpile._odometer_floor
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(
+        sandpile, "_odometer_floor", lambda h, gamma: floor(h, gamma) + rng.integers(0, 4, size=h.shape)
+    )
+    cases = [
+        HeightConfig.delta(box(15, 15), 4, (7, 7), 600),
+        HeightConfig(box(12, 10), 5, 4 + rng.integers(0, 5, size=(12, 10))),
+        HeightConfig(box(5, 4, 6), 6, rng.integers(0, 12, size=(5, 4, 6))),
+        HeightConfig(box(30), 2, rng.integers(0, 6, size=(30,))),
+    ]
+    for v in cases:
+        ref_heights, ref_counts = sweep_reference(v.heights, v.gamma)
+        out, odo = stabilize(v)
+        assert np.array_equal(out.heights, ref_heights)
+        assert np.array_equal(odo.counts, ref_counts)
+
+
+def test_odometer_floor_is_below_the_odometer(rng):
+    cases = [
+        HeightConfig.delta(box(33, 33), 4, (16, 16), 5000),
+        HeightConfig(box(20, 20), 4, 3 + rng.integers(0, 4, size=(20, 20))),
+        HeightConfig(box(8, 8, 8), 7, rng.integers(0, 14, size=(8, 8, 8))),
+        HeightConfig(box(17), 2, rng.integers(0, 9, size=(17,))),
+    ]
+    for i, v in enumerate(cases):
+        start = sandpile._odometer_floor(v.heights, v.gamma)
+        _, counts = sweep_reference(v.heights, v.gamma)
+        assert (start <= counts).all()
+        if i == 0:
+            assert start.sum() > counts.sum() // 2  # on a pile, most of the work
+
+
 def test_dissipative_stabilization_stays_local():
     # gamma = 2d+1 kills mass; per-site work must not grow with the window
     gamma = 5
@@ -195,6 +301,16 @@ def test_burning_two_site_examples():
     assert ok.stuck_set == frozenset()
     rounds = [r for r, _ in ok.burn_order]
     assert rounds == sorted(rounds)
+
+
+def test_burn_rounds_match_full_array_rounds(rng):
+    for shape, gamma in [((40,), 2), ((9, 11), 4), ((7, 7), 6), ((5, 4, 6), 6), ((6, 6, 6), 8)]:
+        for _ in range(10):
+            heights = rng.integers(-2, gamma, size=shape)
+            alive = rng.random(shape) < 0.8
+            expected = burn_rounds_reference(heights, alive)
+            assert np.array_equal(_burn_rounds(heights, alive), expected)
+            assert not expected[~alive].any()
 
 
 def test_all_max_is_recurrent():
