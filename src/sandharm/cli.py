@@ -65,6 +65,7 @@ from .harmonic import (
 )
 from .laurent import LaurentPoly, ideal_certificate, laplacian_poly, multiplier_sum, standard_polys
 from .sandpile import (
+    EXACT_DET_MAX_SITES,
     HeightConfig,
     burning_test,
     count_recurrent,
@@ -80,8 +81,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_TOLERANCE = 2
 EXIT_INPUT = 3
-
-_EXACT_COUNT_LIMIT = 400  # site bound for the integer determinant
 
 
 class CliInputError(ValueError):
@@ -478,22 +477,20 @@ def cmd_count(ns):
     gamma = ns.gamma
     if gamma < 2 * window.dim:
         raise CliInputError("gamma must be at least 2d")
-    log_count = count_recurrent(window, gamma, backend="determinant")
-    exact_det = None
-    if window.size <= _EXACT_COUNT_LIMIT:
-        exact_det = toppling_determinant_exact(window, gamma)
     if ns.backend == "determinant":
-        if exact_det is not None:
-            print("determinant count = %d (exact integer)" % exact_det)
+        log_count = count_recurrent(window, gamma, backend="determinant")
+        if window.size <= EXACT_DET_MAX_SITES:
+            print("determinant count = %d (exact integer)" % toppling_determinant_exact(window, gamma))
         print("log determinant = %.12g (exact eigenvalue product, fp rounding only)" % log_count)
         return EXIT_OK
     brute = count_recurrent(window, gamma, backend="bruteforce")
     if ns.backend == "bruteforce":
         print("bruteforce count = %d (exact)" % brute)
         return EXIT_OK
-    det_txt = str(exact_det) if exact_det is not None else "%.12g (log %g)" % (np.exp(log_count), log_count)
-    agree = exact_det == brute if exact_det is not None else abs(np.exp(log_count) - brute) < 0.5
-    print("%d = %s  (bruteforce = determinant, exact comparison): %s" % (brute, det_txt, "pass" if agree else "FAIL"))
+    # brute force stops at gamma^|E| <= 1e7, so |E| <= 23 and the exact determinant always applies
+    exact_det = toppling_determinant_exact(window, gamma)
+    agree = exact_det == brute
+    print("%d = %d  (bruteforce = determinant, exact comparison): %s" % (brute, exact_det, "pass" if agree else "FAIL"))
     return EXIT_OK if agree else EXIT_TOLERANCE
 
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+
+from .window import laplacian
 
 BUMP_OUTER = 0.24
 BUMP_INNER = 0.08
@@ -62,10 +63,6 @@ def _smoothstep(x):
 def _bump(rho):
     """Radial cutoff, 1 inside BUMP_INNER, 0 outside BUMP_OUTER."""
     return _smoothstep((BUMP_OUTER - np.asarray(rho, dtype=float)) / (BUMP_OUTER - BUMP_INNER))
-
-
-def _bump_scalar(rho):
-    return float(_bump(np.array([rho]))[0])
 
 
 # -- specs and tables --------------------------------------------------------
@@ -451,7 +448,7 @@ def _neville_to_zero(parts, xs):
     return est, abs(est - prev)
 
 
-def walk_series_oracle(d, gamma, n, k_max=None):
+def walk_series_oracle(d, gamma, n):
     """Independent series evaluation of the Green's function at one site.
 
     Critical d = 2: 4 w_n = sum_{k>=0} (P(X_k = n) - P(X_k = 0)); the k = 0
@@ -470,20 +467,16 @@ def walk_series_oracle(d, gamma, n, k_max=None):
         raise ValueError("site has wrong dimension")
     if gamma < 2 * d:
         raise ValueError("gamma must be at least 2d")
-    critical = gamma == 2 * d
-    if k_max is None:
-        if not critical:
-            ratio = 2 * d / float(gamma)
-            k_max = min(2000, int(math.log(1e-15 * (gamma - 2 * d)) / math.log(ratio)) + 8)
-        else:
-            k_max = 800 if d == 2 else 600
-    if not critical:
+    if gamma != 2 * d:
+        ratio = 2 * d / float(gamma)
+        k_max = min(2000, int(math.log(1e-15 * (gamma - 2 * d)) / math.log(ratio)) + 8)
         p = walk_distribution(d, n, k_max)
-        weights = (2 * d / float(gamma)) ** np.arange(k_max + 1)
+        weights = ratio ** np.arange(k_max + 1)
         value = float(np.dot(weights, p)) / gamma
-        tail = (2 * d / float(gamma)) ** (k_max + 1) / (gamma - 2 * d)
+        tail = ratio ** (k_max + 1) / (gamma - 2 * d)
         return OracleValue(value, tail + 1e-14 * max(abs(value), 1.0), k_max)
-    if critical and d == 2:
+    k_max = 800 if d == 2 else 600
+    if d == 2:
         p_n = walk_distribution(2, n, k_max)
         p_0 = walk_distribution(2, (0, 0), k_max)
         t = p_n - p_0
@@ -517,24 +510,11 @@ def walk_series_oracle(d, gamma, n, k_max=None):
 
 def fundamental_residual(table):
     """Max absolute defect of (stencil * w) - delta over the interior box."""
-    w = table.values
-    d = table.dim
     R = table.radius
     if R < 1:
         raise ValueError("need radius >= 1")
-    inner = tuple(slice(1, 2 * R) for _ in range(d))
-    res = float(table.gamma) * w[inner].copy()
-    for ax in range(d):
-        for step in (-1, 1):
-            idx = []
-            for a in range(d):
-                if a == ax:
-                    idx.append(slice(1 + step, 2 * R + step))
-                else:
-                    idx.append(slice(1, 2 * R))
-            res -= w[tuple(idx)]
-    center = (R - 1,) * d
-    res[center] -= 1.0
+    res = laplacian(table.values, float(table.gamma))[(slice(1, -1),) * table.dim]
+    res[(R - 1,) * table.dim] -= 1.0
     return float(np.max(np.abs(res)))
 
 
@@ -658,6 +638,20 @@ class EntropyResult:
     method: str
 
 
+def _bump_log_moment(p):
+    """Radial moment int_0^BUMP_OUTER bump(r) 2 log(2 pi r) r^p dr.
+
+    On [0, BUMP_INNER] the bump is 1 and the integral has the closed form
+    2 I^(p+1)/(p+1) (log(2 pi I) - 1/(p+1)); on the ramp the integrand is
+    smooth with all derivatives vanishing at both ends, so 64 Gauss-Legendre
+    nodes reach rounding level.
+    """
+    inner = BUMP_INNER
+    exact = 2.0 * inner ** (p + 1) / (p + 1) * (math.log(2 * np.pi * inner) - 1.0 / (p + 1))
+    r, w = _leggauss(64, BUMP_INNER, BUMP_OUTER)
+    return exact + float(np.sum(w * _bump(r) * 2.0 * np.log(2 * np.pi * r) * r**p))
+
+
 def _entropy_pass(d, gamma, N, n_r, n_ang):
     F, rho = _octant_grid(d, gamma, N)
     if gamma != 2 * d:
@@ -668,12 +662,8 @@ def _entropy_pass(d, gamma, N, n_r, n_ang):
     near = rho < BUMP_OUTER
     G[near] *= 1.0 - _bump(rho[near])
     smooth = _fold(G, N, 0).item()
-    if d == 2:
-        rad, _ = quad(lambda r: _bump_scalar(r) * 2.0 * math.log(2 * np.pi * r) * r, 0.0, BUMP_OUTER, limit=200)
-        rad *= 2 * np.pi
-    else:
-        rad, _ = quad(lambda r: _bump_scalar(r) * 2.0 * math.log(2 * np.pi * r) * r * r, 0.0, BUMP_OUTER, limit=200)
-        rad *= 4 * np.pi
+    # surface of the unit circle (d = 2) or sphere (d = 3) times the radial moment
+    rad = (2 * np.pi if d == 2 else 4 * np.pi) * _bump_log_moment(d - 1)
     pts, jac, radial = _patch_nodes(d, n_r, n_ang)
     Fpt = float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
     u = Fpt / (4 * np.pi**2 * radial**2)

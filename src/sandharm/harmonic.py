@@ -19,7 +19,6 @@ downstream are stated relative to err, never as bare constants.
 """
 
 import itertools
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,9 +29,7 @@ from . import sandpile
 from .green import decay_profile, multiplier_table, tail_beyond
 from .laurent import LaurentPoly, divide_by, ideal_certificate, laplacian_poly, multiplier_sum, standard_polys
 from .sandpile import HeightConfig
-from .window import BoxWindow
-
-log = logging.getLogger(__name__)
+from .window import BoxWindow, laplacian
 
 EXTENSIONS = ("zero", "constant", "periodic")
 
@@ -85,9 +82,6 @@ class TorusPoint:
     @property
     def dim(self):
         return self.window.dim
-
-    def value_at(self, site):
-        return float(self.values[self.window.index_of(site)])
 
     def restricted(self, window):
         if not self.window.contains_window(window):
@@ -341,14 +335,7 @@ def harmonicity_residual(x, gamma):
     """Max torus distance of gamma.x_n - sum of neighbours from 0, interior only."""
     if any(s < 3 for s in x.window.shape):
         raise ValueError("window has empty interior")
-    d = x.dim
-    inner = tuple(slice(1, -1) for _ in range(d))
-    acc = gamma * x.values[inner].copy()
-    for ax in range(d):
-        for step in (-1, 1):
-            sl = list(inner)
-            sl[ax] = slice(1 + step, x.values.shape[ax] - 1 + step)
-            acc -= x.values[tuple(sl)]
+    acc = laplacian(x.values, gamma)[(slice(1, -1),) * x.dim]
     return float(np.abs(acc - np.round(acc)).max()) if acc.size else 0.0
 
 
@@ -358,7 +345,7 @@ def shifted_config(v, m):
     return HeightConfig(v.window.shifted(off), v.gamma, v.heights.copy())
 
 
-def equivariance_residual(spec, v, m, extension="constant", constant=None):
+def equivariance_residual(spec, v, m):
     """Shift-commutation defect: map the shifted field vs shift the mapped field.
 
     Both routes approximate the same torus field, each within the spec's
@@ -370,8 +357,8 @@ def equivariance_residual(spec, v, m, extension="constant", constant=None):
     common = v.window.intersection(shifted.window)
     if common is None:
         raise ValueError("shift leaves no overlap")
-    a = xi_apply(spec, shifted, extension=extension, constant=constant, out_window=common)
-    b = xi_apply(spec, v, extension=extension, constant=constant)
+    a = xi_apply(spec, shifted, out_window=common)
+    b = xi_apply(spec, v)
     b_shifted = b.shifted(tuple(-int(x) for x in m))
     return point_distance(a, b_shifted)
 
@@ -422,18 +409,6 @@ class KernelWitnessReport:
         )
 
 
-def _periodic_profiles(d, beta, axis, profiles):
-    if profiles is None:
-        beta = Fraction(beta if beta is not None else Fraction(1, 4))
-        profiles = [[Fraction(0)] for _ in range(d)]
-        profiles[axis] = [Fraction(0), beta]
-    else:
-        profiles = [[Fraction(x) for x in p] for p in profiles]
-        if len(profiles) != d:
-            raise ValueError("need one profile per axis")
-    return profiles
-
-
 def _check_third_differences(profiles):
     for ax, prof in enumerate(profiles):
         L = len(prof)
@@ -445,7 +420,7 @@ def _check_third_differences(profiles):
                 )
 
 
-def kernel_witness(kind, specs, window, m=3, h=None, beta=None, axis=0, profiles=None, shift=0):
+def kernel_witness(kind, specs, window, m=3, h=None, beta=None):
     """Construct a field annihilated by every given map, with its report.
 
     Three families are supported:
@@ -454,9 +429,10 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None, axis=0, profiles
       an exact integer, so m times it vanishes mod 1.
     - ``f_multiple``: the Laplacian stencil convolved with a finite h; the
       kernel inverts the stencil, leaving the integer field (g* . h).
-    - ``periodic_family``: f.y + c + shift for a periodic rational field
-      y built from per-axis profiles whose cyclic third differences are
-      integers; c in [0,1) is the unique constant making the sum integer.
+    - ``periodic_family``: f.y + c for the rational field y that repeats
+      (0, beta) along axis 0 (beta defaults to 1/4) and is constant along
+      the others; its cyclic third differences must be integers, and c in
+      [0,1) is the unique constant making the sum integer.
 
     The report records exact integrality and the measured residual of
     every map next to its error bound.
@@ -480,7 +456,8 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None, axis=0, profiles
         v = HeightConfig(window, gamma, sandpile.poly_heights(window, f * h))
         extension, const = "zero", None
     elif kind == "periodic_family":
-        profiles = _periodic_profiles(d, beta, axis, profiles)
+        beta = Fraction(1, 4) if beta is None else Fraction(beta)
+        profiles = [[Fraction(0), beta]] + [[Fraction(0)]] * (d - 1)
         _check_third_differences(profiles)
         for ax, prof in enumerate(profiles):
             if window.shape[ax] % len(prof) != 0:
@@ -496,7 +473,7 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None, axis=0, profiles
         ]
         fracs = {
             Fraction(sum(second[ax][t % len(second[ax])] for ax, t in enumerate(combo)) % 1)
-            for combo in _period_cell(second)
+            for combo in itertools.product(*[range(len(s)) for s in second])
         }
         if len(fracs) != 1:
             raise ValueError("profiles do not admit a single integral correction")
@@ -506,7 +483,7 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None, axis=0, profiles
         for idx_combo, site in zip(np.ndindex(*window.shape), window.sites()):
             total = sum(
                 second[ax][site[ax] % len(second[ax])] for ax in range(d)
-            ) + correction + shift
+            ) + correction
             if total.denominator != 1:
                 raise AssertionError("correction failed to clear denominators")
             heights[idx_combo] = int(total)
@@ -534,11 +511,6 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None, axis=0, profiles
         correction=correction,
     )
     return v, report
-
-
-def _period_cell(second):
-    """Index combinations covering one full period of a separable field."""
-    return itertools.product(*[range(len(s)) for s in second])
 
 
 # -- separation ---------------------------------------------------------------
@@ -585,13 +557,13 @@ def separation_check(spec, v, vp, Q):
 # -- grain addition -----------------------------------------------------------
 
 
-def addition_operator_demo(spec, site, out_window, v=None, rng=None):
+def addition_operator_demo(spec, site, out_window, rng=None):
     """Image increment caused by dropping one grain at a site.
 
     Returns the kernel translated to the site (as a torus point on
     ``out_window``) together with the measured mismatch against a direct
-    before/after evaluation on a recurrent configuration; linearity makes
-    the mismatch at most 2 err.
+    before/after evaluation on a random recurrent configuration on
+    ``out_window`` dilated by 2; linearity makes the mismatch at most 2 err.
     """
     site = tuple(int(x) for x in site)
     d = spec.dim
@@ -600,9 +572,8 @@ def addition_operator_demo(spec, site, out_window, v=None, rng=None):
     delta_window = BoxWindow(site, site)
     delta_cfg = HeightConfig.delta(delta_window, spec.gamma, site, amount=1)
     delta = xi_apply(spec, delta_cfg, extension="zero", out_window=out_window)
-    if v is None:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
     if site not in v.window:
         raise ValueError("site must lie in the configuration's window")
     before = xi_apply(spec, v, out_window=out_window)

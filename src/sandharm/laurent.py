@@ -22,11 +22,8 @@ equals -c/2, an integer.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
-
-log = logging.getLogger(__name__)
 
 
 class LaurentPoly:
@@ -449,13 +446,12 @@ def _solve_exact(rows, rhs):
     return sol
 
 
-def divide_by(g, f, support_bound=None):
+def divide_by(g, f):
     """Exact quotient h with h * f = g, or None when no such h exists.
 
-    ``support_bound`` is an optional pair (lo, hi) of componentwise bounds
-    for the support of h.  The default is the exact Newton-box difference
-    of the supports of g and f, which always contains the quotient when
-    one exists, so absence under the default bound is a proof of absence.
+    The unknown support of h is the exact Newton-box difference of the
+    supports of g and f, which always contains the quotient when one
+    exists, so absence is a proof of absence.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
@@ -466,21 +462,10 @@ def divide_by(g, f, support_bound=None):
     d = g.dim
     fbox = f.bounding_box()
     gbox = g.bounding_box()
-    exact_lo = tuple(gl - fl for gl, fl in zip(gbox[0], fbox[0]))
-    exact_hi = tuple(gh - fh for gh, fh in zip(gbox[1], fbox[1]))
-    if any(lo > hi for lo, hi in zip(exact_lo, exact_hi)):
+    lo = tuple(gl - fl for gl, fl in zip(gbox[0], fbox[0]))
+    hi = tuple(gh - fh for gh, fh in zip(gbox[1], fbox[1]))
+    if any(l > h for l, h in zip(lo, hi)):
         return None
-    if support_bound is None:
-        lo, hi = exact_lo, exact_hi
-    else:
-        lo, hi = tuple(support_bound[0]), tuple(support_bound[1])
-        # a quotient, if any, lives in the exact box; clip and report when
-        # the given bound cannot contain it
-        if any(bl > el or bh < eh for bl, bh, el, eh in zip(lo, hi, exact_lo, exact_hi)):
-            log.info("divide_by: support bound %r..%r is provably too small (need %r..%r)", lo, hi, exact_lo, exact_hi)
-            return None
-        lo = tuple(max(a, b) for a, b in zip(lo, exact_lo))
-        hi = tuple(min(a, b) for a, b in zip(hi, exact_hi))
     unknowns = list(itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
     index = {k: i for i, k in enumerate(unknowns)}
     # equations: every exponent reachable as unknown + supp(f), plus supp(g)

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import fft, ndimage
 
 from .laurent import LaurentPoly, laplacian_poly
-from .window import BoxWindow
+from .window import BoxWindow, laplacian, neighbour_sum
 
 
 # -- height configurations ---------------------------------------------------
@@ -113,7 +113,7 @@ class HeightConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, lo=None):
+    def from_text(cls, text):
         rows = [ln.strip() for ln in text.splitlines()]
         rows = [ln for ln in rows if ln and not ln.startswith("#")]
         if not rows:
@@ -134,7 +134,7 @@ class HeightConfig:
             if len(ln) != shape[-1]:
                 raise ValueError("rows must have %d entries" % shape[-1])
         heights = np.array(body, dtype=np.int64).reshape(shape)
-        window = BoxWindow.from_shape(shape, lo=lo)
+        window = BoxWindow.from_shape(shape)
         return cls(window, gamma, heights)
 
 
@@ -183,44 +183,14 @@ class BurnReport:
 # -- elementary operations ---------------------------------------------------
 
 
-def neighbour_count(window, site):
-    """Number of the 2d nearest lattice neighbours lying inside the window."""
-    return window.neighbour_count(site)
-
-
-def _neighbour_shift_sum(field):
-    """Sum of the 2d axis shifts of ``field``, zero-padded at the edges."""
-    out = np.zeros_like(field)
-    d = field.ndim
-    for ax in range(d):
-        src_lo = [slice(None)] * d
-        dst_lo = [slice(None)] * d
-        src_lo[ax] = slice(1, None)
-        dst_lo[ax] = slice(None, -1)
-        out[tuple(dst_lo)] += field[tuple(src_lo)]
-        out[tuple(src_lo)] += field[tuple(dst_lo)]
-    return out
-
-
-def _laplacian(field, gamma):
-    """Toppling-matrix product L field, with L = gamma I - A on the window."""
-    return gamma * field - _neighbour_shift_sum(field)
-
-
 def topple_at(v, site):
     """Single toppling: site loses gamma, in-window neighbours gain one."""
     idx = v.window.index_of(site)
     if v.heights[idx] < v.gamma:
         raise ValueError("site %r is not unstable" % (site,))
-    out = v.heights.copy()
-    out[idx] -= v.gamma
-    site = tuple(site)
-    for ax in range(v.dim):
-        for step in (-1, 1):
-            nb = site[:ax] + (site[ax] + step,) + site[ax + 1 :]
-            if nb in v.window:
-                out[v.window.index_of(nb)] += 1
-    return HeightConfig(v.window, v.gamma, out)
+    unit = np.zeros_like(v.heights)
+    unit[idx] = 1
+    return HeightConfig(v.window, v.gamma, v.heights - laplacian(unit, v.gamma))
 
 
 def _flat_layout(shape):
@@ -287,7 +257,7 @@ def stabilize(v):
     gamma = v.gamma
     start = _odometer_floor(v.heights, gamma)
     padded, strides = _flat_layout(v.window.shape)
-    h = np.pad(v.heights - _laplacian(start, gamma), 1, constant_values=_SINK)
+    h = np.pad(v.heights - laplacian(start, gamma), 1, constant_values=_SINK)
     flat = h.ravel()
     swept = np.zeros_like(flat)
     k = np.empty_like(flat)
@@ -309,7 +279,7 @@ def stabilize(v):
         if not stuck.any():
             break
         counts -= stuck
-        stable += _laplacian(stuck.astype(np.int64), gamma)
+        stable += laplacian(stuck.astype(np.int64), gamma)
     lost = int(v.heights.sum() - stable.sum())
     return HeightConfig(v.window, v.gamma, stable), Odometer(counts, lost)
 
@@ -358,7 +328,7 @@ def _burn_rounds(heights, alive):
     offsets = [step * st for st in strides for step in (-1, 1)]
     h = np.pad(heights, 1).ravel()
     live = np.pad(alive, 1).ravel()
-    count = np.pad(_neighbour_shift_sum(alive.astype(np.int64)), 1).ravel()
+    count = np.pad(neighbour_sum(alive.astype(np.int64)), 1).ravel()
     rounds = np.zeros(h.size, dtype=np.int64)
     front = np.flatnonzero(live & (h >= count))
     rnd = 0
@@ -401,20 +371,14 @@ def is_recurrent(v):
 
 
 def toppling_matrix(window, gamma):
-    """Dense toppling matrix: gamma on the diagonal, -1 at adjacent pairs."""
-    sites = list(window.sites())
-    pos = {s: i for i, s in enumerate(sites)}
-    n = len(sites)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for s, i in pos.items():
-        mat[i, i] = gamma
-        for ax in range(window.dim):
-            for step in (-1, 1):
-                nb = s[:ax] + (s[ax] + step,) + s[ax + 1 :]
-                j = pos.get(nb)
-                if j is not None:
-                    mat[i, j] = -1
-    return mat
+    """Dense toppling matrix: gamma on the diagonal, -1 at adjacent pairs.
+
+    Sites are in lexicographic order.  Row i is L applied to the unit field
+    at site i, which is the matrix's row as well as its column since L is
+    symmetric.
+    """
+    units = np.eye(window.size, dtype=np.int64)
+    return np.stack([laplacian(u.reshape(window.shape), gamma).ravel() for u in units])
 
 
 def _bareiss_det(mat):
@@ -439,10 +403,14 @@ def _bareiss_det(mat):
     return sign * a[n - 1][n - 1]
 
 
+# largest window, in sites, for the pure-Python fraction-free elimination
+EXACT_DET_MAX_SITES = 400
+
+
 def toppling_determinant_exact(window, gamma):
     """det of the toppling matrix as an exact integer (small windows)."""
-    if window.size > 400:
-        raise ValueError("exact determinant limited to 400 sites")
+    if window.size > EXACT_DET_MAX_SITES:
+        raise ValueError("exact determinant limited to %d sites" % EXACT_DET_MAX_SITES)
     return _bareiss_det(toppling_matrix(window, gamma))
 
 
@@ -456,20 +424,10 @@ def _log_det_box(window, gamma):
 
 def _burn_all(configs, window, gamma):
     """Vectorized burning test over many stable configs (rows of heights)."""
-    sites = list(window.sites())
-    n = len(sites)
-    pos = {s: i for i, s in enumerate(sites)}
-    adj = np.zeros((n, n), dtype=np.int64)
-    for s, i in pos.items():
-        for ax in range(window.dim):
-            for step in (-1, 1):
-                nb = s[:ax] + (s[ax] + step,) + s[ax + 1 :]
-                j = pos.get(nb)
-                if j is not None:
-                    adj[i, j] = 1
+    adj = -toppling_matrix(window, 0)
     V = np.asarray(configs)
     alive = np.ones(V.shape, dtype=bool)
-    for _ in range(n):
+    for _ in range(window.size):
         n_alive = alive.astype(np.int64) @ adj
         eligible = alive & (V >= n_alive)
         if not eligible.any():
@@ -582,10 +540,7 @@ def correct_to_recurrent(v, M):
             break
         h_net -= k
         sub -= two_d * k
-        spread = np.zeros(outer.shape, dtype=np.int64)
-        interior = tuple(slice(1, -1) for _ in range(d))
-        spread[interior] = k
-        box_view(cur, outer)[...] += _neighbour_shift_sum(spread)
+        box_view(cur, outer)[...] += neighbour_sum(np.pad(k, 1))
 
     # phase 2: add 0/1 rounds on the stuck set until recurrent
     for _ in range(1_000_000):
@@ -596,15 +551,12 @@ def correct_to_recurrent(v, M):
             break
         while True:
             s_mask = support.astype(np.int64)
-            fresh = (sub + _laplacian(s_mask, two_d) < 0) & ~support
+            fresh = (sub + laplacian(s_mask, two_d) < 0) & ~support
             if not fresh.any():
                 break
             support |= fresh
         h_net += s_mask
-        spread = np.zeros(outer.shape, dtype=np.int64)
-        interior = tuple(slice(1, -1) for _ in range(d))
-        spread[interior] = s_mask
-        box_view(cur, outer)[...] += _laplacian(spread, two_d)
+        box_view(cur, outer)[...] += laplacian(np.pad(s_mask, 1), two_d)
     else:
         raise RuntimeError("correction did not converge")
 

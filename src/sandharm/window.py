@@ -1,15 +1,22 @@
-"""Axis-aligned boxes of lattice sites.
+"""Axis-aligned boxes of lattice sites, and the nearest-neighbour stencil.
 
 A BoxWindow is the finite set of integer points between two corners,
 inclusive.  Windows carry the geometry shared by the sandpile dynamics,
-the Green-table bookkeeping and the covering-map evaluation: containment,
-neighbour counting, and the mapping between sites and array indices.
+the Green-table bookkeeping and the covering-map evaluation: containment
+and the mapping between sites and array indices.
+
+``laplacian`` applies the lattice Laplacian gamma - sum_i (u_i + u_i^-1),
+the one operator behind toppling, recurrence, the Green's function and
+the harmonic model, to a field on a box; ``neighbour_sum`` is its
+off-diagonal part.  Both treat the field as zero outside the array.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -73,21 +80,6 @@ class BoxWindow:
     def site_of(self, index):
         return tuple(int(i) + l for i, l in zip(index, self.lo))
 
-    def neighbour_count(self, site):
-        """Number of the 2d nearest lattice neighbours lying inside."""
-        if site not in self:
-            raise KeyError("site %r outside window" % (site,))
-        count = 0
-        for axis in range(self.dim):
-            for step in (-1, 1):
-                moved = site[axis] + step
-                if self.lo[axis] <= moved <= self.hi[axis]:
-                    count += 1
-        return count
-
-    def is_interior(self, site):
-        return all(l < x < h for x, l, h in zip(site, self.lo, self.hi))
-
     def shifted(self, offset):
         off = tuple(int(x) for x in offset)
         return BoxWindow(
@@ -111,3 +103,21 @@ class BoxWindow:
         return all(a <= b for a, b in zip(self.lo, other.lo)) and all(
             a >= b for a, b in zip(self.hi, other.hi)
         )
+
+
+def neighbour_sum(field):
+    """Sum of the 2d nearest-neighbour values at each site, zero outside the array."""
+    out = np.zeros_like(field)
+    for ax in range(field.ndim):
+        lower = [slice(None)] * field.ndim
+        upper = [slice(None)] * field.ndim
+        lower[ax] = slice(None, -1)
+        upper[ax] = slice(1, None)
+        out[tuple(lower)] += field[tuple(upper)]
+        out[tuple(upper)] += field[tuple(lower)]
+    return out
+
+
+def laplacian(field, gamma):
+    """Toppling-matrix product L field, with L = gamma I - A on the array's box."""
+    return gamma * field - neighbour_sum(field)

@@ -277,6 +277,15 @@ def test_version_runs_in_subprocess():
     assert "sandharm" in proc.stdout
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sandharm.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # -- polynomial expressions ---------------------------------------------------------
 
 

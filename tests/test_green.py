@@ -151,6 +151,12 @@ def test_entropy_critical_values(entropy_d2_critical, entropy_d3_critical):
     assert entropy_d3_critical.err_bound < 1e-3
 
 
+def test_entropy_d2_matches_catalan(entropy_d2_critical):
+    """The critical d=2 entropy equals 4G/pi, G being Catalan's constant."""
+    catalan = 0.915965594177219015054603514932384110774
+    assert abs(entropy_d2_critical.value - 4 * catalan / math.pi) <= 1e-12
+
+
 def test_csv_round_trip(table_d3_g7):
     t = table_d3_g7
     back = GreenTable.from_csv(t.to_csv())

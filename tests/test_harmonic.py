@@ -126,6 +126,20 @@ def test_harmonicity_needs_interior(spec_d2):
         harmonicity_residual(x, 4)
 
 
+def test_harmonicity_residual_of_known_fields():
+    # a linear field is harmonic for gamma = 2d; a bump b at one interior
+    # site leaves residual 2d b there and b at its neighbours
+    for shape in ((6, 7), (4, 5, 6)):
+        d = len(shape)
+        linear = np.tensordot([0.3, 0.45, 0.7][:d], np.indices(shape), axes=1)
+        x = TorusPoint(BoxWindow.from_shape(shape), linear, 0.0)
+        assert harmonicity_residual(x, 2 * d) <= 1e-12
+        bump = np.zeros(shape)
+        bump[(2,) * d] = 0.05
+        x = TorusPoint(BoxWindow.from_shape(shape), bump, 0.0)
+        assert harmonicity_residual(x, 2 * d) == pytest.approx(2 * d * 0.05, abs=1e-12)
+
+
 def test_equivariance_zero_shift_is_exact(spec_d2, rng):
     v = random_recurrent(suite_window(2, 12), 4, rng)
     assert equivariance_residual(spec_d2, v, (0, 0)) == 0.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandharm import sandpile
+from sandharm import sandpile, window
 from sandharm.laurent import LaurentPoly, laplacian_poly
 from sandharm.sandpile import (
     HeightConfig,
@@ -23,7 +23,6 @@ from sandharm.sandpile import (
     group_add,
     injectivity_witness,
     is_recurrent,
-    neighbour_count,
     random_recurrent,
     stabilize,
     stabilize_serial,
@@ -130,13 +129,24 @@ def has_forbidden_subset(v):
 # -- elementary moves --------------------------------------------------------
 
 
-def test_neighbour_count():
-    w = box(3, 3)
-    assert neighbour_count(w, (1, 1)) == 4
-    assert neighbour_count(w, (0, 0)) == 2
-    assert neighbour_count(w, (1, 0)) == 3
-    assert neighbour_count(box(1, 1), (0, 0)) == 0
-    assert neighbour_count(BoxWindow.from_shape((3, 3, 3)), (1, 1, 1)) == 6
+def test_neighbour_sum_and_laplacian():
+    ones = window.neighbour_sum(np.ones((3, 3), dtype=np.int64))
+    assert (ones[1, 1], ones[0, 0], ones[1, 0]) == (4, 2, 3)
+    assert window.neighbour_sum(np.ones((1, 1), dtype=np.int64))[0, 0] == 0
+    assert window.neighbour_sum(np.ones((3, 3, 3), dtype=np.int64))[1, 1, 1] == 6
+    rng = np.random.default_rng(11)
+    shapes = [(1,), (2,), (7,), (1, 1), (1, 5), (4, 1), (3, 6), (1, 1, 1), (2, 1, 3), (1, 4, 1), (3, 4, 5)]
+    for shape in shapes:
+        for field in (rng.integers(-50, 50, size=shape), rng.normal(size=shape)):
+            # integers must match exactly; float sums of at most 6 terms, added
+            # in another order, may differ by a few ulps of the largest term
+            atol = 0 if field.dtype.kind == "i" else 8 * np.finfo(float).eps * np.abs(field).max()
+            expected = neighbour_sum(field)
+            got = window.neighbour_sum(field)
+            assert got.dtype == field.dtype
+            np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
+            for gamma in (2 * len(shape), 2 * len(shape) + 3):
+                np.testing.assert_allclose(window.laplacian(field, gamma), gamma * field - expected, rtol=0, atol=atol)
 
 
 def test_single_toppling():
@@ -424,6 +434,10 @@ def test_toppling_matrix_layout():
     m = toppling_matrix(box(1, 2), 4)
     assert np.array_equal(m, [[4, -1], [-1, 4]])
     assert np.array_equal(toppling_matrix(box(1, 1), 5), [[5]])
+    w = BoxWindow((0, -1, 2), (1, 1, 3))
+    sites = list(w.sites())
+    expected = np.array([[7 if s == t else -int(t in set(lattice_neighbours(s))) for t in sites] for s in sites])
+    assert np.array_equal(toppling_matrix(w, 7), expected)
 
 
 def test_bruteforce_guard():
