@@ -20,7 +20,8 @@ The burning kernel returns each site's burn round as an int array and,
 after the first round, rechecks only the neighbours of the sites that
 burnt in the round before.  The number of recurrent configurations
 equals the determinant of the toppling matrix, computed here
-exactly (fraction-free elimination) or in the log domain through the exact
+exactly (fraction-free elimination confined to the matrix's band, with the
+box laid out longest axis first) or in the log domain through the exact
 eigenvalues available on box windows.
 
 The correction operator turns an arbitrary bounded integer field into one
@@ -32,7 +33,6 @@ polynomials supported on the stuck set until the burning test passes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -381,37 +381,58 @@ def toppling_matrix(window, gamma):
     return np.stack([laplacian(u.reshape(window.shape), gamma).ravel() for u in units])
 
 
-def _bareiss_det(mat):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
-    sign = 1
+def _banded_det(mat, band):
+    """Exact determinant of a positive definite integer matrix of half-bandwidth ``band``.
+
+    Fraction-free (Bareiss) elimination without pivoting: the pivot of step k
+    is the leading principal minor of order k + 1, positive for a positive
+    definite matrix, so a pivot <= 0 means the matrix is not (RuntimeError),
+    and each division by the previous pivot is exact.  An index more than
+    ``band`` past the pivot has a zero multiplier, so a step only rescales
+    its entries by pivot / previous pivot; by Sylvester's identity these
+    factors telescope, and the elimination keeps a (band + 1)-wide working
+    block whose entering row and column are scaled once, by the latest
+    pivot.  Each step costs O(band^2) big-integer operations on a numpy
+    object array of Python ints.
+    """
+    n = len(mat)
+    width = min(band + 1, n)
+    block = mat[:width, :width].astype(object)
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for k in range(n):
+        pivot = block[0, 0]
+        if pivot <= 0:
+            raise RuntimeError("pivot %d at step %d: matrix is not positive definite" % (pivot, k))
+        rest = (pivot * block[1:, 1:] - np.multiply.outer(block[1:, 0], block[0, 1:])) // prev
+        prev = pivot
+        m = k + width
+        if m < n:
+            block = np.empty((width, width), dtype=object)
+            block[:-1, :-1] = rest
+            block[-1, :] = mat[m, k + 1 : m + 1].astype(object) * pivot
+            block[:-1, -1] = mat[k + 1 : m, m].astype(object) * pivot
+        else:
+            block = rest
+    return prev
 
 
-# largest window, in sites, for the pure-Python fraction-free elimination
+# largest window, in sites, for the exact determinant: its banded elimination
+# costs O(|E| b^2) big-integer operations, b the product of all sides but the
+# longest (0.05 s on 16x16, about 1 s on 7x7x7)
 EXACT_DET_MAX_SITES = 400
 
 
 def toppling_determinant_exact(window, gamma):
-    """det of the toppling matrix as an exact integer (small windows)."""
+    """det of the toppling matrix as an exact integer (small windows).
+
+    The determinant does not depend on the order of the axes, so the box is
+    laid out longest axis first: its lexicographic half-bandwidth is then the
+    product of the other sides.
+    """
     if window.size > EXACT_DET_MAX_SITES:
         raise ValueError("exact determinant limited to %d sites" % EXACT_DET_MAX_SITES)
-    return _bareiss_det(toppling_matrix(window, gamma))
+    shape = sorted(window.shape, reverse=True)
+    return _banded_det(toppling_matrix(BoxWindow.from_shape(shape), gamma), math.prod(shape[1:]))
 
 
 def _log_det_box(window, gamma):
@@ -423,12 +444,17 @@ def _log_det_box(window, gamma):
 
 
 def _burn_all(configs, window, gamma):
-    """Vectorized burning test over many stable configs (rows of heights)."""
-    adj = -toppling_matrix(window, 0)
-    V = np.asarray(configs)
+    """Vectorized burning test over many stable configs (rows of heights).
+
+    The alive-neighbour counts are one float32 BLAS product per round.  They
+    are at most 2d, so float32 holds them exactly, and rounding a height to
+    float32 is monotone, so comparing it with a count gives the integer answer.
+    """
+    adj = -toppling_matrix(window, 0).astype(np.float32)
+    V = np.asarray(configs, dtype=np.float32)
     alive = np.ones(V.shape, dtype=bool)
     for _ in range(window.size):
-        n_alive = alive.astype(np.int64) @ adj
+        n_alive = alive.astype(np.float32) @ adj
         eligible = alive & (V >= n_alive)
         if not eligible.any():
             break
@@ -439,23 +465,23 @@ def _burn_all(configs, window, gamma):
 def count_recurrent(window, gamma, backend="determinant"):
     """Number of recurrent configurations on the window.
 
-    ``bruteforce`` enumerates all gamma^|E| stable configurations and counts
+    ``bruteforce`` enumerates all gamma^|E| stable configurations, in chunks
+    of 2^16 built as the base-gamma digits of an index range, and counts
     burning-test passes, returning an exact integer; ``determinant`` returns
     the log of det of the toppling matrix, evaluated through its exact box
     eigenvalues.
     """
     size = window.size
     if backend == "bruteforce":
-        if gamma**size > 10**7:
+        total = gamma**size
+        if total > 10**7:
             raise ValueError("bruteforce limited to gamma^|E| <= 1e7")
+        place = gamma ** np.arange(size - 1, -1, -1, dtype=np.int64)
         count = 0
         chunk = 1 << 16
-        it = itertools.product(range(gamma), repeat=size)
-        while True:
-            block = list(itertools.islice(it, chunk))
-            if not block:
-                break
-            count += int(_burn_all(np.array(block, dtype=np.int64), window, gamma).sum())
+        for start in range(0, total, chunk):
+            index = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            count += int(_burn_all(index[:, None] // place % gamma, window, gamma).sum())
         return count
     if backend == "determinant":
         if size > 10**6:
@@ -587,10 +613,12 @@ def group_add(v, w):
 
 
 def random_recurrent(window, gamma, rng):
-    """Uniform-ish recurrent sample: all-max plus random grains, stabilized.
+    """Recurrent sample: all-max plus U{0..gamma-1} grains per site, stabilized.
 
     Adding to a recurrent configuration and stabilizing lands back in the
-    recurrent set, so the result always passes the burning test.
+    recurrent set, so the result always passes the burning test.  The sample
+    is not uniform over the recurrent set: enumerating every input on a 2x2
+    window produces each recurrent configuration 1 to 3 times.
     """
     extra = rng.integers(0, gamma, size=window.shape)
     loaded = HeightConfig(window, gamma, extra + (gamma - 1))

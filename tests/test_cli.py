@@ -11,6 +11,7 @@ import pytest
 
 import sandharm.cli as cli
 import sandharm.green as green
+import sandharm.sandpile as sandpile
 from sandharm.cli import main, parse_poly
 from sandharm.green import GreenTable
 from sandharm.harmonic import TorusPoint
@@ -50,6 +51,14 @@ def test_count_bruteforce_guard_is_input_error(capsys):
 
 def test_count_bad_window_spec():
     assert main(["sandpile", "count", "--window", "2by2", "--gamma", "4"]) == 3
+
+
+def test_count_internal_fault_is_not_input_error(monkeypatch):
+    # a toppling matrix that is not positive definite is a fault in the program, not in the input
+    real = sandpile.toppling_matrix
+    monkeypatch.setattr(sandpile, "toppling_matrix", lambda window, gamma: -real(window, gamma))
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        main(["sandpile", "count", "--window", "2x2", "--gamma", "4", "--backend", "determinant"])
 
 
 # -- burn / stabilize ------------------------------------------------------------

@@ -31,7 +31,7 @@ from sandharm.sandpile import (
     toppling_matrix,
     witness_report,
 )
-from sandharm.sandpile import _burn_all, _burn_rounds
+from sandharm.sandpile import _banded_det, _burn_all, _burn_rounds, _log_det_box
 from sandharm.window import BoxWindow
 
 
@@ -124,6 +124,47 @@ def has_forbidden_subset(v):
         if forbidden:
             return True
     return False
+
+
+def box_shapes(d, max_sites):
+    """Every box shape of dimension d, in every axis order, with at most max_sites sites."""
+    return [s for s in itertools.product(range(1, max_sites + 1), repeat=d) if math.prod(s) <= max_sites]
+
+
+def det_reference(mat):
+    """Exact determinant by full fraction-free elimination over every row and column."""
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    prev, sign = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def burn_all_reference(configs, window):
+    """Parallel burning rounds on many configs with int64 alive-neighbour counts."""
+    sites = list(window.sites())
+    pos = {s: i for i, s in enumerate(sites)}
+    adj = np.zeros((len(sites), len(sites)), dtype=np.int64)
+    for i, s in enumerate(sites):
+        for nb in lattice_neighbours(s):
+            if nb in pos:
+                adj[i, pos[nb]] = 1
+    alive = np.ones(configs.shape, dtype=bool)
+    while True:
+        eligible = alive & (configs >= alive.astype(np.int64) @ adj)
+        if not eligible.any():
+            return ~alive.any(axis=1)
+        alive &= ~eligible
 
 
 # -- elementary moves --------------------------------------------------------
@@ -428,6 +469,68 @@ def test_count_backends_agree():
         log_det = count_recurrent(w, gamma, backend="determinant")
         assert brute == round(math.exp(log_det))
         assert brute == toppling_determinant_exact(w, gamma)
+
+
+def test_bruteforce_matches_exact_determinant():
+    cases = [
+        (shape, gamma)
+        for d in (1, 2, 3)
+        for gamma in range(2 * d, 2 * d + 3)
+        for shape in box_shapes(d, max(n for n in range(1, 17) if gamma**n <= 10**5))
+    ]
+    # 3^11 = 2 * 2^16 + 46075: the last chunk of the enumeration is partial
+    cases.append(((11,), 3))
+    for shape, gamma in cases:
+        w = BoxWindow.from_shape(shape)
+        assert count_recurrent(w, gamma, backend="bruteforce") == toppling_determinant_exact(w, gamma), shape
+
+
+def test_burn_all_float32_matches_int64_reference(rng):
+    for shape in [(9,), (4, 5), (2, 7), (1, 3, 3), (3, 2, 2)]:
+        w = BoxWindow.from_shape(shape)
+        gamma = 2 * w.dim + 2
+        V = rng.integers(0, gamma, size=(5000, w.size))
+        V[0] = gamma - 1
+        V[1] = 0
+        assert np.array_equal(_burn_all(V, w, gamma), burn_all_reference(V, w))
+
+
+def test_banded_det_matches_full_elimination():
+    """Every box up to axis order, gamma = 2d..2d+2; at most 60 sites in d = 1, 48 in d = 2, 40 in d = 3.
+
+    ``toppling_determinant_exact`` gets the axes shortest first and must lay
+    them out itself; ``_banded_det`` runs on every axis order at gamma = 2d,
+    with that order's half-bandwidth, the product of all sides but the first.
+    """
+    for d, max_sites in ((1, 60), (2, 48), (3, 40)):
+        for shape in sorted({tuple(sorted(s)) for s in box_shapes(d, max_sites)}):
+            for gamma in range(2 * d, 2 * d + 3):
+                expected = det_reference(toppling_matrix(BoxWindow.from_shape(shape), gamma))
+                assert toppling_determinant_exact(BoxWindow.from_shape(shape), gamma) == expected, shape
+                if gamma > 2 * d:
+                    continue
+                for order in set(itertools.permutations(shape)):
+                    mat = toppling_matrix(BoxWindow.from_shape(order), gamma)
+                    assert _banded_det(mat, math.prod(order[1:])) == expected, order
+
+
+def test_exact_determinant_anchors():
+    # the path with gamma = 2 has det n + 1; its leading n x n block is the path of n sites
+    top = sandpile.EXACT_DET_MAX_SITES
+    path = toppling_matrix(box(top), 2)
+    assert toppling_determinant_exact(box(top), 2) == top + 1
+    for n in range(1, top):
+        assert _banded_det(path[:n, :n], 1) == n + 1
+    w = box(16, 16)
+    log_det = math.log(toppling_determinant_exact(w, 4))
+    assert abs(log_det - _log_det_box(w, 4)) <= 1e-12 * log_det
+
+
+def test_banded_det_rejects_indefinite_matrix():
+    # a non-positive pivot is an internal fault, not an input error
+    for mat in ([[1, 2], [2, 1]], [[0, 1], [1, 0]]):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            _banded_det(np.array(mat, dtype=np.int64), 1)
 
 
 def test_toppling_matrix_layout():
