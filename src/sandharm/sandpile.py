@@ -10,15 +10,21 @@ whose toppling leaves the configuration stable (least action, Fey-Levine-
 Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
 odometer in one step (the continuous solve L^-1 (h - (gamma - 1)) by DST-I),
 finishes with bulk sweeps, and certifies minimality with a burning test on
-the odometer's support, untoppling any stuck set.  ``stabilize_serial``,
-which topples one site at a time, is kept for randomized cross-checks.
+the odometer's support, untoppling any stuck set.  The sweeps run in int32
+whenever a bound on the odometer, proved from the input and the head start,
+keeps every value they produce below 2^30, and in int64 otherwise; integer
+arithmetic that cannot overflow is exact, so both give the same result.
+``stabilize_serial``, which topples one site at a time, is kept for
+randomized cross-checks.
 
 Recurrent configurations are characterized by the burning test: repeatedly
 remove every site whose height is at least its count of not-yet-removed
 neighbours; the configuration is recurrent exactly when all sites burn.
 The burning kernel returns each site's burn round as an int array and,
 after the first round, rechecks only the neighbours of the sites that
-burnt in the round before.  The number of recurrent configurations
+burnt in the round before, deduplicated without a sort.  It works in int32
+on heights clipped to [-1, 2d], which is exact because a site's count of
+unburnt neighbours lies in [0, 2d].  The number of recurrent configurations
 equals the determinant of the toppling matrix, computed here
 exactly (fraction-free elimination confined to the matrix's band, with the
 box laid out longest axis first) or in the log domain through the exact
@@ -203,8 +209,11 @@ def _flat_layout(shape):
     return padded, [math.prod(padded[ax + 1 :]) for ax in range(len(shape))]
 
 
-# border height of the padded sweep arrays: a sink site never reaches gamma
-_SINK = -(1 << 62)
+# the sweeps run in int32 when every value they can produce lies strictly
+# within +-_INT32_LIMIT; the padded border (a sink, which never reaches gamma)
+# then starts at -_INT32_LIMIT, and at _INT64_SINK in the int64 fallback
+_INT32_LIMIT = 1 << 30
+_INT64_SINK = -(1 << 62)
 
 
 def _box_eigenvalues(shape, gamma):
@@ -233,6 +242,30 @@ def _odometer_floor(heights, gamma):
     return np.maximum(bound, 0).astype(np.int64)
 
 
+def _sweep_dtype(heights, start, gamma):
+    """int32 when no value of the sweeps from ``start`` can leave +-_INT32_LIMIT, else int64.
+
+    A bound U on the odometer u: final heights are >= 0, so L u <= h and,
+    L^-1 being entrywise nonnegative, u <= L^-1 h = L^-1 (h - (gamma - 1))
+    + (gamma - 1) L^-1 1.  The first term is the DST solve x whose floor,
+    less 1e-6 and clipped at 0, is the head start, so x < max(start) + 2
+    for any rounding error below 1/2.  For the second, the 1-d torsion
+    function phi = t (n + 1 - t) / 2 along the shortest axis (t = 1..n)
+    has L phi >= (gamma - 2d) phi + 1 >= 1, so L^-1 1 <= phi <= (n + 1)^2 / 8.
+
+    The sweeps count w <= u + c, c = max(start - u)^+ <= max(start): u + c
+    is stabilizing (L 1 >= 0) and lies above ``start``, so legal topplings
+    from ``start`` never pass it (least action).  This holds even for a
+    head start that overshoots.  So w <= W = U + max(start), a height in
+    the window lies in [-gamma max(start), max(h) + 2d W], and a border
+    site holds the sink plus at most W.
+    """
+    top = int(start.max(initial=0))
+    odometer = 2 * top + 2 + (gamma - 1) * (min(heights.shape) + 1) ** 2 / 8
+    bound = max(int(heights.max(initial=0)) + 2 * heights.ndim * odometer, gamma * top)
+    return np.int32 if bound < _INT32_LIMIT else np.int64
+
+
 def stabilize(v):
     """Topple until stable; returns the final configuration and odometer.
 
@@ -249,6 +282,14 @@ def stabilize(v):
        a stuck set A is then forbidden, and w - 1_A still stabilizes, so A
        is untoppled and the test repeated.
 
+    The sweeps run in int32, half the memory traffic of int64, whenever
+    ``_sweep_dtype`` proves from the input and the head start that no
+    height, border value or count can reach 2^30: the odometer is at most
+    L^-1 (h - (gamma - 1)), which the head start's DST already bounds, plus
+    (gamma - 1) (n + 1)^2 / 8 for the shortest side n.  Otherwise the same
+    loop runs in int64.  Integer arithmetic that does not overflow is exact,
+    so the result does not depend on the dtype.
+
     The certificate makes the result exact even if rounding in the head
     start overshoots.  final = initial - L counts holds by construction.
     """
@@ -256,23 +297,29 @@ def stabilize(v):
         raise ValueError("stabilize requires nonnegative heights")
     gamma = v.gamma
     start = _odometer_floor(v.heights, gamma)
+    dtype = _sweep_dtype(v.heights, start, gamma)
+    sink = -_INT32_LIMIT if dtype == np.int32 else _INT64_SINK
     padded, strides = _flat_layout(v.window.shape)
-    h = np.pad(v.heights - laplacian(start, gamma), 1, constant_values=_SINK)
+    h = np.pad((v.heights - laplacian(start, gamma)).astype(dtype), 1, constant_values=sink)
     flat = h.ravel()
     swept = np.zeros_like(flat)
     k = np.empty_like(flat)
+    tmp = np.empty_like(flat)
+    # np.maximum against an array of zeros, not the scalar 0, and k.max()
+    # rather than k.any() (k >= 0): measured 5x and 3x faster on 258^2 int32
+    zeros = np.zeros_like(flat)
     while True:
         np.floor_divide(flat, gamma, out=k)
-        np.maximum(k, 0, out=k)
-        if not k.any():
+        np.maximum(k, zeros, out=k)
+        if not k.max():
             break
         swept += k
-        flat -= gamma * k
+        flat -= np.multiply(k, gamma, out=tmp)
         for st in strides:
             flat[st:] += k[:-st]
             flat[:-st] += k[st:]
     inner = (slice(1, -1),) * v.dim
-    counts, stable = start + swept.reshape(padded)[inner], h[inner]
+    counts, stable = start + swept.reshape(padded)[inner], h[inner].astype(np.int64)
     while True:
         stuck = counts > 0
         stuck &= _burn_rounds(stable, stuck) == 0
@@ -322,26 +369,39 @@ def _burn_rounds(heights, alive):
     of alive neighbours not burnt before round r.  A site's count changes
     only when a neighbour burns, so after round 1 the kernel rechecks just
     the alive neighbours of the previous round's sites, on flat padded
-    arrays, decrementing their counts once per stencil offset.
+    arrays.
+
+    A site next to several burnt sites is a candidate once per such
+    neighbour, and the unbuffered ``np.subtract.at`` decrements its count
+    once per entry.  So the front must hold each site once: each candidate
+    that passes writes its position into ``owner`` at its site, and only
+    the one that still owns the site joins the front.  This dedupe costs
+    O(candidates), with no sort.  The arrays are int32, the returned rounds
+    too: counts lie in [0, 2d], so clipping the heights to [-1, 2d] leaves
+    every comparison h >= count unchanged; candidate positions are below
+    2d|E|, which fits while |E| < 2^31 / 2d (2^28 sites in d = 3).
     """
     padded, strides = _flat_layout(heights.shape)
     offsets = [step * st for st in strides for step in (-1, 1)]
-    h = np.pad(heights, 1).ravel()
+    h = np.pad(np.clip(heights, -1, 2 * heights.ndim).astype(np.int32), 1).ravel()
     live = np.pad(alive, 1).ravel()
-    count = np.pad(neighbour_sum(alive.astype(np.int64)), 1).ravel()
-    rounds = np.zeros(h.size, dtype=np.int64)
+    count = np.pad(neighbour_sum(alive.astype(np.int32)), 1).ravel()
+    rounds = np.zeros(h.size, dtype=np.int32)
+    owner = np.empty(h.size, dtype=np.int32)
+    one = np.int32(1)  # a scalar of count's dtype: np.subtract.at is then 20x faster
     front = np.flatnonzero(live & (h >= count))
     rnd = 0
     while front.size:
         rnd += 1
         rounds[front] = rnd
         live[front] = False
-        touched = [front + off for off in offsets]
-        for nb in touched:
-            count[nb] -= 1
-        touched = np.concatenate(touched)
-        touched = touched[live[touched]]
-        front = np.unique(touched[h[touched] >= count[touched]])
+        cand = np.concatenate([front + off for off in offsets])
+        np.subtract.at(count, cand, one)
+        cand = cand[live[cand]]
+        cand = cand[h[cand] >= count[cand]]
+        position = np.arange(cand.size, dtype=np.int32)
+        owner[cand] = position
+        front = cand[owner[cand] == position]
     return rounds.reshape(padded)[(slice(1, -1),) * len(padded)]
 
 
@@ -360,7 +420,7 @@ def burning_test(v):
     if (v.heights > v.gamma - 1).any():
         raise ValueError("burning test requires heights <= gamma - 1")
     alive = np.ones(v.window.shape, dtype=bool)
-    return BurnReport(v.window, _burn_rounds(v.heights, alive))
+    return BurnReport(v.window, _burn_rounds(v.heights, alive).astype(np.int64))
 
 
 def is_recurrent(v):
@@ -373,12 +433,19 @@ def is_recurrent(v):
 def toppling_matrix(window, gamma):
     """Dense toppling matrix: gamma on the diagonal, -1 at adjacent pairs.
 
-    Sites are in lexicographic order.  Row i is L applied to the unit field
-    at site i, which is the matrix's row as well as its column since L is
-    symmetric.
+    Sites are in lexicographic order, so the neighbour of site i one step up
+    axis j is site i + stride_j (the product of the later sides), present
+    when i is not on that axis's last layer.  All those pairs are set in
+    one assignment, both ways round.
     """
-    units = np.eye(window.size, dtype=np.int64)
-    return np.stack([laplacian(u.reshape(window.shape), gamma).ravel() for u in units])
+    n = window.size
+    mat = np.diag(np.full(n, gamma, dtype=np.int64))
+    site = np.arange(n).reshape(window.shape)
+    lower = [site.take(np.arange(s - 1), axis=ax).ravel() for ax, s in enumerate(window.shape)]
+    upper = [i + math.prod(window.shape[ax + 1 :]) for ax, i in enumerate(lower)]
+    lower, upper = np.concatenate(lower), np.concatenate(upper)
+    mat[np.r_[lower, upper], np.r_[upper, lower]] = -1
+    return mat
 
 
 def _banded_det(mat, band):
@@ -443,17 +510,19 @@ def _log_det_box(window, gamma):
     return float(np.log(eig).sum())
 
 
-def _burn_all(configs, window, gamma):
+def _burn_all(configs, adj):
     """Vectorized burning test over many stable configs (rows of heights).
 
-    The alive-neighbour counts are one float32 BLAS product per round.  They
-    are at most 2d, so float32 holds them exactly, and rounding a height to
-    float32 is monotone, so comparing it with a count gives the integer answer.
+    ``adj`` is the window's site adjacency matrix, -toppling_matrix(window, 0),
+    built once by the caller however many chunks it burns.  The alive-neighbour
+    counts are one float32 BLAS product per round.  They are at most 2d, so
+    float32 holds them exactly, and rounding a height to float32 is monotone,
+    so comparing it with a count gives the integer answer.
     """
-    adj = -toppling_matrix(window, 0).astype(np.float32)
+    adj = adj.astype(np.float32, copy=False)
     V = np.asarray(configs, dtype=np.float32)
     alive = np.ones(V.shape, dtype=bool)
-    for _ in range(window.size):
+    for _ in range(len(adj)):
         n_alive = alive.astype(np.float32) @ adj
         eligible = alive & (V >= n_alive)
         if not eligible.any():
@@ -477,11 +546,12 @@ def count_recurrent(window, gamma, backend="determinant"):
         if total > 10**7:
             raise ValueError("bruteforce limited to gamma^|E| <= 1e7")
         place = gamma ** np.arange(size - 1, -1, -1, dtype=np.int64)
+        adj = -toppling_matrix(window, 0).astype(np.float32)
         count = 0
         chunk = 1 << 16
         for start in range(0, total, chunk):
             index = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            count += int(_burn_all(index[:, None] // place % gamma, window, gamma).sum())
+            count += int(_burn_all(index[:, None] // place % gamma, adj).sum())
         return count
     if backend == "determinant":
         if size > 10**6:

@@ -298,9 +298,10 @@ def test_criterion_10_correction_operator(rng):
 
     patches = np.indices((4,) * 9).reshape(9, -1).T.astype(np.int64)
     recurrent = np.zeros(len(patches), dtype=bool)
+    q1_adj = -toppling_matrix(q1, 0)
     for start in range(0, len(patches), 1 << 16):
         block = patches[start : start + (1 << 16)]
-        recurrent[start : start + (1 << 16)] = _burn_all(block, q1, 4)
+        recurrent[start : start + (1 << 16)] = _burn_all(block, q1_adj)
 
     for label, v in (
         ("zero", HeightConfig.constant(BoxWindow.centered(2, 2), 4, 0)),

@@ -287,6 +287,42 @@ def test_stabilize_matches_sweep_reference(v):
     assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
 
 
+def stabilize_in_int64(v):
+    """``stabilize`` with the int32 limit at 0, so its sweeps take the int64 path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sandpile, "_INT32_LIMIT", 0)
+        assert sandpile._sweep_dtype(v.heights, sandpile._odometer_floor(v.heights, v.gamma), v.gamma) is np.int64
+        return stabilize(v)
+
+
+@given(sandpile_inputs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_int32_and_int64_sweeps_agree(v):
+    assert sandpile._sweep_dtype(v.heights, sandpile._odometer_floor(v.heights, v.gamma), v.gamma) is np.int32
+    out, odo = stabilize(v)
+    out64, odo64 = stabilize_in_int64(v)
+    assert np.array_equal(out.heights, out64.heights)
+    assert np.array_equal(odo.counts, odo64.counts)
+    assert odo.total_mass_lost == odo64.total_mass_lost
+
+
+def test_sweep_dtype_guard():
+    # the torsion bound the guard uses: L^-1 1 <= (n + 1)^2 / 8 for the shortest side n,
+    # with equality at the middle of an odd path when gamma = 2
+    for shape, gamma in [((9,), 2), ((7, 12), 4), ((12, 7), 5), ((4, 5, 6), 6), ((6, 6, 3), 8)]:
+        ones = np.linalg.solve(toppling_matrix(box(*shape), gamma), np.ones(math.prod(shape)))
+        assert ones.max() <= (min(shape) + 1) ** 2 / 8 * (1 + 1e-12)
+    # a pile whose odometer bound passes 2^30 is swept in int64; a smaller one in int32
+    w = box(65, 65)
+    for grains, dtype in [(1 << 31, np.int64), (1 << 40, np.int64), (1 << 20, np.int32)]:
+        heights = HeightConfig.delta(w, 4, (32, 32), grains).heights
+        assert sandpile._sweep_dtype(heights, sandpile._odometer_floor(heights, 4), 4) is dtype
+    # so is a head start that overshoots far enough, even on a stable pile
+    heights = np.zeros((3, 3), dtype=np.int64)
+    assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 28), 4) is np.int64
+    assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 20), 4) is np.int32
+
+
 def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
     # the head start is only a floor up to rounding; if it ever overshoots,
     # the least-action certificate must untopple back to the exact odometer
@@ -303,9 +339,10 @@ def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
     ]
     for v in cases:
         ref_heights, ref_counts = sweep_reference(v.heights, v.gamma)
-        out, odo = stabilize(v)
-        assert np.array_equal(out.heights, ref_heights)
-        assert np.array_equal(odo.counts, ref_counts)
+        for out, odo in (stabilize(v), stabilize_in_int64(v)):
+            assert np.array_equal(out.heights, ref_heights)
+            assert np.array_equal(odo.counts, ref_counts)
+            assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
 
 
 def test_odometer_floor_is_below_the_odometer(rng):
@@ -352,12 +389,16 @@ def test_burning_two_site_examples():
     assert ok.stuck_set == frozenset()
     rounds = [r for r, _ in ok.burn_order]
     assert rounds == sorted(rounds)
+    assert ok.rounds.dtype == np.int64
 
 
 def test_burn_rounds_match_full_array_rounds(rng):
     for shape, gamma in [((40,), 2), ((9, 11), 4), ((7, 7), 6), ((5, 4, 6), 6), ((6, 6, 6), 8)]:
         for _ in range(10):
             heights = rng.integers(-2, gamma, size=shape)
+            # heights far outside [-1, 2d] must burn as if unclipped
+            extreme = rng.random(shape) < 0.1
+            heights[extreme] = rng.choice([-(1 << 40), -(1 << 31) - 1, 1 << 31, 1 << 40], size=extreme.sum())
             alive = rng.random(shape) < 0.8
             expected = burn_rounds_reference(heights, alive)
             assert np.array_equal(_burn_rounds(heights, alive), expected)
@@ -397,7 +438,7 @@ def test_burning_matches_definition_random_3x3(rng):
     gamma = 4
     n_cfg = 100_000
     V = rng.integers(0, gamma, size=(n_cfg, 9))
-    recurrent = _burn_all(V, w, gamma)
+    recurrent = _burn_all(V, -toppling_matrix(w, 0))
 
     sites = list(w.sites())
     pos = {s: i for i, s in enumerate(sites)}
@@ -492,7 +533,7 @@ def test_burn_all_float32_matches_int64_reference(rng):
         V = rng.integers(0, gamma, size=(5000, w.size))
         V[0] = gamma - 1
         V[1] = 0
-        assert np.array_equal(_burn_all(V, w, gamma), burn_all_reference(V, w))
+        assert np.array_equal(_burn_all(V, -toppling_matrix(w, 0)), burn_all_reference(V, w))
 
 
 def test_banded_det_matches_full_elimination():
