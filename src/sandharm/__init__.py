@@ -46,7 +46,6 @@ from .sandpile import (
     count_recurrent,
     finite_entropy_estimate,
     group_add,
-    injectivity_witness,
     is_recurrent,
     random_recurrent,
     stabilize,
@@ -78,7 +77,6 @@ __all__ = [
     "group_add",
     "harmonicity_residual",
     "ideal_certificate",
-    "injectivity_witness",
     "is_recurrent",
     "kernel_witness",
     "laplacian_poly",

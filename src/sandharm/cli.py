@@ -32,7 +32,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .green import (
@@ -129,7 +128,6 @@ def _write_manifest(out_path, ns, results, seed=None):
         "versions": {
             "sandharm": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
         "results": results,
@@ -993,10 +991,7 @@ def main(argv=None):
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except CliInputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # CliInputError included
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,14 +9,10 @@ with the integrand regularized by subtracting 1 from the numerator when
 gamma = 2d and d = 2.  For gamma > 2d the integrand is smooth and a plain
 tensor trapezoid rule is spectrally accurate.  At the critical value
 gamma = 2d the integrand has an integrable singularity at t = 0, handled by
-one of:
-
-* ``polar_patch`` (default): a smooth radial bump splits the integral into
-  a C-infinity torus part, evaluated by the trapezoid rule, and a small
-  disc/ball around the origin, evaluated in polar or spherical coordinates
-  where the integrand is smooth again;
-* ``none``: the plain tensor rule with the singular node dropped, which
-  converges slowly but is honestly reported by the error model.
+a polar patch: a smooth radial bump splits the integral into a C-infinity
+torus part, evaluated by the trapezoid rule, and a small disc/ball around
+the origin, evaluated in polar or spherical coordinates where the integrand
+is smooth again.
 
 Only the coefficients a table uses are evaluated, and without an FFT.  The
 torus integrand is even in each coordinate, so the N^d trapezoid sum folds
@@ -68,22 +64,16 @@ def _bump(rho):
 # -- specs and tables --------------------------------------------------------
 
 
-_TREATMENTS = ("none", "polar_patch")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts and accuracy target for the torus quadrature."""
 
     nodes_per_axis: int
-    singularity_treatment: str = "polar_patch"
     target_abs_error: float = 1e-6
 
     def __post_init__(self):
         if self.nodes_per_axis < 8:
             raise ValueError("nodes_per_axis must be >= 8")
-        if self.singularity_treatment not in _TREATMENTS:
-            raise ValueError("unknown singularity treatment %r" % (self.singularity_treatment,))
         if not self.target_abs_error > 0:
             raise ValueError("target_abs_error must be positive")
 
@@ -91,11 +81,7 @@ class QuadratureSpec:
     def default_for(cls, d, gamma):
         critical = gamma == 2 * d
         nodes = 1024 if d == 2 else 128
-        return cls(
-            nodes_per_axis=nodes,
-            singularity_treatment="polar_patch" if critical else "none",
-            target_abs_error=1e-6 if critical else 1e-8,
-        )
+        return cls(nodes_per_axis=nodes, target_abs_error=1e-6 if critical else 1e-8)
 
 
 @dataclass
@@ -224,12 +210,12 @@ def _fold(G, N, radius):
     return G
 
 
-def _fourier_block(d, gamma, N, radius, treatment):
+def _fourier_block(d, gamma, N, radius):
     """Trapezoid coefficients of the smooth part of the integrand.
 
     Returns A with A[n] approximating the Fourier coefficient at n, for
-    0 <= n_j <= radius, of (1-bump)/F for polar_patch and of 1/F with the
-    singular node dropped for none.  Both are even in each coordinate, so
+    0 <= n_j <= radius, of (1-bump)/F at gamma = 2d (the polar patch adds
+    the rest) and of 1/F otherwise.  Both are even in each coordinate, so
     they are sampled on the octant only and folded (see ``_fold``); the
     values equal the real part of the N^d DFT.
     """
@@ -237,7 +223,7 @@ def _fourier_block(d, gamma, N, radius, treatment):
     G = np.zeros_like(F)
     mask = F != 0
     G[mask] = 1.0 / F[mask]
-    if treatment == "polar_patch" and gamma == 2 * d:
+    if gamma == 2 * d:
         near = rho < BUMP_OUTER  # the bump vanishes elsewhere
         G[near] *= 1.0 - _bump(rho[near])
     return _fold(G, N, radius)
@@ -322,12 +308,11 @@ def _default_patch_counts(d, fine):
     return (64, 48) if fine else (40, 32)
 
 
-def _table_pass(d, gamma, radius, N, treatment, fine):
+def _table_pass(d, gamma, radius, N, fine):
     """One evaluation at a given resolution: array of w_n for 0 <= n_j <= radius."""
-    A = _fourier_block(d, gamma, N, radius, treatment)
+    A = _fourier_block(d, gamma, N, radius)
     if gamma == 2 * d:
-        if treatment == "polar_patch":
-            A = A + _patch_values(d, gamma, radius, *_default_patch_counts(d, fine))
+        A = A + _patch_values(d, gamma, radius, *_default_patch_counts(d, fine))
         if d == 2:
             # regularized numerator e^{-2 pi i <n,t>} - 1, so w_0 = 0 exactly
             A = A - A[0, 0]
@@ -357,12 +342,11 @@ def compute_green(d, gamma, radius, spec=None):
         raise ValueError(
             "nodes_per_axis=%d too small for radius %d (need >= %d)" % (N, radius, 4 * (radius + 1))
         )
-    treatment = spec.singularity_treatment
-    if treatment == "polar_patch" and gamma == 2 * d and d not in (2, 3):
+    if gamma == 2 * d and d not in (2, 3):
         raise ValueError("patch quadrature implemented for d in {2, 3}")
     _check_grid_budget(d, N)
-    coarse = _table_pass(d, gamma, radius, N, treatment, fine=False)
-    fine = _table_pass(d, gamma, radius, 2 * N, treatment, fine=True)
+    coarse = _table_pass(d, gamma, radius, N, fine=False)
+    fine = _table_pass(d, gamma, radius, 2 * N, fine=True)
     # index of each table site's canonical representative (sorted |n_j|)
     canon = tuple(np.sort(np.abs(np.indices((2 * radius + 1,) * d) - radius), axis=0))
     values = fine[canon]
@@ -370,7 +354,7 @@ def compute_green(d, gamma, radius, spec=None):
     scale = float(np.max(np.abs(values)))
     accuracy = float(_RICHARDSON_SAFETY * disc + 1e-15 * max(scale, 1.0))
     # the label predates the folded sum; table headers and their readers parse it
-    method = "fft+%s[N=%d]" % (treatment, 2 * N)
+    method = "fft+%s[N=%d]" % ("polar_patch" if gamma == 2 * d else "none", 2 * N)
     return GreenTable(d, gamma, radius, values, accuracy, method)
 
 
@@ -684,7 +668,7 @@ def entropy_quadrature(d, gamma, spec=None):
         raise ValueError("gamma must be at least 2d")
     if spec is None:
         nodes = 512 if d == 2 else 64
-        spec = QuadratureSpec(nodes_per_axis=nodes, singularity_treatment="polar_patch", target_abs_error=1e-5)
+        spec = QuadratureSpec(nodes_per_axis=nodes, target_abs_error=1e-5)
     if gamma == 2 * d and d not in (2, 3):
         raise ValueError("critical entropy implemented for d in {2, 3}")
     N = spec.nodes_per_axis

@@ -19,11 +19,11 @@ downstream are stated relative to err, never as bare constants.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import fft
 
 from . import sandpile
 from .green import decay_profile, multiplier_table, tail_beyond
@@ -275,16 +275,53 @@ def _extended_heights(v, slab_window, extension, constant):
     return out
 
 
+def _next_fast_len(n):
+    """Smallest 5-smooth size 2^a 3^b 5^c >= n, the padded length of a real FFT."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_valid(field, kernel):
     """Valid-mode linear convolution of two real float arrays by real FFTs.
 
-    The arithmetic of ``scipy.signal.fftconvolve(field, kernel, "valid")``:
-    transforms zero-padded to ``next_fast_len`` of the full length, product,
-    inverse, then the valid part, which starts at kernel.shape - 1.
+    Bit for bit pocketfft's n-dimensional real transform pair, the route
+    images were computed by before numpy became the only dependency, so no
+    image changed with it.  Both arrays are zero-padded to
+    ``_next_fast_len`` of the full length; rfft runs on the last axis, then
+    fft on the others in increasing order (``numpy.fft.rfftn`` goes in
+    reverse order, which moves the last bits).  The product is inverted
+    unscaled, ifft on the leading axes then irfft, and scaled once by
+    1/prod(fshape) formed in long double, as pocketfft does (a per-axis
+    scaling also moves the last bits).  The valid part starts at
+    kernel.shape - 1.
     """
     full = [a + b - 1 for a, b in zip(field.shape, kernel.shape)]
-    fshape = [fft.next_fast_len(n, True) for n in full]
-    conv = fft.irfftn(fft.rfftn(field, fshape) * fft.rfftn(kernel, fshape), fshape)
+    fshape = [_next_fast_len(n) for n in full]
+    spectra = []
+    for a in (field, kernel):
+        spec = np.zeros(fshape[:-1] + [fshape[-1] // 2 + 1], dtype=complex)
+        np.fft.rfft(a, fshape[-1], axis=-1, out=spec[tuple(slice(0, s) for s in a.shape[:-1])])
+        for ax in range(a.ndim - 1):
+            np.fft.fft(spec, axis=ax, out=spec)
+        spectra.append(spec)
+    # in place throughout, and the kernel's spectrum freed before the inverse
+    # allocates: fewer live grids, fewer fresh pages per call
+    spec = spectra[0]
+    spec *= spectra.pop()
+    for ax in range(field.ndim - 1):
+        np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
+    conv = np.fft.irfft(spec, fshape[-1], axis=-1, norm="forward")
+    conv *= float(1 / np.longdouble(math.prod(fshape)))
     return conv[tuple(slice(b - 1, a) for a, b in zip(field.shape, kernel.shape))]
 
 

@@ -10,12 +10,14 @@ whose toppling leaves the configuration stable (least action, Fey-Levine-
 Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
 odometer in one step (the continuous solve L^-1 (h - (gamma - 1)) by DST-I),
 finishes with bulk sweeps, and certifies minimality with a burning test on
-the odometer's support, untoppling any stuck set.  The sweeps run in int32
-whenever a bound on the odometer, proved from the input and the head start,
-keeps every value they produce below 2^30, and in int64 otherwise; integer
-arithmetic that cannot overflow is exact, so both give the same result.
-``stabilize_serial``, which topples one site at a time, is kept for
-randomized cross-checks.
+the odometer's support, untoppling any stuck set.  The result is exact
+whatever the head start's rounding, but ``_dst1`` still reproduces
+pocketfft's DST-I bit for bit, so the head start and the work done match
+the earlier transform.  The sweeps run in int32 whenever a bound on the
+odometer, proved from the input and the head start, keeps every value they
+produce below 2^30, and in int64 otherwise; integer arithmetic that cannot
+overflow is exact, so both give the same result.  ``stabilize_serial``,
+which topples one site at a time, is kept for randomized cross-checks.
 
 Recurrent configurations are characterized by the burning test: repeatedly
 remove every site whose height is at least its count of not-yet-removed
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, ndimage
 
 from .laurent import LaurentPoly, laplacian_poly
 from .window import BoxWindow, laplacian, neighbour_sum
@@ -229,6 +230,26 @@ def _box_eigenvalues(shape, gamma):
     return float(gamma) - sum(grids)
 
 
+def _dst1(x, scale=1.0):
+    """Unnormalized DST-I of a float array over every axis, times ``scale``.
+
+    Bit for bit pocketfft's multi-axis DST-I, forward for scale 1 and
+    inverse for scale 1/prod(2 (s + 1)) formed in long double: the axes in
+    increasing order, each transformed as minus the imaginary part of the
+    rfft of the odd extension [0, x, 0, -x reversed], and the scale applied
+    to the first axis's output, where pocketfft applies it (negation is
+    exact, so one multiply by -scale does both).  Returns a new C-ordered
+    array.
+    """
+    for ax, n in enumerate(x.shape):
+        lead = (slice(None),) * ax
+        odd = np.zeros(x.shape[:ax] + (2 * n + 2,) + x.shape[ax + 1 :])
+        odd[lead + (slice(1, n + 1),)] = x
+        np.negative(np.flip(x, ax), out=odd[lead + (slice(n + 2, None),)])
+        x = np.multiply(np.fft.rfft(odd, axis=ax).imag[lead + (slice(1, n + 1),)], -scale if ax == 0 else -1.0)
+    return x
+
+
 def _odometer_floor(heights, gamma):
     """Integer lower bound on the odometer that stabilizes nonnegative heights.
 
@@ -237,8 +258,9 @@ def _odometer_floor(heights, gamma):
     exactly up to rounding by DST-I.  The 1e-6 margin keeps the floor below
     the true odometer; ``stabilize`` does not rely on it being exact.
     """
-    rhs = fft.dstn(heights - (gamma - 1.0), type=1) / _box_eigenvalues(heights.shape, gamma)
-    bound = np.floor(fft.idstn(rhs, type=1) - 1e-6)
+    rhs = _dst1(heights - (gamma - 1.0)) / _box_eigenvalues(heights.shape, gamma)
+    scale = float(1 / np.longdouble(math.prod(2 * (s + 1) for s in heights.shape)))
+    bound = np.floor(_dst1(rhs, scale) - 1e-6)
     return np.maximum(bound, 0).astype(np.int64)
 
 
@@ -694,87 +716,3 @@ def random_recurrent(window, gamma, rng):
     loaded = HeightConfig(window, gamma, extra + (gamma - 1))
     out, _ = stabilize(loaded)
     return out
-
-
-# -- max-height diagnostics --------------------------------------------------
-
-
-def components(mask, connectivity="max"):
-    """Connected components of a boolean site mask.
-
-    ``max`` connectivity joins sites at max-norm distance 1 (the convention
-    the surrounding theory uses for maximal-height sets); ``lattice`` joins
-    only the 2d nearest neighbours.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    d = mask.ndim
-    if connectivity == "max":
-        structure = np.ones((3,) * d, dtype=bool)
-    elif connectivity == "lattice":
-        structure = ndimage.generate_binary_structure(d, 1)
-    else:
-        raise ValueError("connectivity must be 'max' or 'lattice'")
-    labels, n = ndimage.label(mask, structure=structure)
-    return labels, int(n)
-
-
-@dataclass
-class WitnessReport:
-    max_set_connected: bool
-    complement_components: int
-    complement_touches_boundary: bool
-    min_height: int
-    recurrent: bool
-
-    @property
-    def satisfied(self):
-        return (
-            self.max_set_connected
-            and not self.complement_touches_boundary
-            and self.min_height == 0
-            and self.recurrent
-        )
-
-
-def injectivity_witness(window, gamma):
-    """Configuration whose maximal-height set is connected and co-finite.
-
-    Height gamma - 1 everywhere except at sites with all coordinates even,
-    which hold 0; the maximal set forms a connected grout pattern and the
-    complement splits into isolated single-site cells.  On a centered box
-    of odd radius the boundary ring has an odd coordinate everywhere, so
-    the zero cells stay interior.
-    """
-    idx = np.indices(window.shape)
-    all_even = np.ones(window.shape, dtype=bool)
-    for ax in range(window.dim):
-        all_even &= (idx[ax] + window.lo[ax]) % 2 == 0
-    heights = np.where(all_even, 0, gamma - 1).astype(np.int64)
-    return HeightConfig(window, gamma, heights)
-
-
-def witness_report(v):
-    """Check the injectivity-witness conditions at finite scale.
-
-    Connectivity of the maximal set uses max-norm adjacency; a complement
-    component is provisionally finite when it avoids the window boundary
-    (the implied extension fills the outside with maximal heights).
-    """
-    max_set = v.heights == v.gamma - 1
-    _, n_max = components(max_set, connectivity="max")
-    comp_labels, n_comp = components(~max_set, connectivity="max")
-    touches = False
-    d = v.dim
-    for ax in range(d):
-        for edge in (0, -1):
-            sl = [slice(None)] * d
-            sl[ax] = edge
-            if (comp_labels[tuple(sl)] > 0).any():
-                touches = True
-    return WitnessReport(
-        max_set_connected=n_max == 1,
-        complement_components=n_comp,
-        complement_touches_boundary=touches,
-        min_height=int(v.heights.min()),
-        recurrent=is_recurrent(v),
-    )

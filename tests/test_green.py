@@ -182,8 +182,6 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_axis=4)
     with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_axis=64, singularity_treatment="magic")
-    with pytest.raises(ValueError):
         compute_green(2, 4, 20, QuadratureSpec(nodes_per_axis=64))
     with pytest.raises(ValueError):
         compute_green(2, 3.5, 4)
@@ -207,7 +205,6 @@ def _full_grid(d, gamma, N):
 @pytest.mark.parametrize("critical", [True, False])
 def test_folded_coefficients_match_full_fft(d, N, critical):
     gamma = 2 * d if critical else 2 * d + 1
-    treatment = "polar_patch" if critical else "none"
     radius = 4
     F, rho = _full_grid(d, gamma, N)
     G = np.zeros_like(F)
@@ -215,7 +212,7 @@ def test_folded_coefficients_match_full_fft(d, N, critical):
     if critical:
         G *= 1.0 - green._bump(rho)
     ref = (np.fft.fftn(G).real / float(N) ** d)[(slice(0, radius + 1),) * d]
-    A = green._fourier_block(d, gamma, N, radius, treatment)
+    A = green._fourier_block(d, gamma, N, radius)
     assert A.shape == (radius + 1,) * d
     assert np.max(np.abs(A - ref)) <= 1e-12
 
@@ -259,7 +256,7 @@ def test_compute_green_refuses_before_building_grids(monkeypatch):
     with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
         compute_green(4, 8, 1, QuadratureSpec(nodes_per_axis=8))
     with pytest.raises(ValueError, match="budget of %d points" % green.GRID_POINT_BUDGET):
-        compute_green(3, 7, 1, QuadratureSpec(nodes_per_axis=1024, singularity_treatment="none"))
+        compute_green(3, 7, 1, QuadratureSpec(nodes_per_axis=1024))
     with pytest.raises(ValueError, match="budget"):
         compute_green(2, 4, 16, QuadratureSpec(nodes_per_axis=8192))
     with pytest.raises(ValueError, match="budget"):

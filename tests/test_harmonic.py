@@ -26,7 +26,7 @@ from sandharm.harmonic import (
     xi_apply,
     xi_tuple,
 )
-from sandharm.harmonic import _convolve_valid, _extended_heights
+from sandharm.harmonic import _convolve_valid, _extended_heights, _next_fast_len
 from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, standard_polys
 from sandharm.sandpile import (
     HeightConfig,
@@ -75,6 +75,28 @@ def test_valid_convolution_matches_fftconvolve(specs_d2, table_d3_g6, rng):
                 slab = _extended_heights(v, v.window.dilated(spec.trunc_radius), extension, spec.gamma - 1)
                 expected = fftconvolve(slab, spec.kernel, mode="valid")
                 assert np.array_equal(_convolve_valid(slab, spec.kernel), expected)
+
+
+def test_next_fast_len_matches_pocketfft():
+    from scipy.fft import next_fast_len
+
+    sizes = range(1, 10**4 + 1)
+    assert [_next_fast_len(n) for n in sizes] == [next_fast_len(n, True) for n in sizes]
+
+
+def test_valid_convolution_matches_pocketfft_route(rng):
+    # unlike fftconvolve, the transforms run over every axis, length-1 ones included
+    from scipy import fft
+
+    shapes = [((14, 6), (1, 1)), ((7, 9), (3, 1)), ((12, 2, 9), (9, 1, 5)), ((5, 4, 6, 3), (3, 2, 3, 3))]
+    for field_shape, kernel_shape in shapes:
+        field = rng.integers(-3, 8, size=field_shape).astype(float)
+        kernel = rng.normal(size=kernel_shape)
+        full = [a + b - 1 for a, b in zip(field_shape, kernel_shape)]
+        fshape = [fft.next_fast_len(n, True) for n in full]
+        conv = fft.irfftn(fft.rfftn(field, fshape) * fft.rfftn(kernel, fshape), fshape)
+        expected = conv[tuple(slice(b - 1, a) for a, b in zip(field_shape, kernel_shape))]
+        assert np.array_equal(_convolve_valid(field, kernel), expected)
 
 
 def test_spec_build_rejects_non_summable(table_d2_g4):
