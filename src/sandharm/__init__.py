@@ -28,7 +28,6 @@ from .harmonic import (
     standard_specs,
     torus_distance,
     xi_apply,
-    xi_tuple,
 )
 from .laurent import (
     LaurentPoly,
@@ -91,5 +90,4 @@ __all__ = [
     "torus_distance",
     "walk_series_oracle",
     "xi_apply",
-    "xi_tuple",
 ]

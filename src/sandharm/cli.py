@@ -9,7 +9,8 @@ Four command families:
   configurations, and tabulate finite-volume entropy estimates.
 - ``xi``: apply a covering map to a grid, run the invariant suites
   (harmonicity, equivariance, kernel witnesses, separation, additivity,
-  intertwining), and demonstrate the grain-addition identity.
+  intertwining; they live in ``sandharm.checks``), and demonstrate the
+  grain-addition identity.
 - ``ideal``: exact summability certificates and multiplier mass for
   inline polynomials, optionally with the kernel decay profile.
 
@@ -34,6 +35,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from .checks import SUITES, suite_window
 from .green import (
     GreenTable,
     QuadratureSpec,
@@ -46,21 +48,13 @@ from .green import (
     walk_series_oracle,
 )
 from .harmonic import (
-    TorusPoint,
+    EXTENSIONS,
     XiSpec,
     addition_operator_demo,
-    equivariance_residual,
-    harmonicity_residual,
-    kernel_witness,
-    point_distance,
-    point_sum,
-    poly_action,
     poly_label,
-    separation_check,
     standard_specs,
     torus_distance,
     xi_apply,
-    xi_tuple,
 )
 from .laurent import LaurentPoly, ideal_certificate, laplacian_poly, multiplier_sum, standard_polys
 from .sandpile import (
@@ -69,8 +63,6 @@ from .sandpile import (
     burning_test,
     count_recurrent,
     finite_entropy_estimate,
-    group_add,
-    random_recurrent,
     stabilize,
     toppling_determinant_exact,
 )
@@ -435,10 +427,7 @@ def cmd_stabilize(ns):
 
 def cmd_burn(ns):
     v = _load_grid(ns.grid)
-    try:
-        report = burning_test(v)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    report = burning_test(v)
     rounds = int(report.rounds.max())
     stuck = list(map(tuple, (np.argwhere(report.rounds == 0) + v.window.lo).tolist()))
     if report.recurrent:
@@ -543,22 +532,12 @@ def _resolve_table(ns, d, gamma):
     return compute_green(d, gamma, radius)
 
 
-def _build_spec(g, table, trunc):
-    try:
-        return XiSpec.build(g, table, trunc)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-
-
 def cmd_xi_apply(ns):
     v = _load_grid(ns.grid)
     table = _resolve_table(ns, v.dim, v.gamma)
     g = parse_poly(ns.g, v.dim, v.gamma)
-    spec = _build_spec(g, table, ns.trunc)
-    try:
-        point = xi_apply(spec, v, extension=ns.extension, constant=ns.constant)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    spec = XiSpec.build(g, table, ns.trunc)
+    point = xi_apply(spec, v, extension=ns.extension, constant=ns.constant)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
     _atomic_write(out, point.to_csv())
     largest = float(torus_distance(point.values).max()) if point.values.size else 0.0
@@ -580,181 +559,6 @@ def cmd_xi_apply(ns):
     return EXIT_OK
 
 
-def _suite_window(d, side):
-    lo = tuple(-(side // 2) for _ in range(d))
-    return BoxWindow.from_shape((side,) * d, lo=lo)
-
-
-def _suite_harmonicity(specs, window, rng, n_configs):
-    gamma = specs[0].gamma
-    d = specs[0].dim
-    checks = []
-    for spec in specs:
-        worst, bound = 0.0, None
-        for _ in range(n_configs):
-            v = random_recurrent(window, gamma, rng)
-            x = xi_apply(spec, v)
-            worst = max(worst, harmonicity_residual(x, gamma))
-            bound = (4 * d + 1) * x.err
-        checks.append(
-            (
-                "harmonicity[%s]" % poly_label(spec.g),
-                worst <= bound,
-                "max residual %.3e <= (4d+1) err %.3e over %d configs" % (worst, bound, n_configs),
-            )
-        )
-    return checks
-
-
-def _suite_equivariance(specs, window, rng, n_configs):
-    gamma = specs[0].gamma
-    d = specs[0].dim
-    checks = []
-    for spec in specs:
-        worst = 0.0
-        bound = 2.0 * spec.field_err(gamma - 1)
-        for _ in range(n_configs):
-            v = random_recurrent(window, gamma, rng)
-            shifts = [tuple(int(x) for x in rng.integers(-2, 3, size=d))]
-            shifts.append((1,) + (0,) * (d - 1))
-            for m in shifts:
-                worst = max(worst, equivariance_residual(spec, v, m))
-        checks.append(
-            (
-                "equivariance[%s]" % poly_label(spec.g),
-                worst <= bound,
-                "max shift defect %.3e <= 2 err %.3e over %d configs" % (worst, bound, n_configs),
-            )
-        )
-    return checks
-
-
-def _suite_kernel(specs, window):
-    d = specs[0].dim
-    h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0) - LaurentPoly.variable(d, d - 1) ** 2
-    checks = []
-    for kind, kwargs in (
-        ("constant", {"m": 3}),
-        ("f_multiple", {"h": h}),
-        ("periodic_family", {}),
-    ):
-        _, report = kernel_witness(kind, specs, window, **kwargs)
-        worst = max(report.residuals.values())
-        slack = min(report.err_bounds[k] - report.residuals[k] for k in report.residuals)
-        checks.append(
-            (
-                "kernel[%s]" % kind,
-                report.passed,
-                "max residual %.3e, min slack to err %.3e over %d maps"
-                % (worst, slack, len(report.residuals)),
-            )
-        )
-    return checks
-
-
-def _separation_pair(window, gamma, rng):
-    """A recurrent config and a one-grain raise at a site below gamma - 1."""
-    while True:
-        v = random_recurrent(window, gamma, rng)
-        candidates = np.argwhere(v.heights <= gamma - 2)
-        if len(candidates):
-            idx = tuple(candidates[rng.integers(len(candidates))])
-            site = window.site_of(idx)
-            bumped = v.heights.copy()
-            bumped[idx] += 1
-            return v, HeightConfig(window, gamma, bumped), site
-
-
-def _suite_separation(specs, window, rng, n_pairs):
-    gamma = specs[0].gamma
-    d = specs[0].dim
-    floor = 1.0 / (4 * d)
-    worst_margin = None
-    min_gap = None
-    ok = True
-    for _ in range(n_pairs):
-        v, vp, site = _separation_pair(window, gamma, rng)
-        q = BoxWindow(site, site)
-        best = None
-        best_gap = 0.0
-        for spec in specs:
-            gap = separation_check(spec, v, vp, q)
-            margin = gap - (floor - 2.0 * spec.field_err(gamma - 1))
-            if best is None or margin > best:
-                best, best_gap = margin, gap
-            if margin > 0 and gap >= floor:
-                break
-        ok &= best > 0
-        worst_margin = best if worst_margin is None else min(worst_margin, best)
-        min_gap = best_gap if min_gap is None else min(min_gap, best_gap)
-    return [
-        (
-            "separation",
-            ok,
-            "min margin over %d pairs: %.4f above the 1/4d - 2 err floor (min raw gap %.4f, floor %.4f)"
-            % (n_pairs, worst_margin, min_gap, floor),
-        )
-    ]
-
-
-def _suite_additivity(specs, window, rng, n_pairs):
-    gamma = specs[0].gamma
-    d = specs[0].dim
-    out_window = BoxWindow.centered(d, 2)
-    if window.intersection(out_window) != out_window:
-        raise CliInputError("suite window too small for the additivity output box")
-    worst = 0.0
-    ok = True
-    for _ in range(n_pairs):
-        v = random_recurrent(window, gamma, rng)
-        vp = random_recurrent(window, gamma, rng)
-        w = group_add(v, vp)
-        xs_v = xi_tuple(v, specs, out_window=out_window)
-        xs_vp = xi_tuple(vp, specs, out_window=out_window)
-        xs_w = xi_tuple(w, specs, out_window=out_window)
-        for xv, xvp, xw in zip(xs_v, xs_vp, xs_w):
-            budget = xv.err + xvp.err + xw.err
-            dist = point_distance(xw, point_sum(xv, xvp))
-            ok &= dist <= budget
-            worst = max(worst, dist / budget)
-    return [
-        (
-            "additivity",
-            ok,
-            "max image mismatch over %d pairs: %.3f of the combined err budget" % (n_pairs, worst),
-        )
-    ]
-
-
-def _suite_intertwining(specs, window, rng, n_configs):
-    gamma = specs[0].gamma
-    d = specs[0].dim
-    h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0)
-    checks = []
-    for spec in specs:
-        gh_spec = _build_spec(spec.g * h, spec.table, None)
-        worst, bound = 0.0, None
-        for _ in range(n_configs):
-            v = random_recurrent(window, gamma, rng)
-            x_g = xi_apply(spec, v)
-            rhs = poly_action(h, x_g)
-            lhs = xi_apply(gh_spec, v, out_window=rhs.window)
-            dist = float(torus_distance(lhs.values - rhs.values).max())
-            worst = max(worst, dist)
-            bound = lhs.err + rhs.err
-        checks.append(
-            (
-                "intertwining[%s]" % poly_label(spec.g),
-                worst <= bound,
-                "max defect %.3e <= combined err %.3e over %d configs" % (worst, bound, n_configs),
-            )
-        )
-    return checks
-
-
-_SUITES = ("harmonicity", "equivariance", "kernel", "separation", "additivity", "intertwining")
-
-
 def cmd_xi_check(ns):
     d = ns.d
     gamma = ns.gamma if ns.gamma is not None else 2 * d
@@ -763,34 +567,24 @@ def cmd_xi_check(ns):
     side = ns.side if ns.side is not None else (16 if d == 2 else 8)
     if side % 2 or side < 6:
         raise CliInputError("--side must be even and at least 6")
-    window = _suite_window(d, side)
+    if ns.configs < 1 or ns.pairs < 1:
+        raise CliInputError("--configs and --pairs must be positive")
+    window = suite_window(d, side)
     rng = np.random.default_rng(ns.seed)
-    names = list(_SUITES) if ns.suite == "all" else [ns.suite]
+    names = list(SUITES) if ns.suite == "all" else [ns.suite]
     checks = []
     for name in names:
-        if name == "harmonicity":
-            checks += _suite_harmonicity(specs, window, rng, ns.configs)
-        elif name == "equivariance":
-            checks += _suite_equivariance(specs, window, rng, ns.configs)
-        elif name == "kernel":
-            checks += _suite_kernel(specs, window)
-        elif name == "separation":
-            checks += _suite_separation(specs, window, rng, ns.pairs)
-        elif name == "additivity":
-            checks += _suite_additivity(specs, window, rng, ns.pairs)
-        elif name == "intertwining":
-            checks += _suite_intertwining(specs, window, rng, ns.configs)
-    failures = []
-    for label, good, detail in checks:
-        print("%s %s: %s" % ("PASS" if good else "FAIL", label, detail))
-        if not good:
-            failures.append(label)
+        suite, counted = SUITES[name]
+        checks += suite(specs, window, rng, ns.pairs if counted == "pairs" else ns.configs)
+    for c in checks:
+        print("%s %s: %s" % ("PASS" if c.passed else "FAIL", c.name, c.detail))
+    failures = [c.name for c in checks if not c.passed]
     if ns.out:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["check", "result", "detail"])
-        for label, good, detail in checks:
-            writer.writerow([label, "pass" if good else "fail", detail])
+        for c in checks:
+            writer.writerow([c.name, "pass" if c.passed else "fail", c.detail])
         _atomic_write(ns.out, buf.getvalue())
         _write_manifest(
             ns.out,
@@ -810,7 +604,7 @@ def cmd_xi_demo_addition(ns):
     gamma = ns.gamma if ns.gamma is not None else 2 * d
     table = _resolve_table(ns, d, gamma)
     g = parse_poly(ns.g, d, gamma)
-    spec = _build_spec(g, table, ns.trunc)
+    spec = XiSpec.build(g, table, ns.trunc)
     site = tuple(_parse_ints(ns.site, "--site")) if ns.site else (0,) * d
     if len(site) != d:
         raise CliInputError("--site needs %d coordinates" % d)
@@ -944,7 +738,7 @@ def _build_parser():
     p = xsub.add_parser("apply", help="map a grid to a torus-valued field CSV")
     p.add_argument("--grid", required=True)
     p.add_argument("--g", default="g1", help="multiplier: alias (f, g1..gN) or expression over u1..ud")
-    p.add_argument("--extension", choices=("zero", "constant", "periodic"), default="zero",
+    p.add_argument("--extension", choices=EXTENSIONS, default="zero",
                    help="how the field continues outside the grid (default zero)")
     p.add_argument("--constant", type=int, default=None, help="fill value for --extension constant")
     p.add_argument("--radius", type=int, default=None)
@@ -954,7 +748,7 @@ def _build_parser():
     p.set_defaults(func=cmd_xi_apply, command_path="xi apply")
 
     p = xsub.add_parser("check", help="run the invariant suites; exit 2 if any check fails")
-    p.add_argument("--suite", choices=_SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     p.add_argument("--d", type=int, required=True, choices=(2, 3))
     _add_table_options(p)
     p.add_argument("--side", type=int, default=None, help="window side for test configs (even)")

@@ -313,12 +313,19 @@ def stabilize(v):
     so the result does not depend on the dtype.
 
     The certificate makes the result exact even if rounding in the head
-    start overshoots.  final = initial - L counts holds by construction.
+    start overshoots; a head start above the odometer's a priori bound is
+    a fault and raises RuntimeError.  final = initial - L counts holds by
+    construction.
     """
     if (v.heights < 0).any():
         raise ValueError("stabilize requires nonnegative heights")
     gamma = v.gamma
     start = _odometer_floor(v.heights, gamma)
+    # u <= L^-1 h <= max(h) (n + 1)^2 / 8 for the shortest side n (see _sweep_dtype);
+    # a head start far above that is a fault in the solve, not a rounding slip
+    ceiling = int(v.heights.max(initial=0)) * (min(v.window.shape) + 1) ** 2 / 8 + 1
+    if start.max(initial=0) > ceiling:
+        raise RuntimeError("head start %d exceeds the odometer bound %.6g" % (start.max(), ceiling))
     dtype = _sweep_dtype(v.heights, start, gamma)
     sink = -_INT32_LIMIT if dtype == np.int32 else _INT64_SINK
     padded, strides = _flat_layout(v.window.shape)

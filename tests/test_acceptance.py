@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-import sandharm.cli as cli
+from sandharm import checks
 from sandharm.green import (
     compute_green,
     decay_profile,
@@ -245,17 +245,17 @@ def test_criterion_09_xi_map_suites(table_d2_g4, table_d3_g6_r16):
     for table, side in ((table_d2_g4, 16), (table_d3_g6_r16, 8)):
         d = table.dim
         specs = standard_specs(table)
-        window = cli._suite_window(d, side)
+        window = checks.suite_window(d, side)
         rng = np.random.default_rng(d)
-        checks = []
-        checks += cli._suite_harmonicity(specs, window, rng, 20)
-        checks += cli._suite_equivariance(specs, window, rng, 5)
-        checks += cli._suite_kernel(specs, window)
-        checks += cli._suite_separation(specs, window, rng, 25)
-        checks += cli._suite_intertwining(specs, window, rng, 3)
-        for label, ok, detail in checks:
-            assert ok, "d=%d %s: %s" % (d, label, detail)
-        lines.append("d=%d all %d checks passed" % (d, len(checks)))
+        results = []
+        results += checks.harmonicity(specs, window, rng, 20)
+        results += checks.equivariance(specs, window, rng, 5)
+        results += checks.kernel(specs, window)
+        results += checks.separation(specs, window, rng, 25)
+        results += checks.intertwining(specs, window, rng, 3)
+        for c in results:
+            assert c.passed, "d=%d %s: %s" % (d, c.name, c.detail)
+        lines.append("d=%d all %d checks passed" % (d, len(results)))
     elapsed = time.monotonic() - t0
     print("criterion 9: %s; 50 separation pairs total; %.1fs" % ("; ".join(lines), elapsed))
     assert elapsed < 300.0
@@ -325,7 +325,7 @@ def test_criterion_10_correction_operator(rng):
 
 def test_criterion_11_quotient_additivity(table_d2_g4, rng):
     specs = standard_specs(table_d2_g4)
-    window = cli._suite_window(2, 16)
+    window = checks.suite_window(2, 16)
     out = BoxWindow.centered(2, 2)
     worst = 0.0
     for _ in range(20):

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import sandharm.checks as checks
 import sandharm.cli as cli
 import sandharm.green as green
 import sandharm.sandpile as sandpile
@@ -200,15 +201,19 @@ def test_xi_check_all_suites_pass(tmp_path, table_csv, capsys):
     assert rows[0] == ["check", "result", "detail"]
     assert len(rows) == len(lines) + 1
     names = {row[0].split("[")[0] for row in rows[1:]}
-    assert names == set(cli._SUITES)
+    assert names == set(checks.SUITES)
     assert all(row[1] == "pass" for row in rows[1:])
 
 
+def test_xi_check_refuses_empty_counts(table_csv, capsys):
+    for flag in ("--configs", "--pairs"):
+        assert main(["xi", "check", "--d", "2", "--table", table_csv, flag, "0"]) == 3
+        assert "must be positive" in capsys.readouterr().err
+
+
 def test_xi_check_reports_failing_suite(monkeypatch, table_csv, capsys):
-    monkeypatch.setattr(
-        cli, "_suite_harmonicity",
-        lambda specs, window, rng, n: [("harmonicity[g]", False, "forced failure")],
-    )
+    forced = checks.Check("harmonicity[g]", False, 1.0, 0.0, "forced failure")
+    monkeypatch.setitem(checks.SUITES, "harmonicity", (lambda specs, window, rng, n: [forced], "configs"))
     rc = main(["xi", "check", "--d", "2", "--suite", "harmonicity", "--table", table_csv])
     printed = capsys.readouterr().out
     assert rc == 2

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sandharm.checks import suite_window
 from sandharm.harmonic import (
     EXTENSIONS,
     TorusPoint,
@@ -24,7 +25,6 @@ from sandharm.harmonic import (
     standard_specs,
     torus_distance,
     xi_apply,
-    xi_tuple,
 )
 from sandharm.harmonic import _convolve_valid, _extended_heights, _next_fast_len
 from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, standard_polys
@@ -36,11 +36,6 @@ from sandharm.sandpile import (
     random_recurrent,
 )
 from sandharm.window import BoxWindow
-
-
-def suite_window(d, side=16):
-    lo = tuple(-(side // 2) for _ in range(d))
-    return BoxWindow.from_shape((side,) * d, lo=lo)
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +51,13 @@ def spec_d2(specs_d2):
 # -- basic mapping ------------------------------------------------------------
 
 
-def test_zero_field_maps_to_zero_exactly(spec_d2):
+def test_zero_field_maps_to_zero_exactly(specs_d2):
     v = HeightConfig.constant(suite_window(2, 8), 4, 0)
-    x = xi_apply(spec_d2, v, extension="zero")
-    assert np.all(x.values == 0.0)
-    assert x.err == 0.0
+    assert len(specs_d2) == 3
+    for spec in specs_d2:
+        x = xi_apply(spec, v, extension="zero")
+        assert np.all(x.values == 0.0)
+        assert x.err == 0.0
 
 
 def test_valid_convolution_matches_fftconvolve(specs_d2, table_d3_g6, rng):
@@ -265,16 +262,6 @@ def test_separation_rejects_difference_outside_q(spec_d2):
 
 
 # -- tuples and additivity -----------------------------------------------------
-
-
-def test_xi_tuple_components(specs_d2):
-    v = HeightConfig.constant(suite_window(2, 8), 4, 0)
-    xs = xi_tuple(v, specs_d2, extension="zero")
-    assert len(xs) == 3
-    for x in xs:
-        assert np.all(x.values == 0.0)
-    with pytest.raises(ValueError):
-        xi_tuple(v, [])
 
 
 def test_additivity_under_group_add(specs_d2, rng):

@@ -342,6 +342,20 @@ def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
             assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
 
 
+def test_gross_head_start_overshoot_is_an_error(monkeypatch, rng):
+    # the inverse DST left unscaled overshoots by prod 2 (s + 1) = 1156; the
+    # certificate would untopple that one pass at a time, so stabilize refuses it
+    def unscaled_floor(heights, gamma):
+        rhs = sandpile._dst1(heights - (gamma - 1.0)) / sandpile._box_eigenvalues(heights.shape, gamma)
+        return np.maximum(np.floor(sandpile._dst1(rhs) - 1e-6), 0).astype(np.int64)
+
+    monkeypatch.setattr(sandpile, "_odometer_floor", unscaled_floor)
+    w = box(16, 16)
+    v = HeightConfig(w, 4, HeightConfig.all_max(w, 4).heights + rng.integers(0, 4, size=w.shape))
+    with pytest.raises(RuntimeError, match="exceeds the odometer bound"):
+        stabilize(v)
+
+
 def test_odometer_floor_is_below_the_odometer(rng):
     cases = [
         HeightConfig.delta(box(33, 33), 4, (16, 16), 5000),
