@@ -212,7 +212,7 @@ def _name_poly(name, d, gamma):
             raise CliInputError("alias fg needs --gamma")
         return laplacian_poly(d, gamma)
     if low.startswith("g") and low[1:].isdigit():
-        gens = standard_polys(d).generators
+        gens = standard_polys(d)
         k = int(low[1:])
         if not 1 <= k <= len(gens):
             raise CliInputError(
@@ -464,6 +464,8 @@ def cmd_count(ns):
     gamma = ns.gamma
     if gamma < 2 * window.dim:
         raise CliInputError("gamma must be at least 2d")
+    if gamma > np.iinfo(np.int64).max:
+        raise CliInputError("gamma %d does not fit in int64" % gamma)
     if ns.backend == "determinant":
         log_count = count_recurrent(window, gamma, backend="determinant")
         if window.size <= EXACT_DET_MAX_SITES:

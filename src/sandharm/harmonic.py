@@ -18,10 +18,8 @@ size), propagated additively through any further linear step.  Thresholds
 downstream are stated relative to err, never as bare constants.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -241,8 +239,7 @@ def standard_specs(table, trunc_radius=None):
     """One XiSpec per standard summable generator (critical tables), or
     the single fundamental-solution spec (dissipative tables)."""
     if table.is_critical:
-        gens = standard_polys(table.dim).generators
-        return [XiSpec.build(g, table, trunc_radius) for g in gens]
+        return [XiSpec.build(g, table, trunc_radius) for g in standard_polys(table.dim)]
     return [XiSpec.build(None, table, trunc_radius)]
 
 
@@ -425,25 +422,13 @@ class KernelWitnessReport:
     kind: str
     residuals: dict
     err_bounds: dict
-    correction: Fraction = None
 
     @property
     def passed(self):
         return all(self.residuals[k] <= self.err_bounds[k] for k in self.residuals)
 
 
-def _check_third_differences(profiles):
-    for ax, prof in enumerate(profiles):
-        L = len(prof)
-        for t in range(L):
-            diff = prof[t % L] - 3 * prof[(t - 1) % L] + 3 * prof[(t - 2) % L] - prof[(t - 3) % L]
-            if diff.denominator != 1:
-                raise ValueError(
-                    "axis %d profile has non-integer third difference %s" % (ax, diff)
-                )
-
-
-def kernel_witness(kind, specs, window, m=3, h=None, beta=None):
+def kernel_witness(kind, specs, window, m=3, h=None):
     """Construct a field annihilated by every given map, with its report.
 
     Three families are supported:
@@ -452,14 +437,16 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None):
       an exact integer, so m times it vanishes mod 1.
     - ``f_multiple``: the Laplacian stencil convolved with a finite h; the
       kernel inverts the stencil, leaving the integer field (g* . h).
-    - ``periodic_family``: f.y + c for the rational field y that repeats
-      (0, beta) along axis 0 (beta defaults to 1/4) and is constant along
-      the others; its cyclic third differences must be integers, and c in
-      [0,1) is the unique constant making the sum integer.
+    - ``periodic_family``: the parity field v_n = n_0 mod 2 of the absolute
+      first coordinate, extended periodically, which continues it exactly
+      because the window's first side must be even.  As v_n = (1 -
+      (-1)^{n_0})/2, and the kernel sums to mass(g) = ``multiplier_sum(g)``
+      and to g(-1,1,...,1)/f(-1,1,...,1) = g(-1,1,...,1)/4 against
+      (-1)^{k_0}, the image is x_n = mass(g)/2 - (-1)^{n_0} g(-1,1,...,1)/8,
+      an integer for every standard generator.
 
     The field's heights are exact integers by construction.  The report
-    records the measured residual of every map next to its error bound,
-    and the periodic family's correction c.
+    records the measured residual of every map next to its error bound.
     """
     specs = list(specs)
     if not specs:
@@ -469,7 +456,6 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None):
     if window.dim != d:
         raise ValueError("window dimension mismatch")
 
-    correction = None
     if kind == "constant":
         v = HeightConfig.constant(window, gamma, int(m))
         extension, const = "constant", int(m)
@@ -480,38 +466,11 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None):
         v = HeightConfig(window, gamma, sandpile.poly_heights(window, f * h))
         extension, const = "zero", None
     elif kind == "periodic_family":
-        beta = Fraction(1, 4) if beta is None else Fraction(beta)
-        profiles = [[Fraction(0), beta]] + [[Fraction(0)]] * (d - 1)
-        _check_third_differences(profiles)
-        for ax, prof in enumerate(profiles):
-            if window.shape[ax] % len(prof) != 0:
-                raise ValueError(
-                    "window side %d is not a multiple of the axis-%d period %d"
-                    % (window.shape[ax], ax, len(prof))
-                )
-        # the Laplacian of a separable periodic field splits into per-axis
-        # second differences
-        second = [
-            [2 * prof[t] - prof[(t - 1) % len(prof)] - prof[(t + 1) % len(prof)] for t in range(len(prof))]
-            for prof in profiles
-        ]
-        fracs = {
-            Fraction(sum(second[ax][t % len(second[ax])] for ax, t in enumerate(combo)) % 1)
-            for combo in itertools.product(*[range(len(s)) for s in second])
-        }
-        if len(fracs) != 1:
-            raise ValueError("profiles do not admit a single integral correction")
-        frac_part = fracs.pop()
-        correction = (-frac_part) % 1
-        heights = np.zeros(window.shape, dtype=np.int64)
-        for idx_combo, site in zip(np.ndindex(*window.shape), window.sites()):
-            total = sum(
-                second[ax][site[ax] % len(second[ax])] for ax in range(d)
-            ) + correction
-            if total.denominator != 1:
-                raise AssertionError("correction failed to clear denominators")
-            heights[idx_combo] = int(total)
-        v = HeightConfig(window, gamma, heights)
+        if window.shape[0] % 2:
+            raise ValueError("window side %d is not a multiple of the axis-0 period 2" % window.shape[0])
+        parity = np.arange(window.lo[0], window.hi[0] + 1) % 2
+        parity = parity.reshape((-1,) + (1,) * (d - 1))
+        v = HeightConfig(window, gamma, np.broadcast_to(parity, window.shape))
         extension, const = "periodic", None
     else:
         raise ValueError("kind must be constant, f_multiple or periodic_family")
@@ -523,7 +482,7 @@ def kernel_witness(kind, specs, window, m=3, h=None, beta=None):
         label = poly_label(spec.g)
         residuals[label] = float(torus_distance(x.values).max())
         errs[label] = x.err
-    return v, KernelWitnessReport(kind, residuals, errs, correction)
+    return v, KernelWitnessReport(kind, residuals, errs)
 
 
 # -- separation ---------------------------------------------------------------

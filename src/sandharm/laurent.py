@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class LaurentPoly:
@@ -250,17 +249,6 @@ class LaurentPoly:
 # -- standard polynomials ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardPolys:
-    """The lattice Laplacian polynomials and the ideal generator list."""
-
-    dim: int
-    gamma: int
-    laplacian: LaurentPoly
-    dissipative: LaurentPoly
-    generators: tuple
-
-
 def laplacian_poly(d, gamma=None):
     """gamma - sum_i (u_i + u_i^{-1}); the critical value is gamma = 2d."""
     if gamma is None:
@@ -274,8 +262,8 @@ def laplacian_poly(d, gamma=None):
     return LaurentPoly(d, terms)
 
 
-def standard_polys(d, gamma=None):
-    """Laplacian, dissipative Laplacian and ideal generators for dimension d.
+def standard_polys(d):
+    """The summable-ideal generators for dimension d, as a tuple.
 
     For d = 2 the generators are
     (1-u1)^2 (1-u2), (1-u1)(1-u2)^2 and (1-u1)^2 + (1-u2)^2.
@@ -285,12 +273,6 @@ def standard_polys(d, gamma=None):
     """
     if d < 2:
         raise ValueError("need dimension >= 2")
-    if gamma is None:
-        gamma = 2 * d
-    if gamma < 2 * d:
-        raise ValueError("gamma must be at least 2d")
-    f = laplacian_poly(d)
-    f_gamma = laplacian_poly(d, gamma)
     one = LaurentPoly.one(d)
     u = [LaurentPoly.variable(d, i) for i in range(d)]
     if d == 2:
@@ -298,17 +280,12 @@ def standard_polys(d, gamma=None):
         b = one - u[1]
         gens = (a * a * b, a * b * b, a * a + b * b)
     else:
-        gens = [f]
-        seen = set()
-        for idx in itertools.combinations_with_replacement(range(d), 3):
-            g = LaurentPoly.one(d)
-            for i in idx:
-                g = g * (u[i] - one)
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-        gens = tuple(gens)
-    return StandardPolys(d, gamma, f, f_gamma, tuple(gens))
+        # distinct multisets give distinct products: u_i - 1 are distinct primes
+        gens = (laplacian_poly(d),) + tuple(
+            (u[i] - one) * (u[j] - one) * (u[k] - one)
+            for i, j, k in itertools.combinations_with_replacement(range(d), 3)
+        )
+    return gens
 
 
 # -- ideal membership --------------------------------------------------------
@@ -396,62 +373,19 @@ def multiplier_sum(g):
 # -- exact division ----------------------------------------------------------
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fractions.
-
-    Returns the unique solution vector or None if the system is
-    inconsistent.  The matrix is expected to have full column rank, which
-    holds for convolution-by-f systems since the ring has no zero divisors.
-    """
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = pr[col]
-        for i in range(m):
-            if i == r:
-                continue
-            factor = aug[i][col]
-            if factor == 0:
-                continue
-            row_i = aug[i]
-            scale = factor / inv
-            for jj in range(col, n + 1):
-                row_i[jj] -= scale * pr[jj]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivot_cols):
-        sol[col] = aug[row_idx][n] / aug[row_idx][col]
-    # columns without pivots would be free; full column rank is expected,
-    # but a zero solution for them is consistent if they occur
-    return sol
-
-
 def divide_by(g, f):
     """Exact quotient h with h * f = g, or None when no such h exists.
 
-    The unknown support of h is the exact Newton-box difference of the
-    supports of g and f, which always contains the quotient when one
-    exists, so absence is a proof of absence.
+    Lexicographic long division in Z[u].  Shifted by their least exponents,
+    f and g have least exponent 0 on every axis, so f is divisible by no
+    variable; the least exponent on an axis adds under products (Z has no
+    zero divisors), so a quotient of the shifted pair has least exponents 0
+    too, a polynomial.  While one exists, the remainder's leading term is
+    the divisor's leading term times a term of the rest of the quotient, so
+    a leading term that fails to divide it, as a monomial or in its integer
+    coefficient, proves there is none.  Each step lowers the remainder's
+    leading exponent in lex order, a well-order, so the loop ends.  The
+    quotient is shifted back by glo - flo.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
@@ -459,43 +393,23 @@ def divide_by(g, f):
         raise ValueError("division by the zero polynomial")
     if not g:
         return LaurentPoly.zero(g.dim)
-    d = g.dim
-    fbox = f.bounding_box()
-    gbox = g.bounding_box()
-    lo = tuple(gl - fl for gl, fl in zip(gbox[0], fbox[0]))
-    hi = tuple(gh - fh for gh, fh in zip(gbox[1], fbox[1]))
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    unknowns = list(itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]))
-    index = {k: i for i, k in enumerate(unknowns)}
-    # equations: every exponent reachable as unknown + supp(f), plus supp(g)
-    eq_sites = set(g.terms)
-    for k in unknowns:
-        for kf in f.terms:
-            eq_sites.add(tuple(a + b for a, b in zip(k, kf)))
-    eq_sites = sorted(eq_sites)
-    rows = []
-    rhs = []
-    for site in eq_sites:
-        row = [0] * len(unknowns)
-        for kf, cf in f.terms.items():
-            kh = tuple(s - e for s, e in zip(site, kf))
-            col = index.get(kh)
-            if col is not None:
-                row[col] += cf
-        rows.append(row)
-        rhs.append(g.terms.get(site, 0))
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        return None
-    terms = {}
-    for k, val in zip(unknowns, sol):
-        if val == 0:
-            continue
-        if val.denominator != 1:
+    flo, glo = f.bounding_box()[0], g.bounding_box()[0]
+    divisor = [(tuple(e - l for e, l in zip(k, flo)), c) for k, c in f.terms.items()]
+    lead, lead_coeff = max(divisor)
+    rem = {tuple(e - l for e, l in zip(k, glo)): c for k, c in g.terms.items()}
+    quot = {}
+    while rem:
+        top = max(rem)
+        q, r = divmod(rem[top], lead_coeff)
+        expo = tuple(a - b for a, b in zip(top, lead))
+        if r or min(expo) < 0:
             return None
-        terms[k] = int(val)
-    h = LaurentPoly(d, terms)
-    if h * f != g:
-        return None
-    return h
+        quot[expo] = q
+        for k, c in divisor:
+            key = tuple(a + b for a, b in zip(expo, k))
+            value = rem.get(key, 0) - q * c
+            if value:
+                rem[key] = value
+            else:
+                del rem[key]
+    return LaurentPoly(g.dim, quot).shifted(tuple(a - b for a, b in zip(glo, flo)))

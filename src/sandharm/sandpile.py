@@ -140,7 +140,12 @@ class HeightConfig:
         for ln in body:
             if len(ln) != shape[-1]:
                 raise ValueError("rows must have %d entries" % shape[-1])
-        heights = np.array(body, dtype=np.int64).reshape(shape)
+        if gamma > np.iinfo(np.int64).max:
+            raise ValueError("gamma %d does not fit in int64" % gamma)
+        try:
+            heights = np.array(body, dtype=np.int64).reshape(shape)
+        except OverflowError:
+            raise ValueError("heights must fit in int64") from None
         window = BoxWindow.from_shape(shape)
         return cls(window, gamma, heights)
 
@@ -211,10 +216,10 @@ def _flat_layout(shape):
 
 
 # the sweeps run in int32 when every value they can produce lies strictly
-# within +-_INT32_LIMIT; the padded border (a sink, which never reaches gamma)
-# then starts at -_INT32_LIMIT, and at _INT64_SINK in the int64 fallback
+# within +-_INT32_LIMIT, else in int64 within +-_INT64_LIMIT; the padded
+# border (a sink, which never reaches gamma) starts at minus the limit
 _INT32_LIMIT = 1 << 30
-_INT64_SINK = -(1 << 62)
+_INT64_LIMIT = 1 << 62
 
 
 def _box_eigenvalues(shape, gamma):
@@ -280,11 +285,14 @@ def _sweep_dtype(heights, start, gamma):
     from ``start`` never pass it (least action).  This holds even for a
     head start that overshoots.  So w <= W = U + max(start), a height in
     the window lies in [-gamma max(start), max(h) + 2d W], and a border
-    site holds the sink plus at most W.
+    site holds the sink plus at most W.  The same proof with _INT64_LIMIT
+    covers int64; a bound at or above it raises ValueError.
     """
     top = int(start.max(initial=0))
     odometer = 2 * top + 2 + (gamma - 1) * (min(heights.shape) + 1) ** 2 / 8
     bound = max(int(heights.max(initial=0)) + 2 * heights.ndim * odometer, gamma * top)
+    if bound >= _INT64_LIMIT:
+        raise ValueError("stabilize cannot prove its sweeps stay below 2^62 in int64 (bound %.3g)" % bound)
     return np.int32 if bound < _INT32_LIMIT else np.int64
 
 
@@ -309,8 +317,10 @@ def stabilize(v):
     height, border value or count can reach 2^30: the odometer is at most
     L^-1 (h - (gamma - 1)), which the head start's DST already bounds, plus
     (gamma - 1) (n + 1)^2 / 8 for the shortest side n.  Otherwise the same
-    loop runs in int64.  Integer arithmetic that does not overflow is exact,
-    so the result does not depend on the dtype.
+    loop runs in int64, under the same proof with 2^62; an input for which
+    that bound, or the total mass |E| max(h), reaches 2^62 raises
+    ValueError.  Integer arithmetic that does not overflow is exact, so the
+    result does not depend on the dtype.
 
     The certificate makes the result exact even if rounding in the head
     start overshoots; a head start above the odometer's a priori bound is
@@ -319,6 +329,8 @@ def stabilize(v):
     """
     if (v.heights < 0).any():
         raise ValueError("stabilize requires nonnegative heights")
+    if v.window.size * int(v.heights.max(initial=0)) >= _INT64_LIMIT:
+        raise ValueError("total mass up to |E| max(h) must stay below 2^62 for int64 mass balance")
     gamma = v.gamma
     start = _odometer_floor(v.heights, gamma)
     # u <= L^-1 h <= max(h) (n + 1)^2 / 8 for the shortest side n (see _sweep_dtype);
@@ -327,7 +339,7 @@ def stabilize(v):
     if start.max(initial=0) > ceiling:
         raise RuntimeError("head start %d exceeds the odometer bound %.6g" % (start.max(), ceiling))
     dtype = _sweep_dtype(v.heights, start, gamma)
-    sink = -_INT32_LIMIT if dtype == np.int32 else _INT64_SINK
+    sink = -_INT32_LIMIT if dtype == np.int32 else -_INT64_LIMIT
     padded, strides = _flat_layout(v.window.shape)
     h = np.pad((v.heights - laplacian(start, gamma)).astype(dtype), 1, constant_values=sink)
     flat = h.ravel()

@@ -105,14 +105,14 @@ def test_criterion_04_ideal_membership(table_d2_g4, table_d3_g6_r16, table_d2_g4
     assert ideal_certificate(laplacian_poly(3)).member
     assert ideal_certificate((one2 - u1) ** 3).member
     for d in (2, 3):
-        for g in standard_polys(d).generators:
+        for g in standard_polys(d):
             assert ideal_certificate(g).member
     assert not ideal_certificate(one2 - u1).member
 
     fits = []
     for table in (table_d2_g4, table_d3_g6_r16):
         d = table.dim
-        for g in standard_polys(d).generators:
+        for g in standard_polys(d):
             m = multiplier_table(g, table)
             vals = m.values.copy()
             vals[np.abs(vals) < m.entry_error] = 0.0
@@ -145,7 +145,7 @@ def test_criterion_05_conservation(table_d2_g4, table_d3_g6_r16, rng):
     worst = 0.0
     for table in (table_d2_g4, table_d3_g6_r16):
         d = table.dim
-        for g in standard_polys(d).generators:
+        for g in standard_polys(d):
             m = multiplier_table(g, table)
             total = float(m.values.sum())
             target = multiplier_sum(g)
@@ -157,7 +157,7 @@ def test_criterion_05_conservation(table_d2_g4, table_d3_g6_r16, rng):
     checked = 0
     for d in (2, 3):
         cubics = [
-            g for g in standard_polys(d).generators
+            g for g in standard_polys(d)
             if multiplier_sum(g) == 0 and g != laplacian_poly(d)
         ]
         for _ in range(5):

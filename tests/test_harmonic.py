@@ -3,8 +3,6 @@ families, residual suites (harmonicity, equivariance, intertwining),
 separation of distinct recurrent patches, and additivity under the group
 operation."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from sandharm.harmonic import (
     xi_apply,
 )
 from sandharm.harmonic import _convolve_valid, _extended_heights, _next_fast_len
-from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, standard_polys
+from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, multiplier_sum, standard_polys
 from sandharm.sandpile import (
     HeightConfig,
     add_poly,
@@ -123,7 +121,7 @@ def test_f_multiple_lands_on_integers(spec_d2):
 
 def test_standard_specs_one_per_generator(table_d2_g4, table_d2_g5):
     specs = standard_specs(table_d2_g4)
-    assert [s.g for s in specs] == list(standard_polys(2).generators)
+    assert [s.g for s in specs] == list(standard_polys(2))
     assert len(standard_specs(table_d2_g5)) == 1
 
 
@@ -198,24 +196,35 @@ def test_f_multiple_witness(specs_d2):
 
 
 def test_periodic_witness_quarter_beta(specs_d2):
-    v, report = kernel_witness(
-        "periodic_family", specs_d2, suite_window(2, 16), beta=Fraction(1, 4)
-    )
+    # the parity field is f.y + 1/2 for y repeating (0, 1/4) along axis 0
+    v, report = kernel_witness("periodic_family", specs_d2, suite_window(2, 16))
     assert report.passed
-    assert report.correction == Fraction(1, 2)
     # the height field repeats with the period along the chosen axis
     assert np.array_equal(v.heights[:4], v.heights[4:8])
 
 
-def test_periodic_witness_rejects_non_integral_profile(specs_d2):
-    with pytest.raises(ValueError):
-        kernel_witness("periodic_family", specs_d2, suite_window(2, 12), beta=Fraction(1, 3))
+def test_periodic_witness_is_parity_of_absolute_first_coordinate(specs_d2):
+    window = BoxWindow((-3, -2), (6, 5))
+    v, report = kernel_witness("periodic_family", specs_d2, window)
+    assert report.passed
+    for site in window.sites():
+        assert v.height_at(site) == site[0] % 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_parity_images_are_integers(d):
+    """x_n = mass(g)/2 - (-1)^{n_0} g(-1,1,...,1)/8 is an integer for each generator."""
+    for g in standard_polys(d):
+        at_flip = sum(c * (-1) ** k[0] for k, c in g.terms.items())
+        mass = multiplier_sum(g)
+        assert (4 * mass + at_flip) % 8 == 0
+        assert (4 * mass - at_flip) % 8 == 0
 
 
 def test_periodic_witness_needs_matching_window(specs_d2):
-    # the default profile alternates with period 2; an odd side cannot hold it
-    with pytest.raises(ValueError):
-        kernel_witness("periodic_family", specs_d2, suite_window(2, 9), beta=Fraction(1, 4))
+    # the parity field alternates with period 2; an odd side cannot hold it
+    with pytest.raises(ValueError, match="window side 9 is not a multiple of the axis-0 period 2"):
+        kernel_witness("periodic_family", specs_d2, suite_window(2, 9))
 
 
 def test_witness_kind_validation(specs_d2):

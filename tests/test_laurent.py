@@ -112,36 +112,38 @@ def test_involution_examples():
 
 
 def test_standard_polys_d2():
-    polys = standard_polys(2, 4)
-    assert len(polys.laplacian.terms) == 5
-    assert polys.laplacian[(0, 0)] == 4
-    assert len(polys.generators) == 3
-    g1, g2, g3 = polys.generators
+    f = laplacian_poly(2)
+    assert len(f.terms) == 5
+    assert f[(0, 0)] == 4
+    gens = standard_polys(2)
+    assert isinstance(gens, tuple)
+    assert len(gens) == 3
+    g1, g2, g3 = gens
     assert g1 == (one2 - u(2, 0)) ** 2 * (one2 - u(2, 1))
     assert g2 == (one2 - u(2, 0)) * (one2 - u(2, 1)) ** 2
     assert g3 == (one2 - u(2, 0)) ** 2 + (one2 - u(2, 1)) ** 2
 
 
 def test_standard_polys_d3():
-    polys = standard_polys(3, 6)
-    assert len(polys.laplacian.terms) == 7
+    f = laplacian_poly(3)
+    assert len(f.terms) == 7
+    gens = standard_polys(3)
     # stencil itself plus every triple product (u_i-1)(u_j-1)(u_k-1) with
     # repetition allowed: 10 distinct triples
-    assert len(polys.generators) == 11
-    assert polys.generators[0] == polys.laplacian
+    assert len(gens) == 11
+    assert len(set(gens)) == 11
+    assert gens[0] == f
 
 
 def test_standard_polys_dissipative_constant():
-    polys = standard_polys(2, 5)
-    assert polys.dissipative[(0, 0)] == 5
-    assert polys.dissipative - polys.laplacian == LaurentPoly.constant(2, 1)
+    f5 = laplacian_poly(2, 5)
+    assert f5[(0, 0)] == 5
+    assert f5 - laplacian_poly(2) == LaurentPoly.constant(2, 1)
 
 
 def test_standard_polys_validation():
     with pytest.raises(ValueError):
-        standard_polys(1, 2)
-    with pytest.raises(ValueError):
-        standard_polys(2, 3)
+        standard_polys(1)
 
 
 # -- ideal certificates -------------------------------------------------------
@@ -174,7 +176,7 @@ def test_certificate_requires_dim_two():
 @pytest.mark.parametrize("d", [2, 3])
 def test_membership_closed_under_multiplication(d, rng):
     """Products h*g stay in the ideal for random h up to degree 3."""
-    gens = standard_polys(d).generators
+    gens = standard_polys(d)
     for g in gens:
         assert ideal_certificate(g).member
         for _ in range(5):
@@ -190,7 +192,7 @@ def test_membership_closed_under_multiplication(d, rng):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_second_moments_axis_independent(d):
-    for g in standard_polys(d).generators:
+    for g in standard_polys(d):
         moments = []
         for j in range(d):
             powers = [0] * d
@@ -203,10 +205,10 @@ def test_second_moments_axis_independent(d):
 
 
 def test_multiplier_sum_values():
-    polys = standard_polys(2)
-    assert multiplier_sum(polys.generators[2]) == -1
-    assert multiplier_sum(polys.generators[0]) == 0
-    assert multiplier_sum(polys.laplacian) == 1
+    gens = standard_polys(2)
+    assert multiplier_sum(gens[2]) == -1
+    assert multiplier_sum(gens[0]) == 0
+    assert multiplier_sum(laplacian_poly(2)) == 1
 
 
 def test_multiplier_sum_rejects_non_members():
@@ -225,7 +227,7 @@ def test_cubic_ideal_elements_have_zero_mass(rng):
             for ax in range(2):
                 quad = quad + (LaurentPoly.one(2) - u(2, ax)) ** 2
             skip.add(quad)
-        gens = [g for g in standard_polys(d).generators if g not in skip]
+        gens = [g for g in standard_polys(d) if g not in skip]
         assert len(gens) >= 2
         for g in gens:
             assert multiplier_sum(g) == 0
@@ -271,6 +273,46 @@ def test_divide_recovers_random_factor(rng):
         if not h:
             continue
         assert divide_by(h * f, f) == h
+
+
+def random_poly(rng, d, n_terms, span, coeff_max):
+    terms = {}
+    for _ in range(n_terms):
+        expo = tuple(int(x) for x in rng.integers(-span, span + 1, size=d))
+        terms[expo] = terms.get(expo, 0) + int(rng.integers(-coeff_max, coeff_max + 1))
+    return LaurentPoly(d, terms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_divide_recovers_factor_of_random_divisors(d, rng):
+    """h is recovered from h*f for random f, leading coefficients other than +-1 included."""
+    leads = set()
+    for _ in range(40):
+        f = random_poly(rng, d, 4, 2, 5)
+        h = random_poly(rng, d, 5, 2, 6)
+        if not f:
+            continue
+        leads.add(abs(max(f.terms.items())[1]))
+        assert divide_by(h * f, f) == h
+        # times a monomial and a non-unit constant the quotient moves with it
+        assert divide_by(LaurentPoly.monomial(d, (-3,) * d, 7) * h * f, f) == LaurentPoly.monomial(d, (-3,) * d, 7) * h
+    assert leads - {1}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_divide_refuses_odd_over_even(d, rng):
+    """g(1,...,1) = h(1,...,1) f(1,...,1) is even when f(1,...,1) is, so an odd g has no quotient."""
+    checked = 0
+    for _ in range(60):
+        f = random_poly(rng, d, 4, 2, 5)
+        g = random_poly(rng, d, 5, 2, 6)
+        if f.coeff_sum() % 2 or g.coeff_sum() % 2 == 0:
+            continue
+        checked += 1
+        assert divide_by(g, f) is None
+    assert checked >= 5
+    assert divide_by(one2, 2 * one2) is None
+    assert divide_by(3 * one2 + 2 * u(2, 0), 2 * one2 - 4 * u(2, 1)) is None
 
 
 def test_divide_zero_divisor_rejected():

@@ -320,6 +320,17 @@ def test_sweep_dtype_guard():
     assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 20), 4) is np.int32
 
 
+def test_int64_guard_refuses_unprovable_sweeps():
+    # the int32 proof, applied to int64: a bound at 2^62 or more is refused
+    heights = np.zeros((3, 3), dtype=np.int64)
+    assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 58), 4) is np.int64
+    with pytest.raises(ValueError, match="2\\^62"):
+        sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 60), 4)
+    # a threshold that large makes the odometer bound itself pass 2^62
+    with pytest.raises(ValueError, match="2\\^62"):
+        stabilize(HeightConfig.constant(box(3, 3), 1 << 62, 1))
+
+
 def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
     # the head start is only a floor up to rounding; if it ever overshoots,
     # the least-action certificate must untopple back to the exact odometer
