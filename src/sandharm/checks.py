@@ -121,8 +121,8 @@ def kernel(specs, window, rng=None, n=None):
     d = specs[0].dim
     h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0) - LaurentPoly.variable(d, d - 1) ** 2
     checks = []
-    for kind, kwargs in (("constant", {"m": 3}), ("f_multiple", {"h": h}), ("periodic_family", {})):
-        _, report = kernel_witness(kind, specs, window, **kwargs)
+    for kind in ("constant", "f_multiple", "periodic_family"):
+        _, report = kernel_witness(kind, specs, window, h)
         residuals, errs = report.residuals, report.err_bounds
         worst = max(residuals.values())
         slack = min(errs[k] - residuals[k] for k in residuals)

@@ -27,6 +27,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -222,7 +223,29 @@ def _name_poly(name, d, gamma):
     raise CliInputError("unknown name %r (expected u<k>, f, fg or g<k>)" % name)
 
 
+# Largest power the polynomial reader expands: points in the result's Newton
+# box, and bits of its coefficients.
+POWER_MAX_POINTS = 4096
+POWER_MAX_BITS = 1024
+
+
 def _poly_power(base, n):
+    """base^n, refusing before any multiplication a result too large to expand.
+
+    The result's Newton box holds at most prod_i (|n| span_i + 1) lattice
+    points, and its coefficients have at most |n| log2 l1(base) bits, since
+    the l1 norm is submultiplicative.  A power whose bounds exceed
+    POWER_MAX_POINTS points or POWER_MAX_BITS bits is an input error.
+    """
+    if base:
+        lo, hi = base.bounding_box()
+        points = math.prod(abs(n) * (h - l) + 1 for l, h in zip(lo, hi))
+        l1 = base.l1_norm()
+        if points > POWER_MAX_POINTS or (l1 > 1 and abs(n) > POWER_MAX_BITS / math.log2(l1)):
+            raise CliInputError(
+                "power ^%d is too large to expand: the result may exceed %d points in its Newton box "
+                "or %d-bit coefficients" % (n, POWER_MAX_POINTS, POWER_MAX_BITS)
+            )
     if n >= 0:
         return base**n
     if len(base) == 1:
@@ -522,7 +545,7 @@ def cmd_entropy(ns):
 
 
 def _resolve_table(ns, d, gamma):
-    if getattr(ns, "table", None):
+    if ns.table:
         table = _load_table(ns.table)
         if table.dim != d or table.gamma != gamma:
             raise CliInputError(
@@ -538,7 +561,7 @@ def cmd_xi_apply(ns):
     v = _load_grid(ns.grid)
     table = _resolve_table(ns, v.dim, v.gamma)
     g = parse_poly(ns.g, v.dim, v.gamma)
-    spec = XiSpec.build(g, table, ns.trunc)
+    spec = XiSpec.build(g, table)
     point = xi_apply(spec, v, extension=ns.extension, constant=ns.constant)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
     _atomic_write(out, point.to_csv())
@@ -565,7 +588,7 @@ def cmd_xi_check(ns):
     d = ns.d
     gamma = ns.gamma if ns.gamma is not None else 2 * d
     table = _resolve_table(ns, d, gamma)
-    specs = standard_specs(table, ns.trunc)
+    specs = standard_specs(table)
     side = ns.side if ns.side is not None else (16 if d == 2 else 8)
     if side % 2 or side < 6:
         raise CliInputError("--side must be even and at least 6")
@@ -606,13 +629,13 @@ def cmd_xi_demo_addition(ns):
     gamma = ns.gamma if ns.gamma is not None else 2 * d
     table = _resolve_table(ns, d, gamma)
     g = parse_poly(ns.g, d, gamma)
-    spec = XiSpec.build(g, table, ns.trunc)
+    spec = XiSpec.build(g, table)
     site = tuple(_parse_ints(ns.site, "--site")) if ns.site else (0,) * d
     if len(site) != d:
         raise CliInputError("--site needs %d coordinates" % d)
     out_window = BoxWindow.centered(d, 2).shifted(site)
     rng = np.random.default_rng(ns.seed)
-    delta, mismatch = addition_operator_demo(spec, site, out_window, rng=rng)
+    delta, mismatch = addition_operator_demo(spec, site, out_window, rng)
     bound = spec.field_err(gamma) + spec.field_err(gamma - 1) + spec.field_err(1)
     ok = mismatch <= bound
     print(
@@ -685,12 +708,10 @@ def cmd_ideal(ns):
 # -- parser -------------------------------------------------------------------
 
 
-def _add_table_options(p, with_gamma=True):
-    if with_gamma:
-        p.add_argument("--gamma", type=int, default=None, help="threshold (default: critical 2d)")
+def _add_table_options(p):
+    p.add_argument("--gamma", type=int, default=None, help="threshold (default: critical 2d)")
     p.add_argument("--radius", type=int, default=None, help="table radius (default 16 for d=2, 8 for d=3)")
     p.add_argument("--table", default=None, help="load a precomputed table CSV instead of computing")
-    p.add_argument("--trunc", type=int, default=None, help="kernel truncation radius (default: table radius - deg g)")
 
 
 def _build_parser():
@@ -745,7 +766,6 @@ def _build_parser():
     p.add_argument("--constant", type=int, default=None, help="fill value for --extension constant")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--table", default=None)
-    p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_xi_apply, command_path="xi apply")
 

@@ -549,6 +549,18 @@ class DecayProfile:
     fit_range: tuple
 
 
+def _log_log_slope(shells, R):
+    """Log-log slope of the nonzero shells r in [R/2, R]; None when fewer than two are nonzero."""
+    lo = max(1, R // 2)
+    fit_r = np.arange(lo, R + 1)
+    mask = shells[lo : R + 1] > 0
+    if mask.sum() < 2:
+        return None
+    x = np.log(fit_r[mask].astype(float))
+    y = np.log(shells[lo : R + 1][mask])
+    return float(np.polyfit(x, y, 1)[0])
+
+
 def decay_profile(values):
     """Shell maxima/sums by max-norm radius and a log-log decay fit.
 
@@ -571,45 +583,31 @@ def decay_profile(values):
     shell_sum = np.zeros(R + 1)
     np.maximum.at(shell_max, flat_shell, flat_abs)
     np.add.at(shell_sum, flat_shell, flat_abs)
-    lo = max(1, R // 2)
-    fit_r = np.arange(lo, R + 1)
-    mask = shell_max[lo : R + 1] > 0
-    if mask.sum() < 2:
-        return DecayProfile(R, shell_max, shell_sum, None, True, (lo, R))
-    x = np.log(fit_r[mask].astype(float))
-    y = np.log(shell_max[lo : R + 1][mask])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return DecayProfile(R, shell_max, shell_sum, slope, False, (lo, R))
+    slope = _log_log_slope(shell_max, R)
+    return DecayProfile(R, shell_max, shell_sum, slope, slope is None, (max(1, R // 2), R))
 
 
-def tail_beyond(profile, radius):
-    """Bound the l1 mass of shells with index >= radius.
+def tail_beyond(profile):
+    """Bound the l1 mass of the shells beyond the profile radius.
 
-    Measured shell sums are used up to the profile radius; past it, the
-    last nonzero shell sum is extrapolated with the fitted shell-sum decay
-    exponent softened by a +0.5 safety margin.
+    The last shell sum is extrapolated with the fitted shell-sum decay
+    exponent softened by a +0.5 safety margin; the bound is 0 when that
+    shell is empty or the fit is degenerate.
     """
     R = profile.radius
-    radius = max(0, int(radius))
-    total = float(profile.shell_sum[min(radius, R + 1) : R + 1].sum())
-    lo = max(1, R // 2)
-    fit_r = np.arange(lo, R + 1)
-    mask = profile.shell_sum[lo : R + 1] > 0
-    if mask.sum() < 2 or profile.shell_sum[R] == 0:
-        return total
-    x = np.log(fit_r[mask].astype(float))
-    y = np.log(profile.shell_sum[lo : R + 1][mask])
-    slope = float(np.polyfit(x, y, 1)[0]) + 0.5
+    slope = _log_log_slope(profile.shell_sum, R)
+    last = float(profile.shell_sum[R])
+    if slope is None or last == 0:
+        return 0.0
+    slope += 0.5
     if slope >= -1.0:
         slope = -1.01
-    last = float(profile.shell_sum[R])
-    # sum_{r >= start} last * (r/R)^slope, explicit to 100R then an integral bound
-    start = max(radius, R + 1)
-    r = np.arange(start, max(start + 1, 100 * R))
+    # sum_{r > R} last * (r/R)^slope, explicit to 100R then an integral bound
+    r = np.arange(R + 1, max(R + 2, 100 * R))
     geom = float(np.sum((r / float(R)) ** slope))
     r_end = float(r[-1])
     geom += (r_end / float(R)) ** slope * r_end / (-slope - 1.0)
-    return total + last * geom
+    return last * geom
 
 
 # -- entropy -----------------------------------------------------------------
@@ -655,7 +653,7 @@ def _entropy_pass(d, gamma, N, n_r, n_ang):
     return smooth + rad + val
 
 
-def entropy_quadrature(d, gamma, spec=None):
+def entropy_quadrature(d, gamma):
     """Specific entropy integral log(gamma - 2 sum cos) over the torus.
 
     Critical integrands get the bump split (the radial log moment is a 1D
@@ -666,17 +664,13 @@ def entropy_quadrature(d, gamma, spec=None):
         raise ValueError("dimension must be >= 2")
     if gamma < 2 * d:
         raise ValueError("gamma must be at least 2d")
-    if spec is None:
-        nodes = 512 if d == 2 else 64
-        spec = QuadratureSpec(nodes_per_axis=nodes, target_abs_error=1e-5)
     if gamma == 2 * d and d not in (2, 3):
         raise ValueError("critical entropy implemented for d in {2, 3}")
-    N = spec.nodes_per_axis
-    _check_grid_budget(d, N)
     if d == 2:
-        pr, pa = 48, 48
+        N, pr, pa = 512, 48, 48
     else:
-        pr, pa = 32, 24
+        N, pr, pa = 64, 32, 24
+    _check_grid_budget(d, N)
     coarse = _entropy_pass(d, gamma, N, pr, pa)
     fine = _entropy_pass(d, gamma, 2 * N, 2 * pr, 2 * pa)
     err = _RICHARDSON_SAFETY * abs(fine - coarse) + 1e-14

@@ -7,9 +7,9 @@ v into a torus-valued field
 
 which satisfies the harmonicity relation gamma.x_n = sum of neighbours
 (mod 1) up to certified error.  Everything here works on finite windows:
-the kernel is truncated at a declared radius, the discarded mass is
-bounded by measured shell sums with an extrapolated decay, and every
-output carries the resulting error bound.  Comparisons always use the
+the kernel is the whole multiplier table, the mass beyond its reach is
+bounded by an extrapolated shell-sum decay, and every output carries the
+resulting error bound.  Comparisons always use the
 torus metric min(|t - n| : n integer), never raw subtraction.
 
 The truncation calculus follows one rule: a result's err is the sup of
@@ -84,11 +84,7 @@ class TorusPoint:
     def restricted(self, window):
         if not self.window.contains_window(window):
             raise ValueError("restriction window not contained")
-        sl = tuple(
-            slice(lo - wlo, hi - wlo + 1)
-            for lo, hi, wlo in zip(window.lo, window.hi, self.window.lo)
-        )
-        return TorusPoint(window, self.values[sl].copy(), self.err)
+        return TorusPoint(window, self.values[self.window.slices(window)].copy(), self.err)
 
     def shifted(self, offset):
         """Relabel sites: the value at n moves to n + offset."""
@@ -162,13 +158,13 @@ def point_sum(x, y):
 
 @dataclass(frozen=True, eq=False)
 class XiSpec:
-    """Truncated kernel of one covering map, with its error budget.
+    """Kernel of one covering map, with its error budget.
 
-    ``kernel`` holds (g* . w)_k for |k|_max <= trunc_radius.  ``tail_bound``
-    is the discarded l1 mass per unit sup of the input field: measured
-    shell sums beyond the truncation radius, extended past the table by a
-    decay fit softened by 0.5.  ``entry_error`` bounds each kernel entry's
-    inherited table error.
+    ``kernel`` holds (g* . w)_k for |k|_max <= trunc_radius, the radius of
+    the multiplier table, as far as the Green's table supports it.
+    ``tail_bound`` is the l1 mass beyond that radius per unit sup of the
+    input field, extrapolated by a shell-sum decay fit softened by 0.5.
+    ``entry_error`` bounds each kernel entry's inherited table error.
     """
 
     g: LaurentPoly
@@ -197,7 +193,7 @@ class XiSpec:
         return sup * (self.tail_bound + self.kernel.size * self.entry_error + _FFT_SLOP * kernel_l1)
 
     @classmethod
-    def build(cls, g, table, trunc_radius=None):
+    def build(cls, g, table):
         """Assemble the kernel, tail bound and entry error for g over a table.
 
         Critical tables require g to carry an exact summability
@@ -219,28 +215,16 @@ class XiSpec:
                     % (cert.failing,)
                 )
         mult = multiplier_table(g, table)
-        if trunc_radius is None:
-            trunc_radius = mult.radius
-        trunc_radius = int(trunc_radius)
-        if not 0 <= trunc_radius <= mult.radius:
-            raise ValueError("trunc_radius must lie in [0, %d]" % mult.radius)
-        cut = mult.radius - trunc_radius
-        if cut:
-            sl = tuple(slice(cut, -cut) for _ in range(table.dim))
-            kernel = mult.values[sl].copy()
-        else:
-            kernel = mult.values.copy()
-        profile = decay_profile(mult.values)
-        tail = float(tail_beyond(profile, trunc_radius + 1))
-        return cls(g, table, trunc_radius, kernel, tail, float(mult.entry_error))
+        tail = float(tail_beyond(decay_profile(mult.values)))
+        return cls(g, table, mult.radius, mult.values, tail, float(mult.entry_error))
 
 
-def standard_specs(table, trunc_radius=None):
+def standard_specs(table):
     """One XiSpec per standard summable generator (critical tables), or
     the single fundamental-solution spec (dissipative tables)."""
     if table.is_critical:
-        return [XiSpec.build(g, table, trunc_radius) for g in standard_polys(table.dim)]
-    return [XiSpec.build(None, table, trunc_radius)]
+        return [XiSpec.build(g, table) for g in standard_polys(table.dim)]
+    return [XiSpec.build(None, table)]
 
 
 # -- applying the map ---------------------------------------------------------
@@ -260,15 +244,7 @@ def _extended_heights(v, slab_window, extension, constant):
     out = np.full(slab_window.shape, fill)
     common = slab_window.intersection(v.window)
     if common is not None:
-        dst = tuple(
-            slice(lo - slo, hi - slo + 1)
-            for lo, hi, slo in zip(common.lo, common.hi, slab_window.lo)
-        )
-        src = tuple(
-            slice(lo - vlo, hi - vlo + 1)
-            for lo, hi, vlo in zip(common.lo, common.hi, v.window.lo)
-        )
-        out[dst] = v.heights[src]
+        out[slab_window.slices(common)] = v.heights[v.window.slices(common)]
     return out
 
 
@@ -323,7 +299,7 @@ def _convolve_valid(field, kernel):
 
 
 def xi_apply(spec, v, extension="constant", constant=None, out_window=None):
-    """Image of an integer field under the truncated covering map.
+    """Image of an integer field under the covering map.
 
     The field is read from v inside its window and from the extension rule
     outside; ``constant`` defaults to gamma - 1, the all-max extension that
@@ -428,22 +404,27 @@ class KernelWitnessReport:
         return all(self.residuals[k] <= self.err_bounds[k] for k in self.residuals)
 
 
-def kernel_witness(kind, specs, window, m=3, h=None):
+def kernel_witness(kind, specs, window, h=None):
     """Construct a field annihilated by every given map, with its report.
 
-    Three families are supported:
+    With S the kernel's sum, the three families are:
 
-    - ``constant``: the constant field m; the kernel's coefficient sum is
-      an exact integer, so m times it vanishes mod 1.
-    - ``f_multiple``: the Laplacian stencil convolved with a finite h; the
-      kernel inverts the stencil, leaving the integer field (g* . h).
-    - ``periodic_family``: the parity field v_n = n_0 mod 2 of the absolute
-      first coordinate, extended periodically, which continues it exactly
-      because the window's first side must be even.  As v_n = (1 -
-      (-1)^{n_0})/2, and the kernel sums to mass(g) = ``multiplier_sum(g)``
-      and to g(-1,1,...,1)/f(-1,1,...,1) = g(-1,1,...,1)/4 against
-      (-1)^{k_0}, the image is x_n = mass(g)/2 - (-1)^{n_0} g(-1,1,...,1)/8,
-      an integer for every standard generator.
+    - ``constant``: the constant field c.  On critical tables S is the
+      integer mass(g) = ``multiplier_sum(g)`` and c = 3; on dissipative
+      ones S = g(1)/(gamma - 2d), so c = 3(gamma - 2d) maps to 3 g(1).
+    - ``f_multiple``: the stencil f_gamma convolved with a finite h; the
+      kernel inverts f_gamma, leaving the integer field (g* . h).
+    - ``periodic_family``: A times the parity field n_0 mod 2 of the
+      absolute first coordinate, extended periodically, which continues it
+      exactly because the window's first side must be even.  As n_0 mod 2
+      = (1 - (-1)^{n_0})/2, and the kernel sums against (-1)^{k_0} to
+      g(-1,1,...,1)/f_gamma(-1,1,...,1) = g(-1,1,...,1)/(gamma - 2d + 4),
+      the parity field maps to
+      S/2 - (-1)^{n_0} g(-1,1,...,1)/(2(gamma - 2d + 4)).  On critical
+      tables A = 1 and the image mass(g)/2 - (-1)^{n_0} g(-1,1,...,1)/8
+      is an integer for every standard generator.  On dissipative ones
+      A = 2(gamma - 2d)(gamma - 2d + 4) gives the integer
+      (gamma - 2d + 4) g(1) - (-1)^{n_0} (gamma - 2d) g(-1,1,...,1).
 
     The field's heights are exact integers by construction.  The report
     records the measured residual of every map next to its error bound.
@@ -455,20 +436,23 @@ def kernel_witness(kind, specs, window, m=3, h=None):
     gamma = specs[0].gamma
     if window.dim != d:
         raise ValueError("window dimension mismatch")
+    excess = gamma - 2 * d
 
     if kind == "constant":
-        v = HeightConfig.constant(window, gamma, int(m))
-        extension, const = "constant", int(m)
+        c = 3 * excess if excess else 3
+        v = HeightConfig.constant(window, gamma, c)
+        extension, const = "constant", c
     elif kind == "f_multiple":
         if h is None:
             raise ValueError("f_multiple needs the finite factor h")
-        f = laplacian_poly(d)
+        f = laplacian_poly(d, gamma)
         v = HeightConfig(window, gamma, sandpile.poly_heights(window, f * h))
         extension, const = "zero", None
     elif kind == "periodic_family":
         if window.shape[0] % 2:
             raise ValueError("window side %d is not a multiple of the axis-0 period 2" % window.shape[0])
-        parity = np.arange(window.lo[0], window.hi[0] + 1) % 2
+        scale = 2 * excess * (excess + 4) if excess else 1
+        parity = scale * (np.arange(window.lo[0], window.hi[0] + 1) % 2)
         parity = parity.reshape((-1,) + (1,) * (d - 1))
         v = HeightConfig(window, gamma, np.broadcast_to(parity, window.shape))
         extension, const = "periodic", None
@@ -504,11 +488,7 @@ def separation_check(spec, v, vp, Q):
     outside = np.ones(v.window.shape, dtype=bool)
     common = v.window.intersection(Q)
     if common is not None:
-        sl = tuple(
-            slice(lo - wlo, hi - wlo + 1)
-            for lo, hi, wlo in zip(common.lo, common.hi, v.window.lo)
-        )
-        outside[sl] = False
+        outside[v.window.slices(common)] = False
     if diff[outside].any():
         raise ValueError("inputs differ outside Q")
     terms = {}
@@ -529,7 +509,7 @@ def separation_check(spec, v, vp, Q):
 # -- grain addition -----------------------------------------------------------
 
 
-def addition_operator_demo(spec, site, out_window, rng=None):
+def addition_operator_demo(spec, site, out_window, rng):
     """Image increment caused by dropping one grain at a site.
 
     Returns the kernel translated to the site (as a torus point on
@@ -544,7 +524,6 @@ def addition_operator_demo(spec, site, out_window, rng=None):
     delta_window = BoxWindow(site, site)
     delta_cfg = HeightConfig.delta(delta_window, spec.gamma, site, amount=1)
     delta = xi_apply(spec, delta_cfg, extension="zero", out_window=out_window)
-    rng = rng if rng is not None else np.random.default_rng(0)
     v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
     if site not in v.window:
         raise ValueError("site must lie in the configuration's window")

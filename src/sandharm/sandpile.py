@@ -660,28 +660,23 @@ def correct_to_recurrent(v, M):
         raise ValueError("window must contain the centered box of radius M+1")
     two_d = 2 * d
     cur = v.heights.copy()
-    off = tuple(-l for l in v.window.lo)
-
-    def box_view(arr, box):
-        sl = tuple(slice(lo + o, hi + o + 1) for lo, hi, o in zip(box.lo, box.hi, off))
-        return arr[sl]
-
+    inner_sl, outer_sl = v.window.slices(inner), v.window.slices(outer)
     h_net = np.zeros(inner.shape, dtype=np.int64)
 
     # phase 1: subtract f wherever Q_M holds 2d or more
     while True:
-        sub = box_view(cur, inner)
+        sub = cur[inner_sl]
         k = sub // two_d
         np.maximum(k, 0, out=k)
         if not k.any():
             break
         h_net -= k
         sub -= two_d * k
-        box_view(cur, outer)[...] += neighbour_sum(np.pad(k, 1))
+        cur[outer_sl] += neighbour_sum(np.pad(k, 1))
 
     # phase 2: add 0/1 rounds on the stuck set until recurrent
     for _ in range(1_000_000):
-        sub = box_view(cur, inner)
+        sub = cur[inner_sl]
         # negative sites never burn, so the stuck set holds them all
         support = burning_test(HeightConfig(inner, two_d, sub)).rounds == 0
         if not support.any():
@@ -693,7 +688,7 @@ def correct_to_recurrent(v, M):
                 break
             support |= fresh
         h_net += s_mask
-        box_view(cur, outer)[...] += laplacian(np.pad(s_mask, 1), two_d)
+        cur[outer_sl] += laplacian(np.pad(s_mask, 1), two_d)
     else:
         raise RuntimeError("correction did not converge")
 

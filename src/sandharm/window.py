@@ -99,6 +99,10 @@ class BoxWindow:
             return None
         return BoxWindow(lo, hi)
 
+    def slices(self, sub):
+        """Array slices that pick the sub-window ``sub`` out of this window's array."""
+        return tuple(slice(lo - wlo, hi - wlo + 1) for lo, hi, wlo in zip(sub.lo, sub.hi, self.lo))
+
     def contains_window(self, other):
         return all(a <= b for a, b in zip(self.lo, other.lo)) and all(
             a >= b for a, b in zip(self.hi, other.hi)

@@ -149,7 +149,7 @@ def test_criterion_05_conservation(table_d2_g4, table_d3_g6_r16, rng):
             m = multiplier_table(g, table)
             total = float(m.values.sum())
             target = multiplier_sum(g)
-            bound = tail_beyond(decay_profile(m.values), m.radius + 1)
+            bound = tail_beyond(decay_profile(m.values))
             bound += m.values.size * m.entry_error
             assert abs(total - target) <= bound
             worst = max(worst, abs(total - target) / bound)

@@ -2,9 +2,11 @@
 checks whose verdict is the documented comparison of measured and bound."""
 
 import numpy as np
+import pytest
 
 from sandharm import checks
-from sandharm.harmonic import standard_specs
+from sandharm.green import compute_green
+from sandharm.harmonic import kernel_witness, standard_specs
 
 
 def test_every_suite_verdict_follows_its_rule(table_d2_g4):
@@ -26,3 +28,19 @@ def test_every_suite_verdict_follows_its_rule(table_d2_g4):
             if name in ("kernel", "additivity"):
                 assert c.bound == 1.0
             assert c.passed, "%s: %s" % (c.name, c.detail)
+
+
+@pytest.mark.parametrize("d, gamma", [(2, 5), (2, 6), (3, 7)])
+def test_kernel_suite_passes_on_dissipative_tables(d, gamma):
+    # the witnesses are scaled so that the map of mass 1/(gamma - 2d) sends them to integers
+    specs = standard_specs(compute_green(d, gamma, 12 if d == 2 else 8))
+    window = checks.suite_window(d, 16 if d == 2 else 8)
+    results = checks.kernel(specs, window)
+    assert [c.name for c in results] == ["kernel[constant]", "kernel[f_multiple]", "kernel[periodic_family]"]
+    for c in results:
+        assert c.passed, "%s: %s" % (c.name, c.detail)
+    excess = gamma - 2 * d
+    v, _ = kernel_witness("constant", specs, window)
+    assert np.all(v.heights == 3 * excess)
+    v, _ = kernel_witness("periodic_family", specs, window)
+    assert set(np.unique(v.heights)) == {0, 2 * excess * (excess + 4)}

@@ -2,6 +2,8 @@
 inline polynomial parser."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import pathlib
 import re
@@ -260,6 +262,29 @@ def test_xi_check_reports_failing_suite(monkeypatch, table_csv, capsys):
     assert "suite failure in: harmonicity[g]" in printed
 
 
+def test_trunc_option_is_gone(tmp_path, table_csv, capsys):
+    grid = write_grid(tmp_path, "zero.grid", np.zeros((6, 6), dtype=int))
+    for argv in (
+        ["xi", "apply", "--grid", grid, "--table", table_csv],
+        ["xi", "check", "--d", "2", "--table", table_csv],
+        ["xi", "demo-addition", "--d", "2", "--table", table_csv],
+    ):
+        assert main(argv + ["--trunc", "4"]) == 3
+        assert "unrecognized arguments: --trunc 4" in capsys.readouterr().err
+
+
+def test_traced_names_are_callables_in_their_layers():
+    # perfbench rebinds these by name; a rename must fail here, not only under --trace 1
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.TRACED.items():
+        module = importlib.import_module("sandharm." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), "sandharm.%s.%s" % (layer, name)
+
+
 def test_xi_demo_addition(table_csv, capsys):
     rc = main(["xi", "demo-addition", "--d", "2", "--table", table_csv, "--site", "1,0"])
     printed = capsys.readouterr().out
@@ -360,6 +385,24 @@ def test_parse_poly_aliases():
     gens = standard_polys(2)
     for i, g in enumerate(gens, start=1):
         assert parse_poly("g%d" % i, 2) == g
+
+
+def test_large_powers_still_parse():
+    assert parse_poly("(1-u1)^200", 2)[(200, 0)] == 1
+    assert len(parse_poly("(1-u1-u2)^20", 2)) == 231
+    assert parse_poly("u1^-100000000000000000000", 2) == LaurentPoly(2, {(-10**20, 0): 1})
+
+
+@pytest.mark.parametrize("poly", ["(1-u1)^100000000000000000000", "2^100000000000000000000", "(1-u1-u2)^100"])
+def test_huge_powers_are_refused_before_multiplying(monkeypatch, capsys, poly):
+    def no_mul(self, other):
+        raise AssertionError("multiplied a power that must be refused")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_mul)
+    assert main(["ideal", "--poly", poly, "--d", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "too large to expand" in err
+    assert "%d points" % cli.POWER_MAX_POINTS in err and "%d-bit" % cli.POWER_MAX_BITS in err
 
 
 def test_parse_poly_errors():

@@ -126,7 +126,7 @@ def test_decay_profile_synthetic():
     prof2 = decay_profile(delta)
     assert prof2.degenerate
     assert prof2.exponent is None
-    assert tail_beyond(prof2, 1) == 0.0
+    assert tail_beyond(prof2) == 0.0
 
 
 def test_dissipative_total_mass(table_d2_g5):
@@ -134,7 +134,7 @@ def test_dissipative_total_mass(table_d2_g5):
     t = table_d2_g5
     total = float(t.values.sum())
     prof = decay_profile(t.values)
-    budget = tail_beyond(prof, t.radius + 1) + t.values.size * t.accuracy
+    budget = tail_beyond(prof) + t.values.size * t.accuracy
     assert abs(total - 1.0) <= budget
 
 
@@ -260,6 +260,6 @@ def test_compute_green_refuses_before_building_grids(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         compute_green(2, 4, 16, QuadratureSpec(nodes_per_axis=8192))
     with pytest.raises(ValueError, match="budget"):
-        entropy_quadrature(3, 6, QuadratureSpec(nodes_per_axis=1024))
+        entropy_quadrature(4, 9)  # the default d=4 octant, 65^4 points
     with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
-        entropy_quadrature(4, 8, QuadratureSpec(nodes_per_axis=8))
+        entropy_quadrature(4, 8)

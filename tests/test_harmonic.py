@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sandharm.checks import suite_window
+from sandharm.green import multiplier_table
 from sandharm.harmonic import (
     EXTENSIONS,
     TorusPoint,
@@ -119,10 +120,16 @@ def test_f_multiple_lands_on_integers(spec_d2):
     assert float(torus_distance(x.values).max()) <= x.err
 
 
-def test_standard_specs_one_per_generator(table_d2_g4, table_d2_g5):
+def test_standard_specs_one_per_generator(table_d2_g4, table_d2_g5, table_d3_g6, table_d3_g7):
     specs = standard_specs(table_d2_g4)
     assert [s.g for s in specs] == list(standard_polys(2))
     assert len(standard_specs(table_d2_g5)) == 1
+    # every map takes the whole multiplier table as its kernel
+    for table in (table_d2_g4, table_d2_g5, table_d3_g6, table_d3_g7):
+        for spec in standard_specs(table):
+            mult = multiplier_table(spec.g, spec.table)
+            assert np.array_equal(spec.kernel, mult.values)
+            assert spec.trunc_radius == mult.radius
 
 
 # -- residual suites -----------------------------------------------------------
@@ -182,7 +189,7 @@ def test_shifted_config_moves_window():
 
 
 def test_constant_witness(specs_d2):
-    v, report = kernel_witness("constant", specs_d2, suite_window(2, 12), m=3)
+    v, report = kernel_witness("constant", specs_d2, suite_window(2, 12))
     assert report.passed
     assert np.all(v.heights == 3)
     for label, res in report.residuals.items():

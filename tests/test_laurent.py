@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, ideal certificates, and box windows."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,14 @@ def test_dimension_mismatch_rejected():
         LaurentPoly.one(2) + LaurentPoly.one(3)
     with pytest.raises(ValueError):
         LaurentPoly.one(2) * LaurentPoly.one(3)
+
+
+def test_power_matches_repeated_products():
+    for base in (one2 - u(2, 0), 2 * one2 - u(2, 0) + 3 * uinv(2, 1)):
+        acc = one2
+        for n in range(18):
+            assert base**n == acc
+            acc = acc * base
 
 
 def test_negative_power_rejected():
@@ -355,6 +364,17 @@ def test_window_geometry():
     assert a.intersection(a.shifted((10, 0))) is None
     assert a.dilated(1) == BoxWindow((-1, -1), (4, 4))
     assert a.contains_window(BoxWindow((1, 1), (2, 2)))
+
+
+def test_window_slices_pick_the_sub_window():
+    w = BoxWindow((-3, 2), (4, 6))
+    arr = np.arange(w.size).reshape(w.shape)
+    sub = BoxWindow((-1, 3), (2, 6))
+    picked = arr[w.slices(sub)]
+    assert picked.shape == sub.shape
+    for site in sub.sites():
+        assert picked[sub.index_of(site)] == arr[w.index_of(site)]
+    assert np.array_equal(arr[w.slices(w)], arr)
 
 
 def test_window_validation():
