@@ -13,8 +13,15 @@ suite window.  A check compares two numbers:
 - separation: the worst margin above the 1/4d - 2 err floor, passing only
   when it is strictly above 0.
 
+A nan or inf residual, ratio or err fails its check.
+
 Every suite takes ``(specs, window, rng, n)`` and draws from ``rng`` in a
 fixed order; ``SUITES`` maps each name to its suite and to what n counts.
+The suites draw all their configurations first, in the order of drawing
+them one at a time, then stabilize, burn and map them as stacks
+(``stabilize_stack``, ``group_add_stack``, ``xi_apply_stack``), which give
+the one-at-a-time results bit for bit.  Separation draws one pair at a
+time, as its redraws depend on the heights drawn.
 """
 
 import math
@@ -22,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonic import (XiSpec, equivariance_residual, harmonicity_residual, kernel_witness, point_distance,
-                       point_sum, poly_action, poly_label, separation_check, torus_distance, xi_apply)
+from .harmonic import (XiSpec, equivariance_residuals, harmonicity_residual, kernel_witness, point_distance,
+                       point_sum, poly_action, poly_label, separation_check, torus_distance, xi_apply_stack)
 from .laurent import LaurentPoly
-from .sandpile import HeightConfig, group_add, random_recurrent
+from .sandpile import HeightConfig, group_add_stack, random_load, random_recurrent, stabilize_stack
 from .window import BoxWindow
 
 
@@ -40,7 +47,18 @@ class Check(NamedTuple):
 
 
 def _at_most(name, measured, bound, detail):
-    return Check(name, measured <= bound, measured, bound, detail)
+    """Passes when measured <= bound, both finite: a nan or inf certifies nothing."""
+    return Check(name, math.isfinite(measured) and math.isfinite(bound) and measured <= bound, measured, bound, detail)
+
+
+def _worst(values):
+    """Largest value, nan if any value is nan (Python's max skips a nan that is not first)."""
+    return float(np.max(list(values)))
+
+
+def _ratio(residual, err):
+    """residual / err, nan unless err is finite: an infinite budget certifies nothing."""
+    return residual / err if math.isfinite(err) else math.nan
 
 
 def suite_window(d, side):
@@ -49,20 +67,24 @@ def suite_window(d, side):
     return BoxWindow.from_shape((side,) * d, lo=lo)
 
 
-def _worst_per_spec(suite, specs, window, rng, n, measure, detail):
-    """One check per spec: the worst ``measure(spec, v)`` over n random recurrent v.
+def _recurrent(loads):
+    """The stabilized loads, worked on as stacks: ``random_recurrent`` of each draw."""
+    return [v for v, _ in stabilize_stack(loads)]
 
-    ``measure`` returns a residual and its bound; the bound is the same for
-    every v, whose extended field always has sup gamma - 1.  ``detail`` is
-    formatted with the worst residual, the bound and n.
+
+def _worst_per_spec(suite, specs, n, measure, detail):
+    """One check per spec: the worst of ``measure(spec, part)`` over that spec's n configurations.
+
+    Spec k's configurations are the slice ``part`` = [k n, (k + 1) n) of the
+    suite's draws, the ones it drew when each spec drew its own.
+    ``measure`` returns one residual per configuration and their bound, the
+    same for every v, whose extended field always has sup gamma - 1.
+    ``detail`` is formatted with the worst residual, the bound and n.
     """
-    gamma = specs[0].gamma
     checks = []
-    for spec in specs:
-        worst, bound = 0.0, None
-        for _ in range(n):
-            residual, bound = measure(spec, random_recurrent(window, gamma, rng))
-            worst = max(worst, residual)
+    for k, spec in enumerate(specs):
+        residuals, bound = measure(spec, slice(k * n, (k + 1) * n))
+        worst = _worst(residuals)
         label = "%s[%s]" % (suite, poly_label(spec.g))
         checks.append(_at_most(label, worst, bound, detail % (worst, bound, n)))
     return checks
@@ -71,46 +93,54 @@ def _worst_per_spec(suite, specs, window, rng, n, measure, detail):
 def harmonicity(specs, window, rng, n):
     """gamma x_n - sum of neighbours vanishes mod 1 within (4d + 1) err."""
     gamma, d = specs[0].gamma, specs[0].dim
+    configs = _recurrent(random_load(window, gamma, rng) for _ in range(len(specs) * n))
 
-    def measure(spec, v):
-        x = xi_apply(spec, v)
-        return harmonicity_residual(x, gamma), (4 * d + 1) * x.err
+    def measure(spec, part):
+        images = xi_apply_stack(spec, configs[part])
+        return [harmonicity_residual(x, gamma) for x in images], (4 * d + 1) * images[-1].err
 
     detail = "max residual %.3e <= (4d+1) err %.3e over %d configs"
-    return _worst_per_spec("harmonicity", specs, window, rng, n, measure, detail)
+    return _worst_per_spec("harmonicity", specs, n, measure, detail)
 
 
 def equivariance(specs, window, rng, n):
     """Mapping a shifted field equals shifting its image, within 2 err.
 
-    Each configuration is checked under one random shift in [-2, 2]^d and
-    under the unit shift along axis 0.
+    Each configuration is checked under one random shift in [-2, 2]^d,
+    drawn right after the configuration, and under the unit shift along
+    axis 0.
     """
     gamma, d = specs[0].gamma, specs[0].dim
     unit = (1,) + (0,) * (d - 1)
+    loads, shifts = [], []
+    for _ in range(len(specs) * n):
+        loads.append(random_load(window, gamma, rng))
+        shifts.append([tuple(int(x) for x in rng.integers(-2, 3, size=d)), unit])
+    configs = _recurrent(loads)
 
-    def measure(spec, v):
-        shift = tuple(int(x) for x in rng.integers(-2, 3, size=d))
-        residual = max(equivariance_residual(spec, v, m) for m in (shift, unit))
-        return residual, 2.0 * spec.field_err(gamma - 1)
+    def measure(spec, part):
+        residuals = equivariance_residuals(spec, configs[part], shifts[part])
+        return [_worst(r) for r in residuals], 2.0 * spec.field_err(gamma - 1)
 
     detail = "max shift defect %.3e <= 2 err %.3e over %d configs"
-    return _worst_per_spec("equivariance", specs, window, rng, n, measure, detail)
+    return _worst_per_spec("equivariance", specs, n, measure, detail)
 
 
 def intertwining(specs, window, rng, n):
     """xi_{g h} equals h acting on xi_g, for h = 1 + u1, within the combined err."""
-    d = specs[0].dim
+    gamma, d = specs[0].gamma, specs[0].dim
     h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0)
     gh_specs = {spec: XiSpec.build(spec.g * h, spec.table) for spec in specs}
+    configs = _recurrent(random_load(window, gamma, rng) for _ in range(len(specs) * n))
 
-    def measure(spec, v):
-        rhs = poly_action(h, xi_apply(spec, v))
-        lhs = xi_apply(gh_specs[spec], v, out_window=rhs.window)
-        return float(torus_distance(lhs.values - rhs.values).max()), lhs.err + rhs.err
+    def measure(spec, part):
+        rhs = [poly_action(h, x) for x in xi_apply_stack(spec, configs[part])]
+        lhs = xi_apply_stack(gh_specs[spec], configs[part], out_windows=[r.window for r in rhs])
+        residuals = [float(torus_distance(a.values - b.values).max()) for a, b in zip(lhs, rhs)]
+        return residuals, lhs[-1].err + rhs[-1].err
 
     detail = "max defect %.3e <= combined err %.3e over %d configs"
-    return _worst_per_spec("intertwining", specs, window, rng, n, measure, detail)
+    return _worst_per_spec("intertwining", specs, n, measure, detail)
 
 
 def kernel(specs, window, rng=None, n=None):
@@ -124,9 +154,9 @@ def kernel(specs, window, rng=None, n=None):
     for kind in ("constant", "f_multiple", "periodic_family"):
         _, report = kernel_witness(kind, specs, window, h)
         residuals, errs = report.residuals, report.err_bounds
-        worst = max(residuals.values())
-        slack = min(errs[k] - residuals[k] for k in residuals)
-        ratio = max(residuals[k] / errs[k] for k in residuals)
+        worst = _worst(residuals.values())
+        slack = float(np.min([errs[k] - residuals[k] for k in residuals]))
+        ratio = _worst(_ratio(residuals[k], errs[k]) for k in residuals)
         detail = "max residual %.3e, min slack to err %.3e over %d maps" % (worst, slack, len(residuals))
         checks.append(_at_most("kernel[%s]" % kind, ratio, 1.0, detail))
     return checks
@@ -162,6 +192,8 @@ def separation(specs, window, rng, n):
         for spec in specs:
             gap = separation_check(spec, v, vp, q)
             margin = gap - (floor - 2.0 * spec.field_err(gamma - 1))
+            if not math.isfinite(margin):
+                continue  # a non-finite gap or err separates nothing
             if margin > best:
                 best, best_gap = margin, gap
             if margin > 0 and gap >= floor:
@@ -172,7 +204,7 @@ def separation(specs, window, rng, n):
     detail = "min margin over %d pairs: %.4f above the 1/4d - 2 err floor (min raw gap %.4f, floor %.4f)" % (
         n, worst, min(gaps), floor
     )
-    return [Check("separation", worst > 0, worst, 0.0, detail)]
+    return [Check("separation", math.isfinite(worst) and worst > 0, worst, 0.0, detail)]
 
 
 def additivity(specs, window, rng, n):
@@ -184,15 +216,17 @@ def additivity(specs, window, rng, n):
     out_window = BoxWindow.centered(d, 2)
     if window.intersection(out_window) != out_window:
         raise ValueError("suite window too small for the additivity output box")
-    worst = 0.0
-    for _ in range(n):
-        v = random_recurrent(window, gamma, rng)
-        vp = random_recurrent(window, gamma, rng)
-        w = group_add(v, vp)
-        for spec in specs:
-            xv, xvp, xw = (xi_apply(spec, u, out_window=out_window) for u in (v, vp, w))
+    # each pair draws its two operands in turn
+    operands = _recurrent(random_load(window, gamma, rng) for _ in range(2 * n))
+    vs, vps = operands[0::2], operands[1::2]
+    ws = group_add_stack(vs, vps)
+    ratios = []
+    for spec in specs:
+        images = xi_apply_stack(spec, vs + vps + ws, out_windows=[out_window] * (3 * n))
+        for xv, xvp, xw in zip(images[:n], images[n : 2 * n], images[2 * n :]):
             dist = point_distance(xw, point_sum(xv, xvp))
-            worst = max(worst, dist / (xv.err + xvp.err + xw.err))
+            ratios.append(_ratio(dist, xv.err + xvp.err + xw.err))
+    worst = _worst(ratios)
     detail = "max image mismatch over %d pairs: %.3f of the combined err budget" % (n, worst)
     return [_at_most("additivity", worst, 1.0, detail)]
 

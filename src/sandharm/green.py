@@ -146,18 +146,32 @@ class GreenTable:
             method = fields.get("method", "unknown")
         except (KeyError, ValueError) as exc:
             raise ValueError("bad header: %s" % exc) from None
-        values = np.zeros((2 * R + 1,) * d)
-        seen = 0
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != d + 1:
-                raise ValueError("row %r has %d fields, expected %d" % (ln, len(parts), d + 1))
-            site = tuple(int(p) for p in parts[:d])
-            idx = tuple(x + R for x in site)
-            values[idx] = float(parts[d])
-            seen += 1
-        if seen != values.size:
-            raise ValueError("expected %d rows, found %d" % (values.size, seen))
+        if d < 1 or R < 0 or not math.isfinite(gamma) or not 0 <= accuracy < math.inf:
+            raise ValueError("bad header: need d >= 1, R >= 0, a finite gamma and a finite accuracy >= 0")
+        rows = lines[1:]
+        for ln in rows:
+            if ln.count(",") != d:
+                raise ValueError("row %r has %d fields, expected %d" % (ln, ln.count(",") + 1, d + 1))
+        shape = (2 * R + 1,) * d
+        if len(rows) != math.prod(shape):
+            raise ValueError("expected %d rows, found %d" % (math.prod(shape), len(rows)))
+        # numpy's text reader parses floats as float() does, so the values are bit-identical
+        parsed = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                            dtype=[("site", np.int64, (d,)), ("value", float)])
+        sites, entries = parsed["site"], parsed["value"]
+        outside = (np.abs(sites) > R).any(axis=1)
+        if outside.any():
+            raise ValueError("site %r lies outside the radius-%d table" % (tuple(sites[outside][0].tolist()), R))
+        index = np.ravel_multi_index(tuple((sites + R).T), shape)
+        twice = np.bincount(index, minlength=len(rows))[index] > 1
+        if twice.any():
+            raise ValueError("site %r is listed more than once" % (tuple(sites[twice][0].tolist()),))
+        bad = ~np.isfinite(entries)
+        if bad.any():
+            site = tuple(sites[bad][0].tolist())
+            raise ValueError("value %r at site %r is not finite" % (float(entries[bad][0]), site))
+        values = np.empty(shape)
+        values.flat[index] = entries
         return cls(d, gamma, R, values, accuracy, method)
 
 

@@ -98,12 +98,10 @@ class TorusPoint:
             float(self.err),
         )]
         lines.append(",".join("n%d" % (i + 1) for i in range(self.dim)) + ",value,err")
-        for site in self.window.sites():
-            lines.append("%s,%r,%r" % (
-                ",".join(str(x) for x in site),
-                float(self.values[self.window.index_of(site)]),
-                float(self.err),
-            ))
+        err = repr(float(self.err))
+        # window.sites() runs in C order, the order of values.ravel()
+        for site, value in zip(self.window.sites(), self.values.ravel().tolist()):
+            lines.append("%s,%r,%s" % (",".join(str(x) for x in site), value, err))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -264,12 +262,21 @@ def _next_fast_len(n):
     return best
 
 
-def _convolve_valid(field, kernel):
-    """Valid-mode linear convolution of two real float arrays by real FFTs.
+def _spectrum(a, fshape):
+    """Real FFT of ``a`` zero-padded to fshape: rfft on the last axis, then fft on the others in increasing order."""
+    spec = np.zeros(fshape[:-1] + [fshape[-1] // 2 + 1], dtype=complex)
+    np.fft.rfft(a, fshape[-1], axis=-1, out=spec[tuple(slice(0, s) for s in a.shape[:-1])])
+    for ax in range(a.ndim - 1):
+        np.fft.fft(spec, axis=ax, out=spec)
+    return spec
+
+
+def _convolve_valid(fields, kernel):
+    """Valid-mode linear convolutions of real float arrays of one shape with one kernel, by real FFTs.
 
     Bit for bit pocketfft's n-dimensional real transform pair, the route
     images were computed by before numpy became the only dependency, so no
-    image changed with it.  Both arrays are zero-padded to
+    image changed with it.  The arrays are zero-padded to
     ``_next_fast_len`` of the full length; rfft runs on the last axis, then
     fft on the others in increasing order (``numpy.fft.rfftn`` goes in
     reverse order, which moves the last bits).  The product is inverted
@@ -277,25 +284,30 @@ def _convolve_valid(field, kernel):
     1/prod(fshape) formed in long double, as pocketfft does (a per-axis
     scaling also moves the last bits).  The valid part starts at
     kernel.shape - 1.
+
+    The kernel is transformed once for all the fields, which are
+    transformed one at a time; every product is the one a single field
+    would get, so sharing the spectrum changes no bit.
     """
-    full = [a + b - 1 for a, b in zip(field.shape, kernel.shape)]
+    full = [a + b - 1 for a, b in zip(fields[0].shape, kernel.shape)]
     fshape = [_next_fast_len(n) for n in full]
-    spectra = []
-    for a in (field, kernel):
-        spec = np.zeros(fshape[:-1] + [fshape[-1] // 2 + 1], dtype=complex)
-        np.fft.rfft(a, fshape[-1], axis=-1, out=spec[tuple(slice(0, s) for s in a.shape[:-1])])
-        for ax in range(a.ndim - 1):
-            np.fft.fft(spec, axis=ax, out=spec)
-        spectra.append(spec)
-    # in place throughout, and the kernel's spectrum freed before the inverse
-    # allocates: fewer live grids, fewer fresh pages per call
-    spec = spectra[0]
-    spec *= spectra.pop()
-    for ax in range(field.ndim - 1):
-        np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
-    conv = np.fft.irfft(spec, fshape[-1], axis=-1, norm="forward")
-    conv *= float(1 / np.longdouble(math.prod(fshape)))
-    return conv[tuple(slice(b - 1, a) for a, b in zip(field.shape, kernel.shape))]
+    valid = tuple(slice(b - 1, a) for a, b in zip(fields[0].shape, kernel.shape))
+    scale = float(1 / np.longdouble(math.prod(fshape)))
+    kernel_spec = _spectrum(kernel, fshape)
+    out = []
+    for i, field in enumerate(fields):
+        # in place throughout, and the kernel's spectrum freed before the last
+        # inverse allocates: fewer live grids, fewer fresh pages per call
+        spec = _spectrum(field, fshape)
+        spec *= kernel_spec
+        if i == len(fields) - 1:
+            del kernel_spec
+        for ax in range(field.ndim - 1):
+            np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
+        conv = np.fft.irfft(spec, fshape[-1], axis=-1, norm="forward")
+        conv *= scale
+        out.append(conv[valid].copy())  # the full grid is freed now, not when the last field is done
+    return out
 
 
 def xi_apply(spec, v, extension="constant", constant=None, out_window=None):
@@ -310,22 +322,40 @@ def xi_apply(spec, v, extension="constant", constant=None, out_window=None):
 
     and err covers the kernel tail, the table error across all kernel
     entries, and FFT accumulation, all scaled by the sup of the extended
-    field.
+    field.  This is ``xi_apply_stack`` on a stack of one.
     """
-    if spec.dim != v.dim:
+    return xi_apply_stack(spec, [v], extension, constant, None if out_window is None else [out_window])[0]
+
+
+def xi_apply_stack(spec, configs, extension="constant", constant=None, out_windows=None):
+    """``xi_apply`` of each configuration, each on its own output window (default its own window).
+
+    The fields are grouped by slab shape, and each group is convolved with
+    one kernel spectrum, freed before the next group's is formed; the
+    images are the ones ``xi_apply`` gives one at a time, bit for bit.
+    """
+    configs = list(configs)
+    if any(spec.dim != v.dim for v in configs):
         raise ValueError("dimension mismatch")
     if constant is None:
         constant = spec.gamma - 1
-    if out_window is None:
-        out_window = v.window
+    if out_windows is None:
+        out_windows = [v.window for v in configs]
+    if len(out_windows) != len(configs):
+        raise ValueError("%d output windows for %d configurations" % (len(out_windows), len(configs)))
     T = spec.trunc_radius
-    slab_window = out_window.dilated(T)
-    slab = _extended_heights(v, slab_window, extension, constant)
-    conv = _convolve_valid(slab, spec.kernel)
-    if conv.shape != out_window.shape:
-        raise AssertionError("convolution shape %r != window %r" % (conv.shape, out_window.shape))
-    sup = float(np.abs(slab).max()) if slab.size else 0.0
-    return TorusPoint(out_window, _wrap_unit(conv), spec.field_err(sup))
+    slabs = [_extended_heights(v, w.dilated(T), extension, constant) for v, w in zip(configs, out_windows)]
+    images = [None] * len(slabs)
+    by_shape = {}
+    for i, slab in enumerate(slabs):
+        by_shape.setdefault(slab.shape, []).append(i)
+    for group in by_shape.values():
+        for i, conv in zip(group, _convolve_valid([slabs[i] for i in group], spec.kernel)):
+            if conv.shape != out_windows[i].shape:
+                raise AssertionError("convolution shape %r != window %r" % (conv.shape, out_windows[i].shape))
+            sup = float(np.abs(slabs[i]).max()) if slabs[i].size else 0.0
+            images[i] = TorusPoint(out_windows[i], _wrap_unit(conv), spec.field_err(sup))
+    return images
 
 
 # -- residuals ----------------------------------------------------------------
@@ -353,14 +383,31 @@ def equivariance_residual(spec, v, m):
     the shift the two computations see identical data and the residual
     reduces to floating-point variation between FFT sizes.
     """
-    shifted = shifted_config(v, m)
-    common = v.window.intersection(shifted.window)
-    if common is None:
-        raise ValueError("shift leaves no overlap")
-    a = xi_apply(spec, shifted, out_window=common)
-    b = xi_apply(spec, v)
-    b_shifted = b.shifted(tuple(-int(x) for x in m))
-    return point_distance(a, b_shifted)
+    return equivariance_residuals(spec, [v], [[m]])[0][0]
+
+
+def equivariance_residuals(spec, configs, shifts):
+    """``equivariance_residual`` of each configuration under each of its shifts.
+
+    ``shifts[i]`` lists the shifts of ``configs[i]``, and the result nests
+    the same way.  Each configuration is mapped once whatever its number of
+    shifts, and all the images come from one ``xi_apply_stack`` call.
+    """
+    fields, windows = list(configs), [v.window for v in configs]
+    for v, ms in zip(configs, shifts):
+        for m in ms:
+            shifted = shifted_config(v, m)
+            common = v.window.intersection(shifted.window)
+            if common is None:
+                raise ValueError("shift leaves no overlap")
+            fields.append(shifted)
+            windows.append(common)
+    images = xi_apply_stack(spec, fields, out_windows=windows)
+    moved = iter(images[len(configs) :])
+    return [
+        [point_distance(next(moved), b.shifted(tuple(-int(x) for x in m))) for m in ms]
+        for b, ms in zip(images, shifts)
+    ]
 
 
 def poly_action(h, x):
@@ -501,8 +548,7 @@ def separation_check(spec, v, vp, Q):
     if not sandpile.is_recurrent(v) or not sandpile.is_recurrent(vp):
         raise ValueError("both inputs must be recurrent")
     out_window = Q.dilated(spec.trunc_radius)
-    x = xi_apply(spec, v, out_window=out_window)
-    xp = xi_apply(spec, vp, out_window=out_window)
+    x, xp = xi_apply_stack(spec, [v, vp], out_windows=[out_window] * 2)
     return float(torus_distance(x.values - xp.values).max())
 
 
@@ -527,10 +573,9 @@ def addition_operator_demo(spec, site, out_window, rng):
     v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
     if site not in v.window:
         raise ValueError("site must lie in the configuration's window")
-    before = xi_apply(spec, v, out_window=out_window)
     bumped = HeightConfig(v.window, v.gamma, v.heights + sandpile.poly_heights(
         v.window, LaurentPoly(d, {site: 1})))
-    after = xi_apply(spec, bumped, out_window=out_window)
+    before, after = xi_apply_stack(spec, [v, bumped], out_windows=[out_window] * 2)
     predicted = point_sum(before, delta)
     mismatch = point_distance(after, predicted)
     return delta, mismatch

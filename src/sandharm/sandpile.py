@@ -19,6 +19,14 @@ produce below 2^30, and in int64 otherwise; integer arithmetic that cannot
 overflow is exact, so both give the same result.  ``stabilize_serial``,
 which topples one site at a time, is kept for randomized cross-checks.
 
+The kernels work on stacks: several configurations on one window, laid
+one after another along a leading axis, each with its own sink border,
+transformed, swept, certified and burnt together (``stabilize_stack``,
+``burning_test_stack``, ``group_add_stack``).  On small windows numpy's
+cost per call outweighs the arithmetic, so a stack is several times
+faster per configuration; ``stabilize`` and ``burning_test`` are stacks
+of one.
+
 Recurrent configurations are characterized by the burning test: repeatedly
 remove every site whose height is at least its count of not-yet-removed
 neighbours; the configuration is recurrent exactly when all sites burn.
@@ -209,10 +217,41 @@ def _flat_layout(shape):
     """Padded shape and flat axis strides of an array with a one-site border.
 
     On the flattened padded array the 2d neighbours of a site lie at +-stride,
-    so stencil updates become contiguous 1-d slice operations.
+    so stencil updates become contiguous 1-d slice operations.  A stack of
+    such arrays, one after another, keeps the same strides: an inner site's
+    neighbours all lie in its own member's padding, so members never mix.
     """
     padded = tuple(n + 2 for n in shape)
     return padded, [math.prod(padded[ax + 1 :]) for ax in range(len(shape))]
+
+
+def _pad_stack(stack, value=0):
+    """Each member of a stack (leading axis) padded by a one-site border of ``value``."""
+    return np.pad(stack, [(0, 0)] + [(1, 1)] * (stack.ndim - 1), constant_values=value)
+
+
+# the stacked kernels take at most this many sites at once, so that configurations
+# on a small window are worked on together (per-call overhead, not arithmetic,
+# dominates there) while a window of this size or larger is a stack of one
+STACK_SITES = 1 << 15
+
+
+def _stacks(configs):
+    """The configurations in runs of at most STACK_SITES sites (at least one each), with their stacked heights.
+
+    They must share one window and gamma.  A run of one stacks a view of
+    its heights, not a copy, so a large window takes the memory it took
+    before stacking.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    window, gamma = configs[0].window, configs[0].gamma
+    if any(v.window != window or v.gamma != gamma for v in configs):
+        raise ValueError("a stack needs one window and gamma")
+    per = max(1, STACK_SITES // window.size)
+    runs = [configs[i : i + per] for i in range(0, len(configs), per)]
+    return [(run, run[0].heights[None] if len(run) == 1 else np.stack([v.heights for v in run])) for run in runs]
 
 
 # the sweeps run in int32 when every value they can produce lies strictly
@@ -236,35 +275,38 @@ def _box_eigenvalues(shape, gamma):
 
 
 def _dst1(x, scale=1.0):
-    """Unnormalized DST-I of a float array over every axis, times ``scale``.
+    """Unnormalized DST-I of each member of a float stack, over every axis but the first, times ``scale``.
 
-    Bit for bit pocketfft's multi-axis DST-I, forward for scale 1 and
-    inverse for scale 1/prod(2 (s + 1)) formed in long double: the axes in
-    increasing order, each transformed as minus the imaginary part of the
-    rfft of the odd extension [0, x, 0, -x reversed], and the scale applied
-    to the first axis's output, where pocketfft applies it (negation is
-    exact, so one multiply by -scale does both).  Returns a new C-ordered
-    array.
+    Bit for bit pocketfft's multi-axis DST-I of each member alone, forward
+    for scale 1 and inverse for scale 1/prod(2 (s + 1)) formed in long
+    double: the axes in increasing order, each transformed as minus the
+    imaginary part of the rfft of the odd extension [0, x, 0, -x reversed],
+    and the scale applied to the first transformed axis's output, where
+    pocketfft applies it (negation is exact, so one multiply by -scale does
+    both).  Each 1-d transform is computed alone, so stacking changes no
+    bit.  Returns a new C-ordered array.
     """
-    for ax, n in enumerate(x.shape):
+    for ax in range(1, x.ndim):
+        n = x.shape[ax]
         lead = (slice(None),) * ax
         odd = np.zeros(x.shape[:ax] + (2 * n + 2,) + x.shape[ax + 1 :])
         odd[lead + (slice(1, n + 1),)] = x
         np.negative(np.flip(x, ax), out=odd[lead + (slice(n + 2, None),)])
-        x = np.multiply(np.fft.rfft(odd, axis=ax).imag[lead + (slice(1, n + 1),)], -scale if ax == 0 else -1.0)
+        x = np.multiply(np.fft.rfft(odd, axis=ax).imag[lead + (slice(1, n + 1),)], -scale if ax == 1 else -1.0)
     return x
 
 
 def _odometer_floor(heights, gamma):
-    """Integer lower bound on the odometer that stabilizes nonnegative heights.
+    """Integer lower bound on the odometer that stabilizes each member of a stack of nonnegative heights.
 
     The odometer u satisfies L u = h - h_stable >= h - (gamma - 1), and
     L^-1 is entrywise nonnegative, so u >= L^-1 (h - (gamma - 1)), solved
     exactly up to rounding by DST-I.  The 1e-6 margin keeps the floor below
     the true odometer; ``stabilize`` does not rely on it being exact.
     """
-    rhs = _dst1(heights - (gamma - 1.0)) / _box_eigenvalues(heights.shape, gamma)
-    scale = float(1 / np.longdouble(math.prod(2 * (s + 1) for s in heights.shape)))
+    shape = heights.shape[1:]
+    rhs = _dst1(heights - (gamma - 1.0)) / _box_eigenvalues(shape, gamma)
+    scale = float(1 / np.longdouble(math.prod(2 * (s + 1) for s in shape)))
     bound = np.floor(_dst1(rhs, scale) - 1e-6)
     return np.maximum(bound, 0).astype(np.int64)
 
@@ -325,51 +367,79 @@ def stabilize(v):
     The certificate makes the result exact even if rounding in the head
     start overshoots; a head start above the odometer's a priori bound is
     a fault and raises RuntimeError.  final = initial - L counts holds by
-    construction.
+    construction.  This is ``stabilize_stack`` on a stack of one.
     """
-    if (v.heights < 0).any():
+    return stabilize_stack([v])[0]
+
+
+def stabilize_stack(configs):
+    """``stabilize`` of each configuration, worked on together; a list of (config, odometer).
+
+    The configurations share one window and gamma.  Each run of at most
+    STACK_SITES sites is stacked along a new leading axis and goes through
+    every step of ``stabilize`` at once: one DST head start, one flat
+    padded array whose member borders are all sinks, one certificate.  The
+    guards hold per member (the mass bound, the head-start ceiling,
+    ``_sweep_dtype``), so a stack raises exactly when one of its members
+    would raise alone; the sweeps run in int64 if any member needs it.
+    """
+    out = []
+    for run, heights in _stacks(configs):
+        window, gamma = run[0].window, run[0].gamma
+        stable, counts = _stabilize_heights(heights, gamma)
+        for v, s, c in zip(run, stable, counts):
+            out.append((HeightConfig(window, gamma, s), Odometer(c, int(v.heights.sum() - s.sum()))))
+    return out
+
+
+def _stabilize_heights(heights, gamma):
+    """Stable heights and odometers of a stack (leading axis) of height arrays; see ``stabilize``."""
+    if (heights < 0).any():
         raise ValueError("stabilize requires nonnegative heights")
-    if v.window.size * int(v.heights.max(initial=0)) >= _INT64_LIMIT:
+    n, shape = heights.shape[0], heights.shape[1:]
+    tops = heights.reshape(n, -1).max(axis=1, initial=0).tolist()
+    if any(math.prod(shape) * top >= _INT64_LIMIT for top in tops):
         raise ValueError("total mass up to |E| max(h) must stay below 2^62 for int64 mass balance")
-    gamma = v.gamma
-    start = _odometer_floor(v.heights, gamma)
-    # u <= L^-1 h <= max(h) (n + 1)^2 / 8 for the shortest side n (see _sweep_dtype);
-    # a head start far above that is a fault in the solve, not a rounding slip
-    ceiling = int(v.heights.max(initial=0)) * (min(v.window.shape) + 1) ** 2 / 8 + 1
-    if start.max(initial=0) > ceiling:
-        raise RuntimeError("head start %d exceeds the odometer bound %.6g" % (start.max(), ceiling))
-    dtype = _sweep_dtype(v.heights, start, gamma)
+    start = _odometer_floor(heights, gamma)
+    dtype = np.int32
+    for top, h, s in zip(tops, heights, start):
+        # u <= L^-1 h <= max(h) (n + 1)^2 / 8 for the shortest side n (see _sweep_dtype);
+        # a head start far above that is a fault in the solve, not a rounding slip
+        ceiling = top * (min(shape) + 1) ** 2 / 8 + 1
+        if s.max(initial=0) > ceiling:
+            raise RuntimeError("head start %d exceeds the odometer bound %.6g" % (s.max(), ceiling))
+        if _sweep_dtype(h, s, gamma) is np.int64:
+            dtype = np.int64
     sink = -_INT32_LIMIT if dtype == np.int32 else -_INT64_LIMIT
-    padded, strides = _flat_layout(v.window.shape)
-    h = np.pad((v.heights - laplacian(start, gamma)).astype(dtype), 1, constant_values=sink)
-    flat = h.ravel()
+    padded, strides = _flat_layout(shape)
+    flat = _pad_stack(heights.astype(dtype), sink).ravel()
+    k = _pad_stack(start.astype(dtype)).ravel()  # the head start, toppled as the first sweep
     swept = np.zeros_like(flat)
-    k = np.empty_like(flat)
     tmp = np.empty_like(flat)
     # np.maximum against an array of zeros, not the scalar 0, and k.max()
     # rather than k.any() (k >= 0): measured 5x and 3x faster on 258^2 int32
     zeros = np.zeros_like(flat)
     while True:
-        np.floor_divide(flat, gamma, out=k)
-        np.maximum(k, zeros, out=k)
-        if not k.max():
-            break
         swept += k
         flat -= np.multiply(k, gamma, out=tmp)
         for st in strides:
             flat[st:] += k[:-st]
             flat[:-st] += k[st:]
-    inner = (slice(1, -1),) * v.dim
-    counts, stable = start + swept.reshape(padded)[inner], h[inner].astype(np.int64)
+        np.floor_divide(flat, gamma, out=k)
+        np.maximum(k, zeros, out=k)
+        if not k.max():
+            break
+    inner = (slice(None),) + (slice(1, -1),) * len(shape)
+    counts = swept.reshape((n,) + padded)[inner].astype(np.int64)
+    stable = flat.reshape((n,) + padded)[inner].astype(np.int64)
     while True:
         stuck = counts > 0
         stuck &= _burn_rounds(stable, stuck) == 0
         if not stuck.any():
-            break
+            return stable, counts
         counts -= stuck
-        stable += laplacian(stuck.astype(np.int64), gamma)
-    lost = int(v.heights.sum() - stable.sum())
-    return HeightConfig(v.window, v.gamma, stable), Odometer(counts, lost)
+        for i in np.flatnonzero(stuck.reshape(n, -1).any(axis=1)):
+            stable[i] += laplacian(stuck[i].astype(np.int64), gamma)
 
 
 def stabilize_serial(v, rng=None):
@@ -403,14 +473,14 @@ def stabilize_serial(v, rng=None):
 
 
 def _burn_rounds(heights, alive):
-    """Parallel burn round of each site: 1-based, or 0 if it never burns.
+    """Parallel burn round of each site of a stack (leading axis): 1-based, or 0 if it never burns.
 
     Only ``alive`` sites take part; the others count as burnt from the
     start.  A site burns in round r when its height is at least its number
     of alive neighbours not burnt before round r.  A site's count changes
     only when a neighbour burns, so after round 1 the kernel rechecks just
     the alive neighbours of the previous round's sites, on flat padded
-    arrays.
+    arrays.  Each member's border is dead, so the members burn apart.
 
     A site next to several burnt sites is a candidate once per such
     neighbour, and the unbuffered ``np.subtract.at`` decrements its count
@@ -420,16 +490,22 @@ def _burn_rounds(heights, alive):
     O(candidates), with no sort.  The arrays are int32, the returned rounds
     too: counts lie in [0, 2d], so clipping the heights to [-1, 2d] leaves
     every comparison h >= count unchanged; candidate positions are below
-    2d|E|, which fits while |E| < 2^31 / 2d (2^28 sites in d = 3).
+    2d|E|, |E| the stack's site count, which fits while |E| < 2^31 / 2d
+    (2^28 sites in d = 3).
     """
-    padded, strides = _flat_layout(heights.shape)
-    offsets = [step * st for st in strides for step in (-1, 1)]
-    h = np.pad(np.clip(heights, -1, 2 * heights.ndim).astype(np.int32), 1).ravel()
-    live = np.pad(alive, 1).ravel()
-    count = np.pad(neighbour_sum(alive.astype(np.int32)), 1).ravel()
+    d = heights.ndim - 1
+    padded, strides = _flat_layout(heights.shape[1:])
+    h = _pad_stack(np.clip(heights, -1, 2 * d).astype(np.int32)).ravel()
+    live = _pad_stack(alive).ravel()
+    # alive-neighbour counts; a border site's count is never read, as it is never alive
+    count = np.zeros(h.size, dtype=np.int32)
+    for st in strides:
+        count[st:] += live[:-st]
+        count[:-st] += live[st:]
     rounds = np.zeros(h.size, dtype=np.int32)
     owner = np.empty(h.size, dtype=np.int32)
     one = np.int32(1)  # a scalar of count's dtype: np.subtract.at is then 20x faster
+    offsets = [step * st for st in strides for step in (-1, 1)]
     front = np.flatnonzero(live & (h >= count))
     rnd = 0
     while front.size:
@@ -443,7 +519,7 @@ def _burn_rounds(heights, alive):
         position = np.arange(cand.size, dtype=np.int32)
         owner[cand] = position
         front = cand[owner[cand] == position]
-    return rounds.reshape(padded)[(slice(1, -1),) * len(padded)]
+    return rounds.reshape((len(heights),) + padded)[(slice(None),) + (slice(1, -1),) * d]
 
 
 def burning_test(v):
@@ -456,12 +532,24 @@ def burning_test(v):
     gamma - 1 is rejected since the test is only meaningful for stable
     configurations.  The report's ``burn_order`` lists sites by round,
     lexicographically within a round; ``stuck_set`` holds those that
-    never burn.
+    never burn.  This is ``burning_test_stack`` on a stack of one.
     """
-    if (v.heights > v.gamma - 1).any():
-        raise ValueError("burning test requires heights <= gamma - 1")
-    alive = np.ones(v.window.shape, dtype=bool)
-    return BurnReport(v.window, _burn_rounds(v.heights, alive).astype(np.int64))
+    return burning_test_stack([v])[0]
+
+
+def burning_test_stack(configs):
+    """``burning_test`` of each configuration, burnt together in runs of at most STACK_SITES sites.
+
+    The configurations share one window and gamma; any height above
+    gamma - 1 raises, as it would alone.
+    """
+    out = []
+    for run, heights in _stacks(configs):
+        if (heights > run[0].gamma - 1).any():
+            raise ValueError("burning test requires heights <= gamma - 1")
+        rounds = _burn_rounds(heights, np.ones(heights.shape, dtype=bool)).astype(np.int64)
+        out += [BurnReport(v.window, r) for v, r in zip(run, rounds)]
+    return out
 
 
 def is_recurrent(v):
@@ -718,15 +806,38 @@ def group_add(v, w):
     return out
 
 
+def group_add_stack(vs, ws):
+    """``group_add`` of each pair (vs[i], ws[i]): the operands burnt together, the sums stabilized together.
+
+    The pairs share one window and gamma.  ``group_add`` itself stays a
+    call of ``is_recurrent`` twice and ``stabilize`` once, each a stack of
+    one.
+    """
+    vs, ws = list(vs), list(ws)
+    if len(vs) != len(ws):
+        raise ValueError("as many left as right operands are needed")
+    if any(v.window != w.window or v.gamma != w.gamma for v, w in zip(vs, ws)):
+        raise ValueError("operands must share window and gamma")
+    if not all(report.recurrent for report in burning_test_stack(vs + ws)):
+        raise ValueError("group_add requires recurrent operands")
+    sums = [HeightConfig(v.window, v.gamma, v.heights + w.heights) for v, w in zip(vs, ws)]
+    return [out for out, _ in stabilize_stack(sums)]
+
+
+def random_load(window, gamma, rng):
+    """All-max plus U{0..gamma-1} grains per site: the unstabilized draw of ``random_recurrent``."""
+    return HeightConfig(window, gamma, rng.integers(0, gamma, size=window.shape) + (gamma - 1))
+
+
 def random_recurrent(window, gamma, rng):
-    """Recurrent sample: all-max plus U{0..gamma-1} grains per site, stabilized.
+    """Recurrent sample: ``random_load`` stabilized.
 
     Adding to a recurrent configuration and stabilizing lands back in the
     recurrent set, so the result always passes the burning test.  The sample
     is not uniform over the recurrent set: enumerating every input on a 2x2
-    window produces each recurrent configuration 1 to 3 times.
+    window produces each recurrent configuration 1 to 3 times.  Drawing
+    several loads and passing them to ``stabilize_stack`` gives the same
+    samples from the same generator state.
     """
-    extra = rng.integers(0, gamma, size=window.shape)
-    loaded = HeightConfig(window, gamma, extra + (gamma - 1))
-    out, _ = stabilize(loaded)
+    out, _ = stabilize(random_load(window, gamma, rng))
     return out

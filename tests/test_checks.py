@@ -1,12 +1,20 @@
 """The invariant suites of the covering maps: every suite returns typed
 checks whose verdict is the documented comparison of measured and bound."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from sandharm import checks
+from sandharm import checks, sandpile
 from sandharm.green import compute_green
-from sandharm.harmonic import kernel_witness, standard_specs
+from sandharm.harmonic import (XiSpec, equivariance_residual, harmonicity_residual, kernel_witness,
+                               point_distance, point_sum, poly_action, poly_label, standard_specs, torus_distance,
+                               xi_apply)
+from sandharm.laurent import LaurentPoly
+from sandharm.sandpile import group_add, random_recurrent
+from sandharm.window import BoxWindow
 
 
 def test_every_suite_verdict_follows_its_rule(table_d2_g4):
@@ -44,3 +52,90 @@ def test_kernel_suite_passes_on_dissipative_tables(d, gamma):
     assert np.all(v.heights == 3 * excess)
     v, _ = kernel_witness("periodic_family", specs, window)
     assert set(np.unique(v.heights)) == {0, 2 * excess * (excess + 4)}
+
+
+# -- the stacked suites against one-at-a-time references ----------------------
+
+
+def reference_suite(name, specs, window, rng, n):
+    """The suite computed one configuration at a time, drawing in the same order."""
+    gamma, d = specs[0].gamma, specs[0].dim
+    if name == "additivity":
+        out_window = BoxWindow.centered(d, 2)
+        worst = 0.0
+        for _ in range(n):
+            v = random_recurrent(window, gamma, rng)
+            vp = random_recurrent(window, gamma, rng)
+            w = group_add(v, vp)
+            for spec in specs:
+                xv, xvp, xw = (xi_apply(spec, u, out_window=out_window) for u in (v, vp, w))
+                worst = max(worst, point_distance(xw, point_sum(xv, xvp)) / (xv.err + xvp.err + xw.err))
+        detail = "max image mismatch over %d pairs: %.3f of the combined err budget" % (n, worst)
+        return [checks.Check("additivity", worst <= 1.0, worst, 1.0, detail)]
+    h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0)
+    unit = (1,) + (0,) * (d - 1)
+    results = []
+    for spec in specs:
+        worst = 0.0
+        for _ in range(n):
+            v = random_recurrent(window, gamma, rng)
+            if name == "harmonicity":
+                x = xi_apply(spec, v)
+                residual, bound = harmonicity_residual(x, gamma), (4 * d + 1) * x.err
+                detail = "max residual %.3e <= (4d+1) err %.3e over %d configs"
+            elif name == "equivariance":
+                shift = tuple(int(x) for x in rng.integers(-2, 3, size=d))
+                residual = max(equivariance_residual(spec, v, m) for m in (shift, unit))
+                bound = 2.0 * spec.field_err(gamma - 1)
+                detail = "max shift defect %.3e <= 2 err %.3e over %d configs"
+            else:
+                rhs = poly_action(h, xi_apply(spec, v))
+                lhs = xi_apply(XiSpec.build(spec.g * h, spec.table), v, out_window=rhs.window)
+                residual = float(torus_distance(lhs.values - rhs.values).max())
+                bound = lhs.err + rhs.err
+                detail = "max defect %.3e <= combined err %.3e over %d configs"
+            worst = max(worst, residual)
+        label = "%s[%s]" % (name, poly_label(spec.g))
+        results.append(checks.Check(label, worst <= bound, worst, bound, detail % (worst, bound, n)))
+    return results
+
+
+STACKED = ("harmonicity", "equivariance", "intertwining", "additivity")
+
+
+@pytest.mark.parametrize("table", ["table_d2_g4", "table_d3_g6", "table_d2_g5"])
+def test_stacked_suites_equal_one_at_a_time(table, request, monkeypatch):
+    specs = standard_specs(request.getfixturevalue(table))
+    d = specs[0].dim
+    window = checks.suite_window(d, 16 if d == 2 else 8)
+    n = 2
+    for name in STACKED:
+        suite, _ = checks.SUITES[name]
+        expected = reference_suite(name, specs, window, np.random.default_rng(5), n)
+        rng = np.random.default_rng(5)
+        assert suite(specs, window, rng, n) == expected, name
+        # the suite leaves the generator where the one-at-a-time loop leaves it
+        reference_rng = np.random.default_rng(5)
+        reference_suite(name, specs, window, reference_rng, n)
+        assert rng.integers(2**62) == reference_rng.integers(2**62)
+    # runs cut at three members give the same checks
+    monkeypatch.setattr(sandpile, "STACK_SITES", 3 * window.size)
+    for name in STACKED:
+        suite, _ = checks.SUITES[name]
+        assert suite(specs, window, np.random.default_rng(5), n) == \
+            reference_suite(name, specs, window, np.random.default_rng(5), n), name
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("table", ["table_d2_g4", "table_d2_g5"])
+def test_every_suite_fails_on_a_nan_table(table, request):
+    # a nan table value must fail every check, not read as a residual of 0
+    good = request.getfixturevalue(table)
+    specs = standard_specs(dataclasses.replace(good, values=np.full_like(good.values, np.nan)))
+    window = checks.suite_window(2, 16)
+    for name, (suite, _) in checks.SUITES.items():
+        results = suite(specs, window, np.random.default_rng(2), 2)
+        assert results
+        for c in results:
+            assert not c.passed, "%s: %s" % (c.name, c.detail)
+            assert not math.isfinite(c.measured) or not math.isfinite(c.bound), c

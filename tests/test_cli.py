@@ -222,6 +222,17 @@ def test_xi_apply_table_mismatch_is_input_error(tmp_path, table_csv):
     assert main(["xi", "apply", "--grid", grid3, "--table", table_csv]) == 3
 
 
+def test_corrupt_table_file_is_input_error(tmp_path, table_csv, capsys):
+    # a nan entry used to pass the additivity suite with 0.000 of the err budget
+    rows = pathlib.Path(table_csv).read_text().splitlines()
+    site = ",".join(rows[1].split(",")[:-1])
+    for name, row in (("nan", site + ",nan"), ("duplicate", rows[2]), ("outside", "-17,0,0.5")):
+        path = tmp_path / (name + ".csv")
+        path.write_text("\n".join(rows[:1] + [row] + rows[2:]) + "\n")
+        assert main(["xi", "check", "--d", "2", "--suite", "additivity", "--table", str(path)]) == 3
+        assert "bad table file" in capsys.readouterr().err
+
+
 def test_xi_apply_rejects_non_summable_multiplier(tmp_path, table_csv):
     grid = write_grid(tmp_path, "zero.grid", np.zeros((4, 4), dtype=int))
     assert main(["xi", "apply", "--grid", grid, "--g", "1-u1", "--table", table_csv]) == 3

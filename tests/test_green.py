@@ -173,6 +173,44 @@ def test_csv_rejects_garbage():
         GreenTable.from_csv("no header here\n1,2,3\n")
 
 
+def test_csv_rejects_corrupt_tables():
+    # every entry must be listed once, inside the radius, with a finite value
+    head = "# d=2 gamma=4 R=1 accuracy=1e-08 method=test"
+    rows = ["%d,%d,%r" % (i, j, 0.25 * (i + 2 * j)) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    table = GreenTable.from_csv("\n".join([head] + rows))
+    assert table.value((1, -1)) == -0.25 and table.value((0, 1)) == 0.5
+    cases = [
+        (rows[:8] + [rows[0]], "listed more than once"),  # (1, 1) missing
+        (rows[:8] + ["-4,0,0.5"], "outside the radius-1 table"),
+        (rows[:8] + ["2,1,0.5"], "outside the radius-1 table"),
+        (rows[:4] + ["0,0,nan"] + rows[5:], "not finite"),
+        (rows[:4] + ["0,0,inf"] + rows[5:], "not finite"),
+        (rows[:4] + ["0,0,-inf"] + rows[5:], "not finite"),
+        (rows[:8], "expected 9 rows, found 8"),
+        (rows[:8] + ["1,1"], "row '1,1' has 2 fields, expected 3"),
+        (rows[:8] + ["1,1.5,0.5"], "1.5"),
+        (rows[:8] + ["1,99999999999999999999,0.5"], "99999999999999999999"),
+    ]
+    for body, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GreenTable.from_csv("\n".join([head] + body))
+    for bad in ("d=0", "R=-1", "gamma=nan", "gamma=inf", "accuracy=nan", "accuracy=inf", "accuracy=-1e-08"):
+        key = bad.split("=")[0]
+        header = " ".join(bad if tok.startswith(key + "=") else tok for tok in head.split())
+        with pytest.raises(ValueError, match="bad header"):
+            GreenTable.from_csv("\n".join([header] + rows))
+
+
+def test_csv_parse_is_bit_identical(table_d2_g4, table_d3_g6):
+    # the array parser against float() on every row
+    for table in (table_d2_g4, table_d3_g6):
+        text = table.to_csv()
+        expected = np.array([float(ln.split(",")[-1]) for ln in text.splitlines()[1:]])
+        back = GreenTable.from_csv(text)
+        assert np.array_equal(back.values.ravel(), expected)
+        assert np.array_equal(back.values, table.values)
+
+
 def test_value_outside_radius_raises(table_d3_g6):
     with pytest.raises(KeyError):
         table_d3_g6.value((9, 0, 0))

@@ -70,7 +70,17 @@ def test_valid_convolution_matches_fftconvolve(specs_d2, table_d3_g6, rng):
             for extension in EXTENSIONS:
                 slab = _extended_heights(v, v.window.dilated(spec.trunc_radius), extension, spec.gamma - 1)
                 expected = fftconvolve(slab, spec.kernel, mode="valid")
-                assert np.array_equal(_convolve_valid(slab, spec.kernel), expected)
+                assert np.array_equal(_convolve_valid([slab], spec.kernel)[0], expected)
+
+
+def test_shared_kernel_spectrum_is_bitwise_a_fresh_transform(specs_d2, table_d3_g6, rng):
+    # the fields of one slab shape share the kernel's spectrum; each must come out
+    # as a fresh single-field convolution
+    for spec, side in [(specs_d2[0], 50), (specs_d2[2], 37)] + [(s, 24) for s in standard_specs(table_d3_g6)[:3]]:
+        fields = [rng.integers(0, 6, size=(side,) * spec.dim).astype(float) for _ in range(4)]
+        shared = _convolve_valid(fields, spec.kernel)
+        for field, conv in zip(fields, shared):
+            assert np.array_equal(conv, _convolve_valid([field], spec.kernel)[0])
 
 
 def test_next_fast_len_matches_pocketfft():
@@ -92,7 +102,7 @@ def test_valid_convolution_matches_pocketfft_route(rng):
         fshape = [fft.next_fast_len(n, True) for n in full]
         conv = fft.irfftn(fft.rfftn(field, fshape) * fft.rfftn(kernel, fshape), fshape)
         expected = conv[tuple(slice(b - 1, a) for a, b in zip(field_shape, kernel_shape))]
-        assert np.array_equal(_convolve_valid(field, kernel), expected)
+        assert np.array_equal(_convolve_valid([field], kernel)[0], expected)
 
 
 def test_spec_build_rejects_non_summable(table_d2_g4):
@@ -389,6 +399,17 @@ def test_point_csv_round_trip(spec_d2, rng):
     assert back.window == x.window
     assert back.err == x.err
     assert np.array_equal(back.values, x.values)
+
+
+def test_point_csv_rows_follow_the_window_sites(rng):
+    # one row per site in window.sites() order, each value looked up at its site
+    for shape, lo in [((5, 7), (-2, 3)), ((3, 1, 4), (0, -1, 2)), ((6,), (-3,))]:
+        window = BoxWindow.from_shape(shape, lo)
+        x = TorusPoint(window, rng.random(shape), 1.25e-7)
+        rows = x.to_csv().splitlines()[2:]
+        expected = ["%s,%r,%r" % (",".join(map(str, site)), float(x.values[window.index_of(site)]), 1.25e-7)
+                    for site in window.sites()]
+        assert rows == expected
 
 
 def test_point_sum_wraps_and_distance_is_metric():

@@ -99,6 +99,51 @@ def sandpile_inputs(draw):
     return HeightConfig(BoxWindow.from_shape(shape), gamma, heights)
 
 
+@st.composite
+def sandpile_stacks(draw):
+    """1-6 members on one window of dimension 1-3 with one threshold 2d..2d+2.
+
+    Members are all-max + U loads, single piles or random fields; in about
+    half the stacks one member is a pile of 2^30 grains, whose sweeps
+    alone need int64, so the whole stack runs in int64.
+    """
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, (24, 9, 5)[d - 1]), min_size=d, max_size=d)))
+    gamma = draw(st.integers(2 * d, 2 * d + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in draw(st.lists(st.sampled_from(["pile", "all-max + U", "field"]), min_size=1, max_size=6)):
+        if kind == "pile":
+            heights = np.zeros(shape, dtype=np.int64)
+            heights[tuple(int(rng.integers(n)) for n in shape)] = rng.integers(0, 5000)
+        elif kind == "all-max + U":
+            heights = gamma - 1 + rng.integers(0, gamma, size=shape)
+        else:
+            heights = rng.integers(0, 4 * gamma, size=shape)
+        members.append(heights)
+    if draw(st.booleans()):
+        wide = np.zeros(shape, dtype=np.int64)
+        wide[tuple(int(rng.integers(n)) for n in shape)] = 1 << 30
+        members[draw(st.integers(0, len(members) - 1))] = wide
+    window = BoxWindow.from_shape(shape)
+    return [HeightConfig(window, gamma, h) for h in members]
+
+
+@st.composite
+def burn_stacks(draw):
+    """A stack of 1-6 height arrays in [-2, gamma), a tenth far outside, with partial alive masks."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, (40, 11, 6)[d - 1]), min_size=d, max_size=d)))
+    gamma = draw(st.integers(2 * d, 2 * d + 2))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heights = rng.integers(-2, gamma, size=(n,) + shape)
+    extreme = rng.random(heights.shape) < 0.1
+    heights[extreme] = rng.choice([-(1 << 40), -(1 << 31) - 1, 1 << 31, 1 << 40], size=extreme.sum())
+    alive = rng.random(heights.shape) < draw(st.sampled_from([0.5, 0.8, 1.0]))
+    return heights, alive
+
+
 def has_forbidden_subset(v):
     """Reference recurrence test straight from the definition.
 
@@ -284,23 +329,97 @@ def test_stabilize_matches_sweep_reference(v):
     assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
 
 
+def head_start(heights, gamma):
+    """``_odometer_floor`` of one height array, a stack of one."""
+    return sandpile._odometer_floor(heights[None], gamma)[0]
+
+
 def stabilize_in_int64(v):
     """``stabilize`` with the int32 limit at 0, so its sweeps take the int64 path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sandpile, "_INT32_LIMIT", 0)
-        assert sandpile._sweep_dtype(v.heights, sandpile._odometer_floor(v.heights, v.gamma), v.gamma) is np.int64
+        assert sandpile._sweep_dtype(v.heights, head_start(v.heights, v.gamma), v.gamma) is np.int64
         return stabilize(v)
 
 
 @given(sandpile_inputs())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_int32_and_int64_sweeps_agree(v):
-    assert sandpile._sweep_dtype(v.heights, sandpile._odometer_floor(v.heights, v.gamma), v.gamma) is np.int32
+    assert sandpile._sweep_dtype(v.heights, head_start(v.heights, v.gamma), v.gamma) is np.int32
     out, odo = stabilize(v)
     out64, odo64 = stabilize_in_int64(v)
     assert np.array_equal(out.heights, out64.heights)
     assert np.array_equal(odo.counts, odo64.counts)
     assert odo.total_mass_lost == odo64.total_mass_lost
+
+
+@given(sandpile_stacks())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_stacked_stabilize_matches_sweep_reference(stack):
+    # each member of a stack comes out as the bulk sweeps give it alone, whatever its neighbours
+    gamma = stack[0].gamma
+    wide = [v for v in stack if v.heights.max() == 1 << 30]
+    for v in wide:
+        assert sandpile._sweep_dtype(v.heights, head_start(v.heights, gamma), gamma) is np.int64
+    results = sandpile.stabilize_stack(stack)
+    assert len(results) == len(stack)
+    for v, (out, odo) in zip(stack, results):
+        ref_heights, ref_counts = sweep_reference(v.heights, gamma)
+        assert out.window == v.window and out.gamma == gamma
+        assert np.array_equal(out.heights, ref_heights)
+        assert np.array_equal(odo.counts, ref_counts)
+        assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
+
+
+@given(burn_stacks())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_stacked_burn_rounds_match_full_array_rounds(stack):
+    heights, alive = stack
+    rounds = _burn_rounds(heights, alive)
+    assert rounds.shape == heights.shape
+    for h, a, r in zip(heights, alive, rounds):
+        assert np.array_equal(r, burn_rounds_reference(h, a))
+
+
+def test_stack_guards_hold_per_member():
+    # a stack raises exactly when one of its members would raise alone
+    w = box(3, 3)
+    fine = HeightConfig.constant(w, 4, 5)
+    stable_reports = sandpile.burning_test_stack([HeightConfig.all_max(w, 4), HeightConfig.constant(w, 4, 0)])
+    assert [r.recurrent for r in stable_reports] == [True, False]
+    for bad, error in [
+        (HeightConfig.constant(w, 4, -1), "nonnegative"),
+        (HeightConfig.constant(w, 4, 1 << 60), "2\\^62"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            stabilize(bad)
+        with pytest.raises(ValueError, match=error):
+            sandpile.stabilize_stack([fine, bad, fine])
+    with pytest.raises(ValueError, match="gamma - 1"):
+        sandpile.burning_test_stack([HeightConfig.all_max(w, 4), fine])
+    with pytest.raises(ValueError, match="one window"):
+        sandpile.stabilize_stack([fine, HeightConfig.constant(box(3, 4), 4, 5)])
+    top, empty = HeightConfig.all_max(w, 4), HeightConfig.constant(w, 4, 0)
+    with pytest.raises(ValueError, match="recurrent operands"):
+        sandpile.group_add_stack([top, top], [top, empty])
+    assert np.array_equal(sandpile.group_add_stack([top], [top])[0].heights, group_add(top, top).heights)
+    assert sandpile.stabilize_stack([]) == [] and sandpile.burning_test_stack([]) == []
+
+
+def test_stacks_split_at_the_site_budget(monkeypatch, rng):
+    # runs of at most STACK_SITES sites, a larger window alone; the results do not depend on the split
+    w = box(6, 5)
+    loads = [sandpile.random_load(w, 4, rng) for _ in range(7)]
+    whole = sandpile.stabilize_stack(loads)
+    monkeypatch.setattr(sandpile, "STACK_SITES", 65)
+    assert [len(run) for run, _ in sandpile._stacks(loads)] == [2, 2, 2, 1]
+    split = sandpile.stabilize_stack(loads)
+    for (a, odo_a), (b, odo_b) in zip(whole, split):
+        assert np.array_equal(a.heights, b.heights) and np.array_equal(odo_a.counts, odo_b.counts)
+    monkeypatch.setattr(sandpile, "STACK_SITES", 10)
+    runs = sandpile._stacks(loads)
+    assert [len(run) for run, _ in runs] == [1] * 7
+    assert all(np.shares_memory(heights, run[0].heights) for run, heights in runs)
 
 
 def test_sweep_dtype_guard():
@@ -313,7 +432,7 @@ def test_sweep_dtype_guard():
     w = box(65, 65)
     for grains, dtype in [(1 << 31, np.int64), (1 << 40, np.int64), (1 << 20, np.int32)]:
         heights = HeightConfig.delta(w, 4, (32, 32), grains).heights
-        assert sandpile._sweep_dtype(heights, sandpile._odometer_floor(heights, 4), 4) is dtype
+        assert sandpile._sweep_dtype(heights, head_start(heights, 4), 4) is dtype
     # so is a head start that overshoots far enough, even on a stable pile
     heights = np.zeros((3, 3), dtype=np.int64)
     assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 28), 4) is np.int64
@@ -357,7 +476,7 @@ def test_gross_head_start_overshoot_is_an_error(monkeypatch, rng):
     # the inverse DST left unscaled overshoots by prod 2 (s + 1) = 1156; the
     # certificate would untopple that one pass at a time, so stabilize refuses it
     def unscaled_floor(heights, gamma):
-        rhs = sandpile._dst1(heights - (gamma - 1.0)) / sandpile._box_eigenvalues(heights.shape, gamma)
+        rhs = sandpile._dst1(heights - (gamma - 1.0)) / sandpile._box_eigenvalues(heights.shape[1:], gamma)
         return np.maximum(np.floor(sandpile._dst1(rhs) - 1e-6), 0).astype(np.int64)
 
     monkeypatch.setattr(sandpile, "_odometer_floor", unscaled_floor)
@@ -375,7 +494,7 @@ def test_odometer_floor_is_below_the_odometer(rng):
         HeightConfig(box(17), 2, rng.integers(0, 9, size=(17,))),
     ]
     for i, v in enumerate(cases):
-        start = sandpile._odometer_floor(v.heights, v.gamma)
+        start = head_start(v.heights, v.gamma)
         _, counts = sweep_reference(v.heights, v.gamma)
         assert (start <= counts).all()
         if i == 0:
@@ -383,24 +502,27 @@ def test_odometer_floor_is_below_the_odometer(rng):
 
 
 def test_dst1_matches_pocketfft_dst_pair(rng):
-    # the head start's transforms, against the library route they replaced;
-    # side 2730 gives 1/5462 different rounded from long double than in double
+    # the head start's transforms, against the library route they replaced, for
+    # each member of a stack of three; side 2730 gives 1/5462 different rounded
+    # from long double than in double
     from scipy import fft
 
     shapes = [(1,), (2,), (7,), (256,), (2730,), (1, 1), (1, 6), (9, 1), (65, 65), (3, 256)]
     shapes += [(1, 1, 1), (4, 1, 7), (17, 9, 5), (1, 2, 3, 4), (2, 1, 1, 3), (5, 5, 5, 5)]
     for shape in shapes:
-        x = rng.normal(size=shape) * 100.0
+        x = rng.normal(size=(3,) + shape) * 100.0
         scale = float(1 / np.longdouble(math.prod(2 * (s + 1) for s in shape)))
         forward, inverse = sandpile._dst1(x), sandpile._dst1(x, scale)
-        assert np.array_equal(forward, fft.dstn(x, type=1))
-        assert np.array_equal(inverse, fft.idstn(x, type=1))
         assert forward.flags.c_contiguous and inverse.flags.c_contiguous
-        heights = rng.integers(0, 40, size=shape)
         gamma = 2 * len(shape) + 1
-        rhs = fft.dstn(heights - (gamma - 1.0), type=1) / sandpile._box_eigenvalues(shape, gamma)
-        floor = np.maximum(np.floor(fft.idstn(rhs, type=1) - 1e-6), 0).astype(np.int64)
-        assert np.array_equal(sandpile._odometer_floor(heights, gamma), floor)
+        heights = rng.integers(0, 40, size=(3,) + shape)
+        start = sandpile._odometer_floor(heights, gamma)
+        for i in range(3):
+            assert np.array_equal(forward[i], fft.dstn(x[i], type=1))
+            assert np.array_equal(inverse[i], fft.idstn(x[i], type=1))
+            rhs = fft.dstn(heights[i] - (gamma - 1.0), type=1) / sandpile._box_eigenvalues(shape, gamma)
+            floor = np.maximum(np.floor(fft.idstn(rhs, type=1) - 1e-6), 0).astype(np.int64)
+            assert np.array_equal(start[i], floor)
 
 
 def test_dissipative_stabilization_stays_local():
@@ -444,7 +566,7 @@ def test_burn_rounds_match_full_array_rounds(rng):
             heights[extreme] = rng.choice([-(1 << 40), -(1 << 31) - 1, 1 << 31, 1 << 40], size=extreme.sum())
             alive = rng.random(shape) < 0.8
             expected = burn_rounds_reference(heights, alive)
-            assert np.array_equal(_burn_rounds(heights, alive), expected)
+            assert np.array_equal(_burn_rounds(heights[None], alive[None])[0], expected)
             assert not expected[~alive].any()
 
 
