@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, suite_window
 from .green import (
+    GRID_POINT_BUDGET,
     GreenTable,
     QuadratureSpec,
     canonical_site,
@@ -104,10 +105,11 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_manifest(out_path, ns, results, seed=None):
+def _write_manifest(out_path, ns, results):
     """JSON run manifest next to an output file: command, params, versions.
 
     Contains no timestamps, so identical runs produce identical bytes.
+    The seed is the command's ``--seed``, or null for commands without one.
     """
     params = {}
     for key, value in vars(ns).items():
@@ -117,7 +119,7 @@ def _write_manifest(out_path, ns, results, seed=None):
     manifest = {
         "command": getattr(ns, "command_path", "?"),
         "params": params,
-        "seed": seed,
+        "seed": getattr(ns, "seed", None),
         "versions": {
             "sandharm": __version__,
             "numpy": np.__version__,
@@ -351,9 +353,14 @@ def parse_poly(text, d, gamma=None):
 # -- green --------------------------------------------------------------------
 
 
+def _table_radius(ns, d):
+    """``--radius``, by default 16 for d=2 and 8 for d=3."""
+    return ns.radius if ns.radius is not None else (16 if d == 2 else 8)
+
+
 def cmd_green(ns):
     d, gamma = ns.d, ns.gamma
-    radius = ns.radius if ns.radius is not None else (16 if d == 2 else 8)
+    radius = _table_radius(ns, d)
     out = ns.out or "green_d%d_g%d_r%d.csv" % (d, gamma, radius)
     spec = QuadratureSpec.default_for(d, gamma)
     if ns.nodes is not None:
@@ -553,8 +560,7 @@ def _resolve_table(ns, d, gamma):
                 % (ns.table, table.dim, table.gamma, d, gamma)
             )
         return table
-    radius = ns.radius if ns.radius is not None else (16 if d == 2 else 8)
-    return compute_green(d, gamma, radius)
+    return compute_green(d, gamma, _table_radius(ns, d))
 
 
 def cmd_xi_apply(ns):
@@ -565,7 +571,7 @@ def cmd_xi_apply(ns):
     point = xi_apply(spec, v, extension=ns.extension, constant=ns.constant)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
     _atomic_write(out, point.to_csv())
-    largest = float(torus_distance(point.values).max()) if point.values.size else 0.0
+    largest = float(torus_distance(point.values).max())
     _write_manifest(
         out,
         ns,
@@ -594,6 +600,14 @@ def cmd_xi_check(ns):
         raise CliInputError("--side must be even and at least 6")
     if ns.configs < 1 or ns.pairs < 1:
         raise CliInputError("--configs and --pairs must be positive")
+    # the suites hold up to this many configurations' heights at once, and each map a slab grid
+    held = max(len(specs) * ns.configs, 3 * ns.pairs) * side**d
+    slab = (side + 2 * max(spec.trunc_radius for spec in specs)) ** d
+    if max(held, slab) > GRID_POINT_BUDGET:
+        raise CliInputError(
+            "--side %d with --configs %d and --pairs %d needs %d held heights and a %d-point slab grid, "
+            "over the budget of %d points" % (side, ns.configs, ns.pairs, held, slab, GRID_POINT_BUDGET)
+        )
     window = suite_window(d, side)
     rng = np.random.default_rng(ns.seed)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
@@ -615,7 +629,6 @@ def cmd_xi_check(ns):
             ns.out,
             ns,
             {"checks": len(checks), "failures": failures, "csv": os.fspath(ns.out)},
-            seed=ns.seed,
         )
         print("wrote %s" % ns.out)
     if failures:
@@ -648,7 +661,6 @@ def cmd_xi_demo_addition(ns):
             ns.out,
             ns,
             {"csv": os.fspath(ns.out), "mismatch": mismatch, "bound": bound, "pass": bool(ok)},
-            seed=ns.seed,
         )
         print("wrote %s" % ns.out)
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -680,7 +692,7 @@ def cmd_ideal(ns):
         table = _resolve_table(ns, d, gamma)
         mult = multiplier_table(g, table)
         profile = decay_profile(mult.values)
-        if profile.degenerate:
+        if profile.exponent is None:
             print("decay fit degenerate (kernel vanishes on the fitted shells)")
         else:
             print(
@@ -793,9 +805,7 @@ def _build_parser():
     p.add_argument("--poly", required=True, help="inline expression, e.g. \"(1-u1)^3\" or f")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--profile", action="store_true", help="also fit the multiplier decay profile")
-    p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--table", default=None)
+    _add_table_options(p)
     p.add_argument("--out", default=None, help="write the certificate as JSON")
     p.set_defaults(func=cmd_ideal, command_path="ideal")
 

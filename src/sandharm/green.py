@@ -379,7 +379,6 @@ def compute_green(d, gamma, radius, spec=None):
 class OracleValue:
     value: float
     err_bound: float
-    k_max: int
 
 
 @lru_cache(maxsize=4)
@@ -472,14 +471,14 @@ def walk_series_oracle(d, gamma, n):
         weights = ratio ** np.arange(k_max + 1)
         value = float(np.dot(weights, p)) / gamma
         tail = ratio ** (k_max + 1) / (gamma - 2 * d)
-        return OracleValue(value, tail + 1e-14 * max(abs(value), 1.0), k_max)
+        return OracleValue(value, tail + 1e-14 * max(abs(value), 1.0))
     k_max = 800 if d == 2 else 600
     if d == 2:
         p_n = walk_distribution(2, n, k_max)
         p_0 = walk_distribution(2, (0, 0), k_max)
         t = p_n - p_0
         if n == (0, 0):
-            return OracleValue(0.0, 0.0, k_max)
+            return OracleValue(0.0, 0.0)
         const = -1.0  # k = 0 term
         m = k_max // 2
         u = t[1::2][:m] + t[2::2][:m]
@@ -489,7 +488,7 @@ def walk_series_oracle(d, gamma, n):
         xs = [1.0 / J for J in Js]
         est, spread = _neville_to_zero(parts, xs)
         err = spread + 1e-13
-        return OracleValue(est / 4.0, err / 4.0, k_max)
+        return OracleValue(est / 4.0, err / 4.0)
     # critical, d >= 3
     p = walk_distribution(d, n, k_max)
     m = k_max // 2
@@ -500,7 +499,7 @@ def walk_series_oracle(d, gamma, n):
     xs = [1.0 / math.sqrt(J) for J in Js]
     est, spread = _neville_to_zero(parts, xs)
     err = spread + 1e-13
-    return OracleValue(est / (2 * d), err / (2 * d), k_max)
+    return OracleValue(est / (2 * d), err / (2 * d))
 
 
 # -- residuals, multiplier fields, decay -------------------------------------
@@ -553,13 +552,11 @@ def multiplier_table(g, table):
 
 @dataclass
 class DecayProfile:
-    """Max-norm shell statistics of a centered field and a power-law fit."""
+    """Max-norm shell sums of a centered field and the shell maxima's decay exponent (None when degenerate)."""
 
     radius: int
-    shell_max: np.ndarray
     shell_sum: np.ndarray
     exponent: float | None
-    degenerate: bool
     fit_range: tuple
 
 
@@ -576,10 +573,10 @@ def _log_log_slope(shells, R):
 
 
 def decay_profile(values):
-    """Shell maxima/sums by max-norm radius and a log-log decay fit.
+    """Shell sums by max-norm radius and a log-log decay fit of the shell maxima.
 
-    The fit uses shells in [radius/2, radius]; it is reported degenerate
-    when fewer than two shells in that range are nonzero.
+    The fit uses shells in [radius/2, radius]; it is degenerate, with
+    exponent None, when fewer than two shells in that range are nonzero.
     """
     values = np.asarray(values)
     d = values.ndim
@@ -597,8 +594,7 @@ def decay_profile(values):
     shell_sum = np.zeros(R + 1)
     np.maximum.at(shell_max, flat_shell, flat_abs)
     np.add.at(shell_sum, flat_shell, flat_abs)
-    slope = _log_log_slope(shell_max, R)
-    return DecayProfile(R, shell_max, shell_sum, slope, slope is None, (max(1, R // 2), R))
+    return DecayProfile(R, shell_sum, _log_log_slope(shell_max, R), (max(1, R // 2), R))
 
 
 def tail_beyond(profile):

@@ -84,7 +84,7 @@ class TorusPoint:
     def restricted(self, window):
         if not self.window.contains_window(window):
             raise ValueError("restriction window not contained")
-        return TorusPoint(window, self.values[self.window.slices(window)].copy(), self.err)
+        return TorusPoint(window, self.values[self.window.slices(window)], self.err)
 
     def shifted(self, offset):
         """Relabel sites: the value at n moves to n + offset."""
@@ -104,32 +104,6 @@ class TorusPoint:
             lines.append("%s,%r,%s" % (",".join(str(x) for x in site), value, err))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text):
-        rows = {}
-        err = 0.0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("n1"):
-                continue
-            parts = line.split(",")
-            site = tuple(int(x) for x in parts[:-2])
-            rows[site] = float(parts[-2])
-            err = max(err, float(parts[-1]))
-        if not rows:
-            raise ValueError("no data rows")
-        sites = list(rows)
-        d = len(sites[0])
-        lo = tuple(min(s[i] for s in sites) for i in range(d))
-        hi = tuple(max(s[i] for s in sites) for i in range(d))
-        window = BoxWindow(lo, hi)
-        if window.size != len(rows):
-            raise ValueError("site set is not a full box")
-        values = np.zeros(window.shape)
-        for site, val in rows.items():
-            values[window.index_of(site)] = val
-        return cls(window, values, err)
-
 
 def point_distance(x, y):
     """Max torus distance over the common window of two points."""
@@ -148,7 +122,7 @@ def point_sum(x, y):
         raise ValueError("windows do not overlap")
     a = x.restricted(common)
     b = y.restricted(common)
-    return TorusPoint(common, _wrap_unit(a.values + b.values), a.err + b.err)
+    return TorusPoint(common, a.values + b.values, a.err + b.err)
 
 
 # -- the map specification ----------------------------------------------------
@@ -353,8 +327,7 @@ def xi_apply_stack(spec, configs, extension="constant", constant=None, out_windo
         for i, conv in zip(group, _convolve_valid([slabs[i] for i in group], spec.kernel)):
             if conv.shape != out_windows[i].shape:
                 raise AssertionError("convolution shape %r != window %r" % (conv.shape, out_windows[i].shape))
-            sup = float(np.abs(slabs[i]).max()) if slabs[i].size else 0.0
-            images[i] = TorusPoint(out_windows[i], _wrap_unit(conv), spec.field_err(sup))
+            images[i] = TorusPoint(out_windows[i], conv, spec.field_err(np.abs(slabs[i]).max()))
     return images
 
 
@@ -366,7 +339,7 @@ def harmonicity_residual(x, gamma):
     if any(s < 3 for s in x.window.shape):
         raise ValueError("window has empty interior")
     acc = laplacian(x.values, gamma)[(slice(1, -1),) * x.dim]
-    return float(np.abs(acc - np.round(acc)).max()) if acc.size else 0.0
+    return float(np.abs(acc - np.round(acc)).max())
 
 
 def shifted_config(v, m):
@@ -432,7 +405,7 @@ def poly_action(h, x):
         sl = tuple(slice(o, o + s) for o, s in zip(off, out.shape))
         acc += coeff * x.values[sl]
     l1 = h.l1_norm()
-    return TorusPoint(out, _wrap_unit(acc), x.err * l1 + 1e-15 * l1)
+    return TorusPoint(out, acc, x.err * l1 + 1e-15 * l1)
 
 
 # -- kernel witnesses ---------------------------------------------------------
@@ -445,10 +418,6 @@ class KernelWitnessReport:
     kind: str
     residuals: dict
     err_bounds: dict
-
-    @property
-    def passed(self):
-        return all(self.residuals[k] <= self.err_bounds[k] for k in self.residuals)
 
 
 def kernel_witness(kind, specs, window, h=None):

@@ -94,9 +94,6 @@ class LaurentPoly:
         """Terms in lexicographic exponent order."""
         return sorted(self.terms.items())
 
-    def support(self):
-        return sorted(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "LaurentPoly(%d, 0)" % self.dim
@@ -170,10 +167,6 @@ class LaurentPoly:
                 base = base * base
         return out
 
-    def star(self):
-        """Involution u_i -> u_i^{-1}: negates every exponent vector."""
-        return LaurentPoly(self.dim, {tuple(-e for e in k): c for k, c in self.terms.items()})
-
     def shifted(self, offset):
         """Multiply by the monomial u^offset."""
         off = tuple(offset)
@@ -221,30 +214,6 @@ class LaurentPoly:
         for exp, coeff in self.items():
             lines.append("%s : %d" % (" ".join(str(e) for e in exp), coeff))
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text, dim=None):
-        terms = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise ValueError("line %d: expected 'k1 ... kd : coeff'" % lineno)
-            left, right = line.rsplit(":", 1)
-            try:
-                exp = tuple(int(tok) for tok in left.split())
-                coeff = int(right.strip())
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (lineno, exc)) from None
-            if dim is None:
-                dim = len(exp)
-            if len(exp) != dim:
-                raise ValueError("line %d: exponent has %d entries, expected %d" % (lineno, len(exp), dim))
-            terms[exp] = terms.get(exp, 0) + coeff
-        if dim is None:
-            raise ValueError("empty polynomial text and no dimension given")
-        return cls(dim, terms)
 
 
 # -- standard polynomials ---------------------------------------------------

