@@ -65,6 +65,7 @@ from .sandpile import (
     burning_test,
     count_recurrent,
     finite_entropy_estimate,
+    grid_rows,
     stabilize,
     toppling_determinant_exact,
 )
@@ -91,34 +92,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path, text):
-    """Write text to path via a sibling temp file and an atomic rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write text to path via a sibling temp file and an atomic rename.
+
+    A path that cannot be written is an input error; the temp file is removed.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CliInputError("cannot write %s: %s" % (path, exc.strerror)) from None
         raise
 
 
-def _write_manifest(out_path, ns, results):
-    """JSON run manifest next to an output file: command, params, versions.
+def _publish(ns, files, results):
+    """Write each (path, text) atomically, a JSON run manifest beside the first, then name the files.
 
-    Contains no timestamps, so identical runs produce identical bytes.
-    The seed is the command's ``--seed``, or null for commands without one.
+    The manifest holds the command, its params, the versions and the
+    results.  It contains no timestamps, so identical runs produce
+    identical bytes.  The seed is the command's ``--seed``, or null for
+    commands without one.
     """
-    params = {}
-    for key, value in vars(ns).items():
-        if key in ("func", "command_path"):
-            continue
-        params[key] = value
+    for path, text in files:
+        _atomic_write(path, text)
     manifest = {
-        "command": getattr(ns, "command_path", "?"),
-        "params": params,
+        "command": ns.command_path,
+        "params": {key: value for key, value in vars(ns).items() if key not in ("func", "command_path")},
         "seed": getattr(ns, "seed", None),
         "versions": {
             "sandharm": __version__,
@@ -127,9 +131,8 @@ def _write_manifest(out_path, ns, results):
         },
         "results": results,
     }
-    path = os.fspath(out_path) + ".manifest.json"
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _atomic_write(files[0][0] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print("wrote %s" % " and ".join(path for path, _ in files))
 
 
 def _read_text(path):
@@ -229,6 +232,10 @@ def _name_poly(name, d, gamma):
 # box, and bits of its coefficients.
 POWER_MAX_POINTS = 4096
 POWER_MAX_BITS = 1024
+# Deepest nesting of parentheses and unary signs the recursive reader follows;
+# each level costs a few interpreter frames, so this stays far below Python's
+# recursion limit.
+POLY_MAX_DEPTH = 100
 
 
 def _poly_power(base, n):
@@ -259,13 +266,18 @@ def _poly_power(base, n):
 
 
 class _PolyReader:
-    """Recursive-descent reader for +, -, *, ^ and parentheses over u1..ud."""
+    """Recursive-descent reader for +, -, *, ^ and parentheses over u1..ud.
+
+    Each open parenthesis and each unary sign nests one level deeper; more
+    than POLY_MAX_DEPTH levels is an input error.
+    """
 
     def __init__(self, tokens, d, gamma):
         self.tokens = tokens
         self.pos = 0
         self.d = d
         self.gamma = gamma
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -314,15 +326,18 @@ class _PolyReader:
         tok = self.take()
         if tok is None:
             raise CliInputError("polynomial ends unexpectedly")
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise CliInputError("missing closing parenthesis")
+        if tok in ("(", "-", "+"):
+            self.depth += 1
+            if self.depth > POLY_MAX_DEPTH:
+                raise CliInputError("polynomial nests parentheses and signs more than %d deep" % POLY_MAX_DEPTH)
+            if tok == "(":
+                value = self.expr()
+                if self.take() != ")":
+                    raise CliInputError("missing closing parenthesis")
+            else:
+                value = self.factor() if tok == "+" else -self.factor()
+            self.depth -= 1
             return value
-        if tok == "-":
-            return -self.factor()
-        if tok == "+":
-            return self.factor()
         if tok.isdigit():
             return LaurentPoly.constant(self.d, int(tok))
         if tok[0].isalpha():
@@ -345,8 +360,6 @@ def parse_poly(text, d, gamma=None):
     value = reader.expr()
     if reader.pos != len(tokens):
         raise CliInputError("trailing input %r" % " ".join(tokens[reader.pos :]))
-    if not isinstance(value, LaurentPoly):
-        value = LaurentPoly.constant(d, int(value))
     return value
 
 
@@ -404,22 +417,16 @@ def cmd_green(ns):
             )
     report = "\n".join(lines) + "\n"
     report_path = _stem(out) + ".oracle.txt"
-    _atomic_write(out, table.to_csv())
-    _atomic_write(report_path, report)
-    _write_manifest(
-        out,
-        ns,
-        {
-            "table": os.fspath(out),
-            "report": report_path,
-            "accuracy": table.accuracy,
-            "stencil_residual": residual,
-            "max_oracle_discrepancy": worst,
-            "pass": bool(ok),
-        },
-    )
     print(report, end="")
-    print("wrote %s and %s" % (out, report_path))
+    results = {
+        "table": out,
+        "report": report_path,
+        "accuracy": table.accuracy,
+        "stencil_residual": residual,
+        "max_oracle_discrepancy": worst,
+        "pass": bool(ok),
+    }
+    _publish(ns, [(out, table.to_csv()), (report_path, report)], results)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -433,25 +440,20 @@ def cmd_stabilize(ns):
     stable, odometer = stabilize(v)
     out = ns.out or _stem(ns.grid) + ".stable.grid"
     odo_path = ns.odometer or _stem(ns.grid) + ".odometer.txt"
-    _atomic_write(out, stable.to_text())
-    odo_lines = ["# toppling counts, total_mass_lost=%d" % odometer.total_mass_lost]
-    for row in odometer.counts.reshape(-1, v.window.shape[-1]):
-        odo_lines.append(" ".join(str(int(x)) for x in row))
-    _atomic_write(odo_path, "\n".join(odo_lines) + "\n")
+    odo_lines = ["# toppling counts, total_mass_lost=%d" % odometer.total_mass_lost] + grid_rows(odometer.counts)
     balance = int(v.heights.sum()) - int(stable.heights.sum()) - odometer.total_mass_lost
     results = {
-        "stable_grid": os.fspath(out),
+        "stable_grid": out,
         "odometer": odo_path,
         "topplings": int(odometer.counts.sum()),
         "mass_lost": odometer.total_mass_lost,
         "mass_balance_defect": balance,
     }
-    _write_manifest(out, ns, results)
     print(
         "stabilized in %d topplings; %d grains lost; mass balance defect %d (exact, tolerance 0)"
         % (results["topplings"], results["mass_lost"], balance)
     )
-    print("wrote %s and %s" % (out, odo_path))
+    _publish(ns, [(out, stable.to_text()), (odo_path, "\n".join(odo_lines) + "\n")], results)
     return EXIT_OK if balance == 0 else EXIT_TOLERANCE
 
 
@@ -478,13 +480,8 @@ def cmd_burn(ns):
             lines.append("%d %s" % (rnd, ",".join(str(x) for x in site)))
         for site in stuck:
             lines.append("stuck %s" % (",".join(str(x) for x in site)))
-        _atomic_write(ns.report, "\n".join(lines) + "\n")
-        _write_manifest(
-            ns.report,
-            ns,
-            {"recurrent": report.recurrent, "rounds": rounds, "stuck": len(stuck)},
-        )
-        print("wrote %s" % ns.report)
+        results = {"recurrent": report.recurrent, "rounds": rounds, "stuck": len(stuck)}
+        _publish(ns, [(ns.report, "\n".join(lines) + "\n")], results)
     return EXIT_OK if report.recurrent else EXIT_NEGATIVE
 
 
@@ -533,18 +530,13 @@ def cmd_entropy(ns):
     lines = ["side,estimate,reference,reference_err"]
     for side, est, _ in rows:
         lines.append("%d,%r,%r,%r" % (side, est, reference.value, reference.err_bound))
-    _atomic_write(out, "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        ns,
-        {
-            "reference": reference.value,
-            "reference_err": reference.err_bound,
-            "estimates": {str(s): e for s, e, _ in rows},
-            "csv": os.fspath(out),
-        },
-    )
-    print("wrote %s" % out)
+    results = {
+        "reference": reference.value,
+        "reference_err": reference.err_bound,
+        "estimates": {str(s): e for s, e, _ in rows},
+        "csv": out,
+    }
+    _publish(ns, [(out, "\n".join(lines) + "\n")], results)
     return EXIT_OK
 
 
@@ -552,6 +544,9 @@ def cmd_entropy(ns):
 
 
 def _resolve_table(ns, d, gamma):
+    """The ``--table`` file, which must be for d and gamma, or else a computed table; gamma None means 2d."""
+    if gamma is None:
+        gamma = 2 * d
     if ns.table:
         table = _load_table(ns.table)
         if table.dim != d or table.gamma != gamma:
@@ -570,31 +565,19 @@ def cmd_xi_apply(ns):
     spec = XiSpec.build(g, table)
     point = xi_apply(spec, v, extension=ns.extension, constant=ns.constant)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
-    _atomic_write(out, point.to_csv())
     largest = float(torus_distance(point.values).max())
-    _write_manifest(
-        out,
-        ns,
-        {
-            "csv": os.fspath(out),
-            "err": point.err,
-            "max_distance_from_zero": largest,
-            "multiplier": poly_label(g),
-        },
-    )
     print(
         "xi[%s] on %d sites: err %.3e per value; max torus distance from 0 = %.6g"
         % (poly_label(g), point.values.size, point.err, largest)
     )
-    print("wrote %s" % out)
+    results = {"csv": out, "err": point.err, "max_distance_from_zero": largest, "multiplier": poly_label(g)}
+    _publish(ns, [(out, point.to_csv())], results)
     return EXIT_OK
 
 
 def cmd_xi_check(ns):
     d = ns.d
-    gamma = ns.gamma if ns.gamma is not None else 2 * d
-    table = _resolve_table(ns, d, gamma)
-    specs = standard_specs(table)
+    specs = standard_specs(_resolve_table(ns, d, ns.gamma))
     side = ns.side if ns.side is not None else (16 if d == 2 else 8)
     if side % 2 or side < 6:
         raise CliInputError("--side must be even and at least 6")
@@ -624,13 +607,7 @@ def cmd_xi_check(ns):
         writer.writerow(["check", "result", "detail"])
         for c in checks:
             writer.writerow([c.name, "pass" if c.passed else "fail", c.detail])
-        _atomic_write(ns.out, buf.getvalue())
-        _write_manifest(
-            ns.out,
-            ns,
-            {"checks": len(checks), "failures": failures, "csv": os.fspath(ns.out)},
-        )
-        print("wrote %s" % ns.out)
+        _publish(ns, [(ns.out, buf.getvalue())], {"checks": len(checks), "failures": failures, "csv": ns.out})
     if failures:
         print("suite failure in: %s" % ", ".join(failures))
         return EXIT_TOLERANCE
@@ -639,8 +616,8 @@ def cmd_xi_check(ns):
 
 def cmd_xi_demo_addition(ns):
     d = ns.d
-    gamma = ns.gamma if ns.gamma is not None else 2 * d
-    table = _resolve_table(ns, d, gamma)
+    table = _resolve_table(ns, d, ns.gamma)
+    gamma = table.gamma
     g = parse_poly(ns.g, d, gamma)
     spec = XiSpec.build(g, table)
     site = tuple(_parse_ints(ns.site, "--site")) if ns.site else (0,) * d
@@ -656,13 +633,8 @@ def cmd_xi_demo_addition(ns):
         % (site, poly_label(g), mismatch, bound, "pass" if ok else "FAIL")
     )
     if ns.out:
-        _atomic_write(ns.out, delta.to_csv())
-        _write_manifest(
-            ns.out,
-            ns,
-            {"csv": os.fspath(ns.out), "mismatch": mismatch, "bound": bound, "pass": bool(ok)},
-        )
-        print("wrote %s" % ns.out)
+        results = {"csv": ns.out, "mismatch": mismatch, "bound": bound, "pass": bool(ok)}
+        _publish(ns, [(ns.out, delta.to_csv())], results)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -688,9 +660,7 @@ def cmd_ideal(ns):
             % (condition, axis_txt, value)
         )
     if ns.profile:
-        gamma = ns.gamma if ns.gamma is not None else 2 * d
-        table = _resolve_table(ns, d, gamma)
-        mult = multiplier_table(g, table)
+        mult = multiplier_table(g, _resolve_table(ns, d, ns.gamma))
         profile = decay_profile(mult.values)
         if profile.exponent is None:
             print("decay fit degenerate (kernel vanishes on the fitted shells)")
@@ -711,9 +681,7 @@ def cmd_ideal(ns):
             "failing": list(cert.failing) if cert.failing else None,
             "multiplier_mass": multiplier_sum(g) if cert.member else None,
         }
-        _atomic_write(ns.out, json.dumps(results, indent=2, sort_keys=True, default=str) + "\n")
-        _write_manifest(ns.out, ns, results)
-        print("wrote %s" % ns.out)
+        _publish(ns, [(ns.out, json.dumps(results, indent=2, sort_keys=True, default=str) + "\n")], results)
     return EXIT_OK if cert.member else EXIT_NEGATIVE
 
 

@@ -29,14 +29,13 @@ removed by extrapolation ladders whose spread gives the error bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .window import laplacian
+from .window import BoxWindow, laplacian, site_rows
 
 BUMP_OUTER = 0.24
 BUMP_INNER = 0.08
@@ -117,11 +116,7 @@ class GreenTable:
         lines = [
             "# d=%d gamma=%s R=%d accuracy=%r method=%s"
             % (self.dim, gamma_txt, self.radius, float(self.accuracy), self.method)
-        ]
-        R = self.radius
-        for site in itertools.product(*[range(-R, R + 1)] * self.dim):
-            idx = tuple(x + R for x in site)
-            lines.append(",".join(str(x) for x in site) + "," + repr(float(self.values[idx])))
+        ] + site_rows(BoxWindow.centered(self.dim, self.radius), self.values)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -224,19 +219,20 @@ def _fold(G, N, radius):
     return G
 
 
-def _fourier_block(d, gamma, N, radius):
-    """Trapezoid coefficients of the smooth part of the integrand.
+def _smooth_part(d, gamma, N, radius, fn):
+    """Trapezoid coefficients of the smooth part of the torus integrand fn(F).
 
     Returns A with A[n] approximating the Fourier coefficient at n, for
-    0 <= n_j <= radius, of (1-bump)/F at gamma = 2d (the polar patch adds
-    the rest) and of 1/F otherwise.  Both are even in each coordinate, so
-    they are sampled on the octant only and folded (see ``_fold``); the
-    values equal the real part of the N^d DFT.
+    0 <= n_j <= radius, of (1-bump) fn(F) at gamma = 2d (the polar patch
+    adds the rest) and of fn(F) otherwise, with the value 0 where F = 0.
+    Both are even in each coordinate, so they are sampled on the octant
+    only and folded (see ``_fold``); the values equal the real part of the
+    N^d DFT.
     """
     F, rho = _octant_grid(d, gamma, N)
     G = np.zeros_like(F)
     mask = F != 0
-    G[mask] = 1.0 / F[mask]
+    G[mask] = fn(F[mask])
     if gamma == 2 * d:
         near = rho < BUMP_OUTER  # the bump vanishes elsewhere
         G[near] *= 1.0 - _bump(rho[near])
@@ -251,8 +247,11 @@ def _leggauss(n, a, b):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def _patch_nodes(d, n_r, n_ang):
-    """Quadrature nodes/weights on the bump support, polar or spherical."""
+def _patch_nodes(d, gamma, n_r, n_ang):
+    """Nodes, weights, radii and symbol gamma - 2 sum cos(2 pi t_j) on the bump support.
+
+    Polar in d = 2, spherical in d = 3, the only dimensions the callers admit.
+    """
     r, wr = _leggauss(n_r, 0.0, BUMP_OUTER)
     if d == 2:
         n_th = 2 * n_ang
@@ -261,8 +260,7 @@ def _patch_nodes(d, n_r, n_ang):
         RR, TT = np.meshgrid(r, th, indexing="ij")
         pts = np.stack([(RR * np.cos(TT)).ravel(), (RR * np.sin(TT)).ravel()])
         jac = (RR * (wr[:, None] * wth)).ravel()
-        rad = RR.ravel()
-    elif d == 3:
+    else:
         c, wc = np.polynomial.legendre.leggauss(n_ang)
         n_az = 2 * n_ang
         az = 2 * np.pi * np.arange(n_az) / n_az
@@ -277,10 +275,7 @@ def _patch_nodes(d, n_r, n_ang):
             ]
         )
         jac = (RR**2 * (wr[:, None, None] * wc[None, :, None] * waz)).ravel()
-        rad = RR.ravel()
-    else:
-        raise ValueError("patch quadrature implemented for d in {2, 3}")
-    return pts, jac, rad
+    return pts, jac, RR.ravel(), float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
 
 
 def _patch_values(d, gamma, radius, n_r, n_ang):
@@ -293,8 +288,7 @@ def _patch_values(d, gamma, radius, n_r, n_ang):
     symmetric Gauss-Legendre), so those terms cancel and the sum is exactly
     the node weights contracted with per-axis tables cos(2 pi n_j x_j).
     """
-    pts, jac, rad = _patch_nodes(d, n_r, n_ang)
-    F = float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
+    pts, jac, rad, F = _patch_nodes(d, gamma, n_r, n_ang)
     wts = _bump(rad) * jac / F
     n = np.arange(radius + 1)
     out = np.zeros((radius + 1) ** d)
@@ -324,13 +318,23 @@ def _default_patch_counts(d, fine):
 
 def _table_pass(d, gamma, radius, N, fine):
     """One evaluation at a given resolution: array of w_n for 0 <= n_j <= radius."""
-    A = _fourier_block(d, gamma, N, radius)
+    A = _smooth_part(d, gamma, N, radius, np.reciprocal)
     if gamma == 2 * d:
         A = A + _patch_values(d, gamma, radius, *_default_patch_counts(d, fine))
         if d == 2:
             # regularized numerator e^{-2 pi i <n,t>} - 1, so w_0 = 0 exactly
             A = A - A[0, 0]
     return A
+
+
+def _check_domain(d, gamma):
+    """Refuse what the quadrature cannot serve: d < 2, gamma < 2d, or critical gamma outside d in {2, 3}."""
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    if gamma < 2 * d:
+        raise ValueError("gamma must be at least 2d")
+    if gamma == 2 * d and d not in (2, 3):
+        raise ValueError("patch quadrature implemented for d in {2, 3}")
 
 
 def compute_green(d, gamma, radius, spec=None):
@@ -343,12 +347,9 @@ def compute_green(d, gamma, radius, spec=None):
     is exact.  Inputs the quadrature cannot serve, or whose fine grid
     exceeds GRID_POINT_BUDGET, are refused before any grid is built.
     """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if gamma < 2 * d:
-        raise ValueError("gamma must be at least 2d")
+    _check_domain(d, gamma)
     if spec is None:
         spec = QuadratureSpec.default_for(d, gamma)
     N = spec.nodes_per_axis
@@ -356,8 +357,6 @@ def compute_green(d, gamma, radius, spec=None):
         raise ValueError(
             "nodes_per_axis=%d too small for radius %d (need >= %d)" % (N, radius, 4 * (radius + 1))
         )
-    if gamma == 2 * d and d not in (2, 3):
-        raise ValueError("patch quadrature implemented for d in {2, 3}")
     _check_grid_budget(d, N)
     coarse = _table_pass(d, gamma, radius, N, fine=False)
     fine = _table_pass(d, gamma, radius, 2 * N, fine=True)
@@ -445,6 +444,18 @@ def _neville_to_zero(parts, xs):
     return est, abs(est - prev)
 
 
+def _critical_ladder(csum, levels, x, scale):
+    """The critical series from its parity-paired partial sums csum, over scale.
+
+    The partial sums at J = m/2^levels, ..., m/2, m (m = len(csum)) are
+    extrapolated to x(J) -> 0; the ladder's spread plus 1e-13 is the error.
+    """
+    m = len(csum)
+    Js = [max(2 + i, m >> (levels - i)) for i in range(levels + 1)]
+    est, spread = _neville_to_zero([csum[J - 1] for J in Js], [x(J) for J in Js])
+    return OracleValue(est / scale, (spread + 1e-13) / scale)
+
+
 def walk_series_oracle(d, gamma, n):
     """Independent series evaluation of the Green's function at one site.
 
@@ -473,33 +484,15 @@ def walk_series_oracle(d, gamma, n):
         tail = ratio ** (k_max + 1) / (gamma - 2 * d)
         return OracleValue(value, tail + 1e-14 * max(abs(value), 1.0))
     k_max = 800 if d == 2 else 600
+    m = k_max // 2
     if d == 2:
-        p_n = walk_distribution(2, n, k_max)
-        p_0 = walk_distribution(2, (0, 0), k_max)
-        t = p_n - p_0
         if n == (0, 0):
             return OracleValue(0.0, 0.0)
-        const = -1.0  # k = 0 term
-        m = k_max // 2
-        u = t[1::2][:m] + t[2::2][:m]
-        csum = np.cumsum(u) + const
-        Js = [max(2, m // 8), max(3, m // 4), max(4, m // 2), m]
-        parts = [csum[J - 1] for J in Js]
-        xs = [1.0 / J for J in Js]
-        est, spread = _neville_to_zero(parts, xs)
-        err = spread + 1e-13
-        return OracleValue(est / 4.0, err / 4.0)
-    # critical, d >= 3
+        t = walk_distribution(2, n, k_max) - walk_distribution(2, (0, 0), k_max)
+        # the k = 0 term is -1
+        return _critical_ladder(np.cumsum(t[1::2][:m] + t[2::2][:m]) - 1.0, 3, lambda J: 1.0 / J, 4.0)
     p = walk_distribution(d, n, k_max)
-    m = k_max // 2
-    u = p[0::2][:m] + p[1::2][:m]
-    csum = np.cumsum(u)
-    Js = [max(2, m // 16), max(3, m // 8), max(4, m // 4), max(5, m // 2), m]
-    parts = [csum[J - 1] for J in Js]
-    xs = [1.0 / math.sqrt(J) for J in Js]
-    est, spread = _neville_to_zero(parts, xs)
-    err = spread + 1e-13
-    return OracleValue(est / (2 * d), err / (2 * d))
+    return _critical_ladder(np.cumsum(p[0::2][:m] + p[1::2][:m]), 4, lambda J: 1.0 / math.sqrt(J), 2 * d)
 
 
 # -- residuals, multiplier fields, decay -------------------------------------
@@ -645,20 +638,13 @@ def _bump_log_moment(p):
 
 
 def _entropy_pass(d, gamma, N, n_r, n_ang):
-    F, rho = _octant_grid(d, gamma, N)
+    smooth = _smooth_part(d, gamma, N, 0, np.log).item()
     if gamma != 2 * d:
-        return _fold(np.log(F), N, 0).item()
-    G = np.zeros_like(F)
-    mask = F != 0
-    G[mask] = np.log(F[mask])
-    near = rho < BUMP_OUTER
-    G[near] *= 1.0 - _bump(rho[near])
-    smooth = _fold(G, N, 0).item()
+        return smooth
     # surface of the unit circle (d = 2) or sphere (d = 3) times the radial moment
     rad = (2 * np.pi if d == 2 else 4 * np.pi) * _bump_log_moment(d - 1)
-    pts, jac, radial = _patch_nodes(d, n_r, n_ang)
-    Fpt = float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
-    u = Fpt / (4 * np.pi**2 * radial**2)
+    _, jac, radial, F = _patch_nodes(d, gamma, n_r, n_ang)
+    u = F / (4 * np.pi**2 * radial**2)
     val = float(np.sum(_bump(radial) * np.log(u) * jac))
     return smooth + rad + val
 
@@ -670,12 +656,7 @@ def entropy_quadrature(d, gamma):
     integral, the rest is smooth); dissipative ones use the plain tensor
     rule.  Error bound by node doubling.
     """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if gamma < 2 * d:
-        raise ValueError("gamma must be at least 2d")
-    if gamma == 2 * d and d not in (2, 3):
-        raise ValueError("critical entropy implemented for d in {2, 3}")
+    _check_domain(d, gamma)
     if d == 2:
         N, pr, pa = 512, 48, 48
     else:

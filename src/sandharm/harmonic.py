@@ -27,7 +27,7 @@ from . import sandpile
 from .green import decay_profile, multiplier_table, tail_beyond
 from .laurent import LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
 from .sandpile import HeightConfig
-from .window import BoxWindow, laplacian
+from .window import BoxWindow, laplacian, site_rows
 
 EXTENSIONS = ("zero", "constant", "periodic")
 
@@ -99,30 +99,28 @@ class TorusPoint:
         )]
         lines.append(",".join("n%d" % (i + 1) for i in range(self.dim)) + ",value,err")
         err = repr(float(self.err))
-        # window.sites() runs in C order, the order of values.ravel()
-        for site, value in zip(self.window.sites(), self.values.ravel().tolist()):
-            lines.append("%s,%r,%s" % (",".join(str(x) for x in site), value, err))
+        lines += [row + "," + err for row in site_rows(self.window, self.values)]
         return "\n".join(lines) + "\n"
+
+
+def _on_common_window(x, y):
+    """Both points restricted to the common window of the two."""
+    common = x.window.intersection(y.window)
+    if common is None:
+        raise ValueError("windows do not overlap")
+    return x.restricted(common), y.restricted(common)
 
 
 def point_distance(x, y):
     """Max torus distance over the common window of two points."""
-    common = x.window.intersection(y.window)
-    if common is None:
-        raise ValueError("windows do not overlap")
-    a = x.restricted(common)
-    b = y.restricted(common)
+    a, b = _on_common_window(x, y)
     return float(torus_distance(a.values, b.values).max())
 
 
 def point_sum(x, y):
     """Pointwise torus sum on the common window; error bounds add."""
-    common = x.window.intersection(y.window)
-    if common is None:
-        raise ValueError("windows do not overlap")
-    a = x.restricted(common)
-    b = y.restricted(common)
-    return TorusPoint(common, a.values + b.values, a.err + b.err)
+    a, b = _on_common_window(x, y)
+    return TorusPoint(a.window, a.values + b.values, a.err + b.err)
 
 
 # -- the map specification ----------------------------------------------------
@@ -411,17 +409,8 @@ def poly_action(h, x):
 # -- kernel witnesses ---------------------------------------------------------
 
 
-@dataclass
-class KernelWitnessReport:
-    """Measured evidence that an integer field maps to zero everywhere."""
-
-    kind: str
-    residuals: dict
-    err_bounds: dict
-
-
 def kernel_witness(kind, specs, window, h=None):
-    """Construct a field annihilated by every given map, with its report.
+    """Construct a field annihilated by every given map, with its image under each.
 
     With S the kernel's sum, the three families are:
 
@@ -442,8 +431,8 @@ def kernel_witness(kind, specs, window, h=None):
       A = 2(gamma - 2d)(gamma - 2d + 4) gives the integer
       (gamma - 2d + 4) g(1) - (-1)^{n_0} (gamma - 2d) g(-1,1,...,1).
 
-    The field's heights are exact integers by construction.  The report
-    records the measured residual of every map next to its error bound.
+    The field's heights are exact integers by construction.  Returns the
+    field and its images, one per spec in order, each with its err.
     """
     specs = list(specs)
     if not specs:
@@ -475,14 +464,7 @@ def kernel_witness(kind, specs, window, h=None):
     else:
         raise ValueError("kind must be constant, f_multiple or periodic_family")
 
-    residuals = {}
-    errs = {}
-    for spec in specs:
-        x = xi_apply(spec, v, extension=extension, constant=const)
-        label = poly_label(spec.g)
-        residuals[label] = float(torus_distance(x.values).max())
-        errs[label] = x.err
-    return v, KernelWitnessReport(kind, residuals, errs)
+    return v, [xi_apply(spec, v, extension=extension, constant=const) for spec in specs]
 
 
 # -- separation ---------------------------------------------------------------
@@ -507,12 +489,8 @@ def separation_check(spec, v, vp, Q):
         outside[v.window.slices(common)] = False
     if diff[outside].any():
         raise ValueError("inputs differ outside Q")
-    terms = {}
-    for idx in np.argwhere(diff != 0):
-        terms[v.window.site_of(tuple(idx))] = int(diff[tuple(idx)])
-    diff_poly = LaurentPoly(v.dim, terms)
     f = laplacian_poly(v.dim, spec.gamma)
-    if divide_by(diff_poly, f) is not None:
+    if divide_by(sandpile.window_poly(v.window, diff), f) is not None:
         raise ValueError("difference is a stencil multiple; the images coincide")
     if not sandpile.is_recurrent(v) or not sandpile.is_recurrent(vp):
         raise ValueError("both inputs must be recurrent")
@@ -542,8 +520,7 @@ def addition_operator_demo(spec, site, out_window, rng):
     v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
     if site not in v.window:
         raise ValueError("site must lie in the configuration's window")
-    bumped = HeightConfig(v.window, v.gamma, v.heights + sandpile.poly_heights(
-        v.window, LaurentPoly(d, {site: 1})))
+    bumped = sandpile.add_poly(v, LaurentPoly(d, {site: 1}))
     before, after = xi_apply_stack(spec, [v, bumped], out_windows=[out_window] * 2)
     predicted = point_sum(before, delta)
     mismatch = point_distance(after, predicted)

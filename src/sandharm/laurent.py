@@ -289,32 +289,21 @@ def ideal_certificate(g):
     d = g.dim
     if d < 2:
         raise ValueError("ideal membership is defined for dimension >= 2")
-    total = g.coeff_sum()
-    if total != 0:
-        return IdealCertificate(False, ("A", (), total), None)
-    for i in range(d):
-        powers = [0] * d
-        powers[i] = 1
-        m = g.moment(powers)
-        if m != 0:
-            return IdealCertificate(False, ("B", (i + 1,), m), None)
-    for i, j in itertools.combinations(range(d), 2):
-        powers = [0] * d
-        powers[i] = 1
-        powers[j] = 1
-        m = g.moment(powers)
-        if m != 0:
-            return IdealCertificate(False, ("C", (i + 1, j + 1), m), None)
-    second = []
-    for i in range(d):
-        powers = [0] * d
-        powers[i] = 2
-        second.append(g.moment(powers))
-    for i, j in itertools.combinations(range(d), 2):
-        diff = second[i] - second[j]
-        if diff != 0:
-            return IdealCertificate(False, ("D", (i + 1, j + 1), diff), None)
-    return IdealCertificate(True, None, second[0])
+
+    def moment(*axes):
+        """sum_k g_k prod_{i in axes} k_i over a multiset of axes."""
+        return g.moment([axes.count(i) for i in range(d)])
+
+    pairs = list(itertools.combinations(range(d), 2))
+    second = [moment(i, i) for i in range(d)]
+    conditions = (
+        [("A", (), g.coeff_sum())]
+        + [("B", (i + 1,), moment(i)) for i in range(d)]
+        + [("C", (i + 1, j + 1), moment(i, j)) for i, j in pairs]
+        + [("D", (i + 1, j + 1), second[i] - second[j]) for i, j in pairs]
+    )
+    failing = next((c for c in conditions if c[2] != 0), None)
+    return IdealCertificate(failing is None, failing, second[0] if failing is None else None)
 
 
 def multiplier_sum(g):

@@ -110,11 +110,7 @@ class HeightConfig:
         window's absolute position is not stored.
         """
         dims = " ".join(str(s) for s in self.window.shape)
-        lines = ["%d %d %s" % (self.dim, self.gamma, dims)]
-        flat = self.heights.reshape(-1, self.window.shape[-1])
-        for row in flat:
-            lines.append(" ".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
+        return "\n".join(["%d %d %s" % (self.dim, self.gamma, dims)] + grid_rows(self.heights)) + "\n"
 
     @classmethod
     def from_text(cls, text):
@@ -145,6 +141,11 @@ class HeightConfig:
             raise ValueError("heights must fit in int64") from None
         window = BoxWindow.from_shape(shape)
         return cls(window, gamma, heights)
+
+
+def grid_rows(array):
+    """Text rows of an integer array: the last axis along a row, the leading axes flattened into blocks of rows."""
+    return [" ".join(map(str, row)) for row in array.reshape(-1, array.shape[-1]).tolist()]
 
 
 @dataclass
@@ -664,6 +665,11 @@ def poly_heights(window, poly):
     return arr
 
 
+def window_poly(window, arr):
+    """Laurent polynomial of the array's nonzero entries at their window sites; inverts ``poly_heights``."""
+    return LaurentPoly(window.dim, {window.site_of(idx): int(arr[tuple(idx)]) for idx in np.argwhere(arr)})
+
+
 def add_poly(v, poly):
     """New configuration with the polynomial's coefficients added on."""
     return HeightConfig(v.window, v.gamma, v.heights + poly_heights(v.window, poly))
@@ -729,10 +735,7 @@ def correct_to_recurrent(v, M):
     else:
         raise RuntimeError("correction did not converge")
 
-    terms = {}
-    for idx in np.argwhere(h_net != 0):
-        terms[inner.site_of(tuple(idx))] = int(h_net[tuple(idx)])
-    return LaurentPoly(d, terms)
+    return window_poly(inner, h_net)
 
 
 def apply_correction(v, h):

@@ -109,6 +109,13 @@ class BoxWindow:
         )
 
 
+def site_rows(window, values):
+    """CSV rows ``n1,...,nd,value`` of a field on the window, in C order, each value as repr(float)."""
+    # window.sites() runs in C order, the order of values.ravel()
+    rows = zip(window.sites(), values.ravel().tolist())
+    return ["%s,%r" % (",".join(map(str, site)), value) for site, value in rows]
+
+
 def neighbour_sum(field):
     """Sum of the 2d nearest-neighbour values at each site, zero outside the array."""
     out = np.zeros_like(field)

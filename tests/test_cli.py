@@ -2,9 +2,11 @@
 inline polynomial parser."""
 
 import csv
+import errno
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -391,18 +393,22 @@ def test_repeated_runs_are_byte_identical(tmp_path, table_csv):
     assert outs[1] == outs[3]
 
 
+def _run_python(args):
+    """The interpreter run on args in a subprocess that imports the sandharm under test."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
+
+
 def test_version_runs_in_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sandharm.cli", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = _run_python(["-m", "sandharm.cli", "--version"])
     assert proc.returncode == 0
     assert "sandharm" in proc.stdout
 
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, sandharm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -445,6 +451,50 @@ def test_huge_powers_are_refused_before_multiplying(monkeypatch, capsys, poly):
     err = capsys.readouterr().err
     assert "too large to expand" in err
     assert "%d points" % cli.POWER_MAX_POINTS in err and "%d-bit" % cli.POWER_MAX_BITS in err
+
+
+def test_poly_nesting_depth_is_bounded(capsys):
+    deep = "(" * cli.POLY_MAX_DEPTH + "u1-1" + ")" * cli.POLY_MAX_DEPTH
+    assert parse_poly(deep, 2) == LaurentPoly.variable(2, 0) - 1
+    over = cli.POLY_MAX_DEPTH + 1
+    for argv in (["--poly", "(" * over + "u1" + ")" * over], ["--poly", "(" * 2000 + "u1" + ")" * 2000],
+                 ["--poly=" + "-" * 1000 + "u1"]):
+        assert main(["ideal", "--d", "2"] + argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more than %d deep" % cli.POLY_MAX_DEPTH in err
+
+
+def test_poly_depth_refusal_covers_xi_multipliers(table_csv, capsys):
+    assert main(["xi", "demo-addition", "--d", "2", "--table", table_csv, "--g", "(" * 2000 + "g1" + ")" * 2000]) == 3
+    assert "more than %d deep" % cli.POLY_MAX_DEPTH in capsys.readouterr().err
+
+
+def _no_temp_files(directory):
+    return not list(pathlib.Path(directory).glob(".tmp-*~"))
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys, monkeypatch):
+    # a member polynomial, so exit 1 could only mean the write failed
+    assert main(["ideal", "--poly", "(1-u1)^3", "--d", "2", "--out", str(tmp_path / "missing" / "c.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: cannot write %s: No such file or directory\n" % (tmp_path / "missing" / "c.json")
+    # the rename onto a directory fails after the temp file exists
+    (tmp_path / "taken").mkdir()
+    grid = write_grid(tmp_path, "good.grid", [[3, 3], [3, 3]])
+    assert main(["sandpile", "burn", "--grid", grid, "--report", str(tmp_path / "taken")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s: " % (tmp_path / "taken")) and ".tmp-" not in err
+    assert _no_temp_files(tmp_path)
+
+    def full_disk(fd, mode):
+        os.close(fd)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.os, "fdopen", full_disk)
+    out = tmp_path / "ent.csv"
+    assert main(["sandpile", "entropy", "--d", "2", "--gamma", "5", "--sides", "4", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: cannot write %s: No space left on device\n" % out
+    assert _no_temp_files(tmp_path) and not out.exists()
 
 
 def test_parse_poly_errors():

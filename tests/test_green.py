@@ -143,6 +143,28 @@ def test_entropy_large_gamma_bracket():
     assert h.err_bound < 1e-6
 
 
+@pytest.mark.parametrize("d,gamma", [(2, 5), (2, 6), (3, 7), (3, 8)])
+def test_dissipative_entropy_matches_bessel_integral(d, gamma):
+    """h = int_0^inf (e^-t - e^-(gamma-2d)t i0e(2t)^d) / t dt, the Frullani form of the torus mean of log f.
+
+    The torus mean of e^{2t cos} is I0(2t) = e^{2t} i0e(2t); the integrand
+    decays like e^-(gamma-2d)t, so the last piece reaches infinity.
+    """
+    from scipy import integrate, special
+
+    def f(t):
+        return (math.exp(-t) - math.exp(-(gamma - 2 * d) * t) * special.i0e(2.0 * t) ** d) / t
+
+    value, quad_err = 0.0, 0.0
+    for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, math.inf)):
+        part, part_err = integrate.quad(f, a, b, limit=200, epsabs=1e-14, epsrel=1e-13)
+        value += part
+        quad_err += part_err
+    h = entropy_quadrature(d, gamma)
+    assert h.method == "tensor trapezoid"
+    assert abs(h.value - value) <= h.err_bound + quad_err
+
+
 def test_entropy_critical_values(entropy_d2_critical, entropy_d3_critical):
     assert abs(entropy_d2_critical.value - 1.166244) <= 1e-3
     assert abs(entropy_d3_critical.value - 1.673) <= 1e-3
@@ -249,7 +271,7 @@ def test_folded_coefficients_match_full_fft(d, N, critical):
     if critical:
         G *= 1.0 - green._bump(rho)
     ref = (np.fft.fftn(G).real / float(N) ** d)[(slice(0, radius + 1),) * d]
-    A = green._fourier_block(d, gamma, N, radius)
+    A = green._smooth_part(d, gamma, N, radius, np.reciprocal)
     assert A.shape == (radius + 1,) * d
     assert np.max(np.abs(A - ref)) <= 1e-12
 
@@ -258,8 +280,9 @@ def test_folded_coefficients_match_full_fft(d, N, critical):
 def test_separable_patch_matches_direct_sum(d):
     gamma, radius, n_r, n_ang = 2 * d, 3, 8, 6
     P = green._patch_values(d, gamma, radius, n_r, n_ang)
-    pts, jac, rad = green._patch_nodes(d, n_r, n_ang)
-    wts = green._bump(rad) * jac / (gamma - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0))
+    pts, jac, rad, F = green._patch_nodes(d, gamma, n_r, n_ang)
+    assert np.array_equal(F, gamma - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0))
+    wts = green._bump(rad) * jac / F
     for site in [(0, 0, 0), (1, 0, 0), (2, 3, 1), (3, 1, 2), (3, 3, 3)]:
         site = site[:d]
         c = np.cos(2 * np.pi * (np.array(site, dtype=float) @ pts))

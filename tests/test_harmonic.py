@@ -200,36 +200,35 @@ def test_shifted_config_moves_window():
 # -- kernel witnesses ----------------------------------------------------------
 
 
-def witnessed(report):
+def witnessed(images):
     """Every map's residual is within its error bound."""
-    return all(res <= report.err_bounds[label] for label, res in report.residuals.items())
+    return all(torus_distance(x.values).max() <= x.err for x in images)
 
 
 def test_constant_witness(specs_d2):
-    v, report = kernel_witness("constant", specs_d2, suite_window(2, 12))
+    v, images = kernel_witness("constant", specs_d2, suite_window(2, 12))
     assert np.all(v.heights == 3)
-    for label, res in report.residuals.items():
-        assert res <= report.err_bounds[label]
+    assert len(images) == len(specs_d2) and witnessed(images)
 
 
 def test_f_multiple_witness(specs_d2):
     h = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 2): -1})
-    _, report = kernel_witness("f_multiple", specs_d2, suite_window(2, 12), h=h)
-    assert witnessed(report)
+    _, images = kernel_witness("f_multiple", specs_d2, suite_window(2, 12), h=h)
+    assert witnessed(images)
 
 
 def test_periodic_witness_quarter_beta(specs_d2):
     # the parity field is f.y + 1/2 for y repeating (0, 1/4) along axis 0
-    v, report = kernel_witness("periodic_family", specs_d2, suite_window(2, 16))
-    assert witnessed(report)
+    v, images = kernel_witness("periodic_family", specs_d2, suite_window(2, 16))
+    assert witnessed(images)
     # the height field repeats with the period along the chosen axis
     assert np.array_equal(v.heights[:4], v.heights[4:8])
 
 
 def test_periodic_witness_is_parity_of_absolute_first_coordinate(specs_d2):
     window = BoxWindow((-3, -2), (6, 5))
-    v, report = kernel_witness("periodic_family", specs_d2, window)
-    assert witnessed(report)
+    v, images = kernel_witness("periodic_family", specs_d2, window)
+    assert witnessed(images)
     for site in window.sites():
         assert v.heights[window.index_of(site)] == site[0] % 2
 
