@@ -16,15 +16,17 @@ Four command families:
 
 Exit codes: 0 success, 1 semantic negative (a forbidden configuration, a
 polynomial outside the ideal), 2 tolerance or suite failure, 3 malformed
-input.  Every file is written atomically and accompanied by a JSON run
-manifest; reports never print a number without its tolerance or error
-bound.  Randomized suites draw from numpy's default generator seeded by
-``--seed`` (default 0), so repeated runs are byte-identical.
+input, 4 internal fault (any other exception, printed with its type).
+Every file is written atomically and accompanied by a JSON run manifest;
+reports never print a number without its tolerance or error bound.
+Randomized suites draw from numpy's default generator seeded by ``--seed``
+(default 0), so repeated runs are byte-identical.
 """
 
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -75,6 +77,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_TOLERANCE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class CliInputError(ValueError):
@@ -89,6 +92,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- small io helpers ---------------------------------------------------------
+
+
+def _cannot_write(path, reason):
+    """The input error for an output path that cannot be written."""
+    return CliInputError("cannot write %s: %s" % (path, reason))
+
+
+def _refuse_unwritable(ns):
+    """Before any work, refuse each given ``--out``, ``--report`` or ``--odometer`` that is a directory or in none.
+
+    ``_atomic_write`` still refuses whatever else fails at the write.
+    """
+    for path in filter(None, (getattr(ns, name, None) for name in ("out", "report", "odometer"))):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise _cannot_write(path, os.strerror(errno.EISDIR))
+        if not os.path.isdir(parent):
+            raise _cannot_write(path, os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT))
 
 
 def _atomic_write(path, text):
@@ -106,7 +127,7 @@ def _atomic_write(path, text):
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise CliInputError("cannot write %s: %s" % (path, exc.strerror)) from None
+            raise _cannot_write(path, exc.strerror) from None
         raise
 
 
@@ -135,26 +156,15 @@ def _publish(ns, files, results):
     print("wrote %s" % " and ".join(path for path, _ in files))
 
 
-def _read_text(path):
+def _load(path, parse, what):
+    """``parse`` of a file's text; a file that cannot be read or parsed is an input error."""
     try:
         with open(path) as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
-        raise CliInputError("cannot read %s: %s" % (path, exc)) from None
-
-
-def _load_grid(path):
-    try:
-        return HeightConfig.from_text(_read_text(path))
+        raise CliInputError("bad %s file %s: cannot read %s: %s" % (what, path, path, exc)) from None
     except ValueError as exc:
-        raise CliInputError("bad grid file %s: %s" % (path, exc)) from None
-
-
-def _load_table(path):
-    try:
-        return GreenTable.from_csv(_read_text(path))
-    except ValueError as exc:
-        raise CliInputError("bad table file %s: %s" % (path, exc)) from None
+        raise CliInputError("bad %s file %s: %s" % (what, path, exc)) from None
 
 
 def _parse_ints(text, what):
@@ -434,9 +444,7 @@ def cmd_green(ns):
 
 
 def cmd_stabilize(ns):
-    v = _load_grid(ns.grid)
-    if (v.heights < 0).any():
-        raise CliInputError("stabilize needs nonnegative heights")
+    v = _load(ns.grid, HeightConfig.from_text, "grid")
     stable, odometer = stabilize(v)
     out = ns.out or _stem(ns.grid) + ".stable.grid"
     odo_path = ns.odometer or _stem(ns.grid) + ".odometer.txt"
@@ -458,7 +466,7 @@ def cmd_stabilize(ns):
 
 
 def cmd_burn(ns):
-    v = _load_grid(ns.grid)
+    v = _load(ns.grid, HeightConfig.from_text, "grid")
     report = burning_test(v)
     rounds = int(report.rounds.max())
     stuck = list(map(tuple, (np.argwhere(report.rounds == 0) + v.window.lo).tolist()))
@@ -548,7 +556,7 @@ def _resolve_table(ns, d, gamma):
     if gamma is None:
         gamma = 2 * d
     if ns.table:
-        table = _load_table(ns.table)
+        table = _load(ns.table, GreenTable.from_csv, "table")
         if table.dim != d or table.gamma != gamma:
             raise CliInputError(
                 "table %s is for d=%d gamma=%s, need d=%d gamma=%s"
@@ -559,7 +567,7 @@ def _resolve_table(ns, d, gamma):
 
 
 def cmd_xi_apply(ns):
-    v = _load_grid(ns.grid)
+    v = _load(ns.grid, HeightConfig.from_text, "grid")
     table = _resolve_table(ns, v.dim, v.gamma)
     g = parse_poly(ns.g, v.dim, v.gamma)
     spec = XiSpec.build(g, table)
@@ -579,8 +587,8 @@ def cmd_xi_check(ns):
     d = ns.d
     specs = standard_specs(_resolve_table(ns, d, ns.gamma))
     side = ns.side if ns.side is not None else (16 if d == 2 else 8)
-    if side % 2 or side < 6:
-        raise CliInputError("--side must be even and at least 6")
+    if side < 6:
+        raise CliInputError("--side must be at least 6")
     if ns.configs < 1 or ns.pairs < 1:
         raise CliInputError("--configs and --pairs must be positive")
     # the suites hold up to this many configurations' heights at once, and each map a slab grid
@@ -617,16 +625,14 @@ def cmd_xi_check(ns):
 def cmd_xi_demo_addition(ns):
     d = ns.d
     table = _resolve_table(ns, d, ns.gamma)
-    gamma = table.gamma
-    g = parse_poly(ns.g, d, gamma)
+    g = parse_poly(ns.g, d, table.gamma)
     spec = XiSpec.build(g, table)
     site = tuple(_parse_ints(ns.site, "--site")) if ns.site else (0,) * d
     if len(site) != d:
         raise CliInputError("--site needs %d coordinates" % d)
     out_window = BoxWindow.centered(d, 2).shifted(site)
     rng = np.random.default_rng(ns.seed)
-    delta, mismatch = addition_operator_demo(spec, site, out_window, rng)
-    bound = spec.field_err(gamma) + spec.field_err(gamma - 1) + spec.field_err(1)
+    delta, mismatch, bound = addition_operator_demo(spec, site, out_window, rng)
     ok = mismatch <= bound
     print(
         "grain at %s shifts xi[%s] by the translated kernel; direct-evaluation mismatch %.3e <= %.3e: %s"
@@ -753,7 +759,7 @@ def _build_parser():
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     p.add_argument("--d", type=int, required=True, choices=(2, 3))
     _add_table_options(p)
-    p.add_argument("--side", type=int, default=None, help="window side for test configs (even)")
+    p.add_argument("--side", type=int, default=None, help="window side for test configs (at least 6)")
     p.add_argument("--configs", type=int, default=5, help="random configurations per check")
     p.add_argument("--pairs", type=int, default=10, help="pairs for separation/additivity")
     p.add_argument("--seed", type=int, default=0)
@@ -784,10 +790,14 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        _refuse_unwritable(ns)
         return ns.func(ns)
     except ValueError as exc:  # CliInputError included
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -43,6 +43,15 @@ BUMP_INNER = 0.08
 _RICHARDSON_SAFETY = 2.0
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """A value, a bound on its error and the method behind it, as the oracle and the entropy quadrature return."""
+
+    value: float
+    err_bound: float
+    method: str
+
+
 # -- smooth bump -------------------------------------------------------------
 
 
@@ -374,12 +383,6 @@ def compute_green(d, gamma, radius, spec=None):
 # -- walk-series oracle ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleValue:
-    value: float
-    err_bound: float
-
-
 @lru_cache(maxsize=4)
 def _walk_1d_table(kmax):
     """W[m, x + kmax] = P(fair +-1 walk is at x after m steps), by DP."""
@@ -453,7 +456,7 @@ def _critical_ladder(csum, levels, x, scale):
     m = len(csum)
     Js = [max(2 + i, m >> (levels - i)) for i in range(levels + 1)]
     est, spread = _neville_to_zero([csum[J - 1] for J in Js], [x(J) for J in Js])
-    return OracleValue(est / scale, (spread + 1e-13) / scale)
+    return Estimate(est / scale, (spread + 1e-13) / scale, "walk series")
 
 
 def walk_series_oracle(d, gamma, n):
@@ -482,12 +485,12 @@ def walk_series_oracle(d, gamma, n):
         weights = ratio ** np.arange(k_max + 1)
         value = float(np.dot(weights, p)) / gamma
         tail = ratio ** (k_max + 1) / (gamma - 2 * d)
-        return OracleValue(value, tail + 1e-14 * max(abs(value), 1.0))
+        return Estimate(value, tail + 1e-14 * max(abs(value), 1.0), "walk series")
     k_max = 800 if d == 2 else 600
     m = k_max // 2
     if d == 2:
         if n == (0, 0):
-            return OracleValue(0.0, 0.0)
+            return Estimate(0.0, 0.0, "walk series")
         t = walk_distribution(2, n, k_max) - walk_distribution(2, (0, 0), k_max)
         # the k = 0 term is -1
         return _critical_ladder(np.cumsum(t[1::2][:m] + t[2::2][:m]) - 1.0, 3, lambda J: 1.0 / J, 4.0)
@@ -512,7 +515,6 @@ def fundamental_residual(table):
 class MultiplierTable:
     """Convolution g* . w restricted to the box where the table supports it."""
 
-    dim: int
     radius: int
     values: np.ndarray
     entry_error: float
@@ -540,7 +542,7 @@ def multiplier_table(g, table):
             slice(table.radius + kk - R_out, table.radius + kk + R_out + 1) for kk in k
         )
         out += c * table.values[idx]
-    return MultiplierTable(d, R_out, out, g.l1_norm() * table.accuracy)
+    return MultiplierTable(R_out, out, g.l1_norm() * table.accuracy)
 
 
 @dataclass
@@ -616,13 +618,6 @@ def tail_beyond(profile):
 # -- entropy -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    value: float
-    err_bound: float
-    method: str
-
-
 def _bump_log_moment(p):
     """Radial moment int_0^BUMP_OUTER bump(r) 2 log(2 pi r) r^p dr.
 
@@ -665,4 +660,4 @@ def entropy_quadrature(d, gamma):
     coarse = _entropy_pass(d, gamma, N, pr, pa)
     fine = _entropy_pass(d, gamma, 2 * N, 2 * pr, 2 * pa)
     err = _RICHARDSON_SAFETY * abs(fine - coarse) + 1e-14
-    return EntropyResult(fine, err, "bump-split log quadrature" if gamma == 2 * d else "tensor trapezoid")
+    return Estimate(fine, err, "bump-split log quadrature" if gamma == 2 * d else "tensor trapezoid")

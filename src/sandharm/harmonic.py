@@ -12,10 +12,12 @@ bounded by an extrapolated shell-sum decay, and every output carries the
 resulting error bound.  Comparisons always use the
 torus metric min(|t - n| : n integer), never raw subtraction.
 
-The truncation calculus follows one rule: a result's err is the sup of
-the input field times (kernel tail + per-entry table error times kernel
-size), propagated additively through any further linear step.  Thresholds
-downstream are stated relative to err, never as bare constants.
+The truncation calculus follows one rule, ``XiSpec.field_err``, which
+only ``xi_apply_stack`` applies: an image's err is the sup of its slab
+field times (kernel tail + per-entry table error times kernel size + FFT
+rounding), propagated additively through any further linear step.  Every
+comparison reads the err of the images it compares, never a budget
+worked out again from an assumed sup.
 """
 
 import math
@@ -151,10 +153,6 @@ class XiSpec:
     @property
     def gamma(self):
         return self.table.gamma
-
-    @property
-    def is_critical(self):
-        return self.table.is_critical
 
     def field_err(self, sup):
         """Certified per-site error of the map on fields with |v| <= sup."""
@@ -336,8 +334,7 @@ def harmonicity_residual(x, gamma):
     """Max torus distance of gamma.x_n - sum of neighbours from 0, interior only."""
     if any(s < 3 for s in x.window.shape):
         raise ValueError("window has empty interior")
-    acc = laplacian(x.values, gamma)[(slice(1, -1),) * x.dim]
-    return float(np.abs(acc - np.round(acc)).max())
+    return float(torus_distance(laplacian(x.values, gamma)[(slice(1, -1),) * x.dim]).max())
 
 
 def shifted_config(v, m):
@@ -349,20 +346,21 @@ def shifted_config(v, m):
 def equivariance_residual(spec, v, m):
     """Shift-commutation defect: map the shifted field vs shift the mapped field.
 
-    Both routes approximate the same torus field, each within the spec's
-    err, so the result is at most 2 err; with the window carried along by
-    the shift the two computations see identical data and the residual
-    reduces to floating-point variation between FFT sizes.
+    Both routes approximate the same torus field, each within its image's
+    err, so the result is at most the two images' err; with the window
+    carried along by the shift the two computations see identical data and
+    the residual reduces to floating-point variation between FFT sizes.
     """
-    return equivariance_residuals(spec, [v], [[m]])[0][0]
+    return equivariance_residuals(spec, [v], [[m]])[0][0][0]
 
 
 def equivariance_residuals(spec, configs, shifts):
-    """``equivariance_residual`` of each configuration under each of its shifts.
+    """``equivariance_residual`` of each configuration under each of its shifts, with its bound.
 
     ``shifts[i]`` lists the shifts of ``configs[i]``, and the result nests
-    the same way.  Each configuration is mapped once whatever its number of
-    shifts, and all the images come from one ``xi_apply_stack`` call.
+    the same way, each entry a pair (defect, the two images' err summed).
+    Each configuration is mapped once whatever its number of shifts, and
+    all the images come from one ``xi_apply_stack`` call.
     """
     fields, windows = list(configs), [v.window for v in configs]
     for v, ms in zip(configs, shifts):
@@ -375,10 +373,8 @@ def equivariance_residuals(spec, configs, shifts):
             windows.append(common)
     images = xi_apply_stack(spec, fields, out_windows=windows)
     moved = iter(images[len(configs) :])
-    return [
-        [point_distance(next(moved), b.shifted(tuple(-int(x) for x in m))) for m in ms]
-        for b, ms in zip(images, shifts)
-    ]
+    pairs = [[(next(moved), b.shifted(tuple(-int(x) for x in m))) for m in ms] for b, ms in zip(images, shifts)]
+    return [[(point_distance(a, b), a.err + b.err) for a, b in row] for row in pairs]
 
 
 def poly_action(h, x):
@@ -399,9 +395,7 @@ def poly_action(h, x):
     out = BoxWindow(lo, hi)
     acc = np.zeros(out.shape)
     for expo, coeff in h.terms.items():
-        off = tuple(o + e - wl for o, e, wl in zip(out.lo, expo, x.window.lo))
-        sl = tuple(slice(o, o + s) for o, s in zip(off, out.shape))
-        acc += coeff * x.values[sl]
+        acc += coeff * x.values[x.window.slices(out.shifted(expo))]
     l1 = h.l1_norm()
     return TorusPoint(out, acc, x.err * l1 + 1e-15 * l1)
 
@@ -420,9 +414,8 @@ def kernel_witness(kind, specs, window, h=None):
     - ``f_multiple``: the stencil f_gamma convolved with a finite h; the
       kernel inverts f_gamma, leaving the integer field (g* . h).
     - ``periodic_family``: A times the parity field n_0 mod 2 of the
-      absolute first coordinate, extended periodically, which continues it
-      exactly because the window's first side must be even.  As n_0 mod 2
-      = (1 - (-1)^{n_0})/2, and the kernel sums against (-1)^{k_0} to
+      absolute first coordinate.  As n_0 mod 2 = (1 - (-1)^{n_0})/2, and
+      the kernel sums against (-1)^{k_0} to
       g(-1,1,...,1)/f_gamma(-1,1,...,1) = g(-1,1,...,1)/(gamma - 2d + 4),
       the parity field maps to
       S/2 - (-1)^{n_0} g(-1,1,...,1)/(2(gamma - 2d + 4)).  On critical
@@ -431,8 +424,11 @@ def kernel_witness(kind, specs, window, h=None):
       A = 2(gamma - 2d)(gamma - 2d + 4) gives the integer
       (gamma - 2d + 4) g(1) - (-1)^{n_0} (gamma - 2d) g(-1,1,...,1).
 
-    The field's heights are exact integers by construction.  Returns the
-    field and its images, one per spec in order, each with its err.
+    Each field is laid out on ``window`` dilated by the largest kernel
+    radius, which holds every site any image on ``window`` reads, and is
+    mapped by zero extension onto ``window``.  The field's heights are
+    exact integers by construction.  Returns the field and its images, one
+    per spec in order, each with its err.
     """
     specs = list(specs)
     if not specs:
@@ -442,41 +438,34 @@ def kernel_witness(kind, specs, window, h=None):
     if window.dim != d:
         raise ValueError("window dimension mismatch")
     excess = gamma - 2 * d
+    reach = window.dilated(max(spec.trunc_radius for spec in specs))
 
     if kind == "constant":
-        c = 3 * excess if excess else 3
-        v = HeightConfig.constant(window, gamma, c)
-        extension, const = "constant", c
+        v = HeightConfig.constant(reach, gamma, 3 * excess if excess else 3)
     elif kind == "f_multiple":
         if h is None:
             raise ValueError("f_multiple needs the finite factor h")
-        f = laplacian_poly(d, gamma)
-        v = HeightConfig(window, gamma, sandpile.poly_heights(window, f * h))
-        extension, const = "zero", None
+        v = HeightConfig(reach, gamma, sandpile.poly_heights(reach, laplacian_poly(d, gamma) * h))
     elif kind == "periodic_family":
-        if window.shape[0] % 2:
-            raise ValueError("window side %d is not a multiple of the axis-0 period 2" % window.shape[0])
         scale = 2 * excess * (excess + 4) if excess else 1
-        parity = scale * (np.arange(window.lo[0], window.hi[0] + 1) % 2)
-        parity = parity.reshape((-1,) + (1,) * (d - 1))
-        v = HeightConfig(window, gamma, np.broadcast_to(parity, window.shape))
-        extension, const = "periodic", None
+        parity = scale * (np.arange(reach.lo[0], reach.hi[0] + 1) % 2)
+        v = HeightConfig(reach, gamma, np.broadcast_to(parity.reshape((-1,) + (1,) * (d - 1)), reach.shape))
     else:
         raise ValueError("kind must be constant, f_multiple or periodic_family")
 
-    return v, [xi_apply(spec, v, extension=extension, constant=const) for spec in specs]
+    return v, [xi_apply(spec, v, extension="zero", out_window=window) for spec in specs]
 
 
 # -- separation ---------------------------------------------------------------
 
 
 def separation_check(spec, v, vp, Q):
-    """Largest torus gap between the images of two configurations.
+    """Largest torus gap between the images of two configurations, and the two images' err summed.
 
     The inputs must be recurrent, agree outside Q, and differ by something
     the Laplacian stencil does not divide; under those hypotheses the
     images differ by at least 1/4d somewhere within the truncation reach
-    of Q, so values clearing 1/4d - 2 err certify genuine separation.
+    of Q, so gaps clearing 1/4d less that err certify genuine separation.
     """
     if v.window != vp.window or v.gamma != vp.gamma:
         raise ValueError("inputs must share window and gamma")
@@ -496,7 +485,7 @@ def separation_check(spec, v, vp, Q):
         raise ValueError("both inputs must be recurrent")
     out_window = Q.dilated(spec.trunc_radius)
     x, xp = xi_apply_stack(spec, [v, vp], out_windows=[out_window] * 2)
-    return float(torus_distance(x.values - xp.values).max())
+    return float(torus_distance(x.values - xp.values).max()), x.err + xp.err
 
 
 # -- grain addition -----------------------------------------------------------
@@ -506,9 +495,10 @@ def addition_operator_demo(spec, site, out_window, rng):
     """Image increment caused by dropping one grain at a site.
 
     Returns the kernel translated to the site (as a torus point on
-    ``out_window``) together with the measured mismatch against a direct
-    before/after evaluation on a random recurrent configuration on
-    ``out_window`` dilated by 2; linearity makes the mismatch at most 2 err.
+    ``out_window``), the measured mismatch against a direct before/after
+    evaluation on a random recurrent configuration on ``out_window``
+    dilated by 2, and its bound: linearity makes the mismatch at most the
+    three images' err summed.
     """
     site = tuple(int(x) for x in site)
     d = spec.dim
@@ -522,6 +512,5 @@ def addition_operator_demo(spec, site, out_window, rng):
         raise ValueError("site must lie in the configuration's window")
     bumped = sandpile.add_poly(v, LaurentPoly(d, {site: 1}))
     before, after = xi_apply_stack(spec, [v, bumped], out_windows=[out_window] * 2)
-    predicted = point_sum(before, delta)
-    mismatch = point_distance(after, predicted)
-    return delta, mismatch
+    mismatch = point_distance(after, point_sum(before, delta))
+    return delta, mismatch, after.err + before.err + delta.err

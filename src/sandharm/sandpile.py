@@ -154,7 +154,9 @@ class Odometer:
 
     ``total_mass_lost`` counts every grain that left the system: those sent
     across the window boundary and, for gamma > 2d, the gamma - 2d grains
-    dissipated by each toppling.
+    dissipated by each toppling.  It is read off the counts alone, as the
+    sum of L counts over the window, so the mass balance
+    initial - final - lost = 0 checks the stable heights against them.
     """
 
     counts: np.ndarray
@@ -362,13 +364,16 @@ def stabilize_stack(configs):
     guards hold per member (the mass bound, the head-start ceiling,
     ``_sweep_dtype``), so a stack raises exactly when one of its members
     would raise alone; the sweeps run in int64 if any member needs it.
+    Each site's gamma count is at most the ``_sweep_dtype`` bound, below
+    2^62, and the partial sums of L counts lie between -sum(final) and the
+    initial mass, so the loss sums exactly in int64.
     """
     out = []
     for run, heights in _stacks(configs):
         window, gamma = run[0].window, run[0].gamma
         stable, counts = _stabilize_heights(heights, gamma)
-        for v, s, c in zip(run, stable, counts):
-            out.append((HeightConfig(window, gamma, s), Odometer(c, int(v.heights.sum() - s.sum()))))
+        for s, c in zip(stable, counts):
+            out.append((HeightConfig(window, gamma, s), Odometer(c, int(laplacian(c, gamma).sum()))))
     return out
 
 

@@ -70,12 +70,24 @@ def test_count_bad_window_spec():
     assert main(["sandpile", "count", "--window", "2by2", "--gamma", "4"]) == 3
 
 
-def test_count_internal_fault_is_not_input_error(monkeypatch):
+def test_count_internal_fault_is_not_input_error(monkeypatch, capsys):
     # a toppling matrix that is not positive definite is a fault in the program, not in the input
     real = sandpile.toppling_matrix
     monkeypatch.setattr(sandpile, "toppling_matrix", lambda window, gamma: -real(window, gamma))
-    with pytest.raises(RuntimeError, match="not positive definite"):
-        main(["sandpile", "count", "--window", "2x2", "--gamma", "4", "--backend", "determinant"])
+    assert main(["sandpile", "count", "--window", "2x2", "--gamma", "4", "--backend", "determinant"]) == 4
+    assert re.fullmatch(r"internal error: RuntimeError: .*not positive definite.*\n", capsys.readouterr().err)
+
+
+def test_internal_fault_exits_four_not_negative(tmp_path, monkeypatch, capsys):
+    # exit 1 is a well-formed negative answer; an exception the command did not expect is neither
+    def broken(v):
+        raise RuntimeError("burn kernel fault")
+
+    monkeypatch.setattr(cli, "burning_test", broken)
+    grid = write_grid(tmp_path, "good.grid", [[3, 3], [3, 3]])
+    assert main(["sandpile", "burn", "--grid", grid]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: burn kernel fault\n" and captured.out == ""
 
 
 # -- burn / stabilize ------------------------------------------------------------
@@ -130,6 +142,23 @@ def test_grid_integers_beyond_int64_are_input_errors(tmp_path, capsys):
         assert main(["sandpile", "burn", "--grid", str(grid)]) == 3
         assert main(["sandpile", "stabilize", "--grid", str(grid)]) == 3
     assert capsys.readouterr().err.count("does not fit in int64") == 2
+
+
+def test_stabilize_mass_balance_can_fail(tmp_path, monkeypatch, capsys):
+    # the loss is read off the odometer, so a stable height that disagrees with the counts shows
+    real = sandpile._stabilize_heights
+
+    def corrupt(heights, gamma):
+        stable, counts = real(heights, gamma)
+        stable[0].flat[0] += 1
+        return stable, counts
+
+    grid = write_grid(tmp_path, "pile.grid", [[0, 9, 0], [9, 0, 9], [0, 9, 0]])
+    assert main(["sandpile", "stabilize", "--grid", grid]) == 0
+    assert "mass balance defect 0 " in capsys.readouterr().out
+    monkeypatch.setattr(sandpile, "_stabilize_heights", corrupt)
+    assert main(["sandpile", "stabilize", "--grid", grid]) == 2
+    assert "mass balance defect -1 " in capsys.readouterr().out
 
 
 def test_stabilize_refuses_masses_int64_cannot_hold(tmp_path, capsys):
@@ -261,6 +290,31 @@ def test_xi_check_all_suites_pass(tmp_path, table_csv, capsys):
     names = {row[0].split("[")[0] for row in rows[1:]}
     assert names == set(checks.SUITES)
     assert all(row[1] == "pass" for row in rows[1:])
+
+
+def test_xi_apply_extension_options(tmp_path, table_csv):
+    # constant 0 is the zero extension; on a constant grid c the periodic extension is constant c
+    def csv_bytes(grid, *extension):
+        out = tmp_path / "x.csv"
+        assert main(["xi", "apply", "--grid", grid, "--table", table_csv, "--out", str(out)] + list(extension)) == 0
+        return out.read_bytes()
+
+    mixed = write_grid(tmp_path, "mixed.grid", [[1, 2, 0, 3], [3, 1, 2, 0], [0, 2, 1, 1]])
+    assert csv_bytes(mixed, "--extension", "constant", "--constant", "0") == csv_bytes(mixed, "--extension", "zero")
+    flat = write_grid(tmp_path, "flat.grid", np.full((5, 6), 2))
+    periodic = csv_bytes(flat, "--extension", "periodic")
+    assert periodic == csv_bytes(flat, "--extension", "constant", "--constant", "2")
+    assert periodic != csv_bytes(flat, "--extension", "zero")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_xi_check_runs_on_an_odd_side(d, tmp_path, table_csv, table_d3_g6, capsys):
+    if d == 3:
+        table_csv = tmp_path / "d3g6.csv"
+        table_csv.write_text(table_d3_g6.to_csv())
+    assert main(["xi", "check", "--d", str(d), "--side", "7", "--table", str(table_csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == (14 if d == 2 else 38) and all(ln.startswith("PASS") for ln in lines)
 
 
 def test_xi_check_refuses_empty_counts(table_csv, capsys):
@@ -495,6 +549,30 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, monkeypatch):
     assert main(["sandpile", "entropy", "--d", "2", "--gamma", "5", "--sides", "4", "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: cannot write %s: No space left on device\n" % out
     assert _no_temp_files(tmp_path) and not out.exists()
+
+
+def test_unwritable_output_is_refused_before_the_work(tmp_path, monkeypatch, capsys):
+    # each output option is checked before any table, suite or sandpile work starts
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "compute_green", never)
+    for name, (_, counted) in list(checks.SUITES.items()):
+        monkeypatch.setitem(checks.SUITES, name, (never, counted))
+    monkeypatch.setattr(cli, "stabilize", never)
+    monkeypatch.setattr(cli, "burning_test", never)
+    grid = write_grid(tmp_path, "good.grid", [[3, 3], [3, 3]])
+    missing = str(tmp_path / "missing" / "c.csv")
+    for argv in (
+        ["xi", "check", "--d", "3", "--out", missing],
+        ["sandpile", "stabilize", "--grid", grid, "--odometer", missing],
+        ["sandpile", "burn", "--grid", grid, "--report", missing],
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: cannot write %s: No such file or directory\n" % missing
+    assert main(["sandpile", "burn", "--grid", grid, "--report", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: cannot write %s: Is a directory\n" % tmp_path
+    assert _no_temp_files(tmp_path)
 
 
 def test_parse_poly_errors():

@@ -229,8 +229,35 @@ def test_periodic_witness_is_parity_of_absolute_first_coordinate(specs_d2):
     window = BoxWindow((-3, -2), (6, 5))
     v, images = kernel_witness("periodic_family", specs_d2, window)
     assert witnessed(images)
-    for site in window.sites():
-        assert v.heights[window.index_of(site)] == site[0] % 2
+    for site in v.window.sites():
+        assert v.heights[v.window.index_of(site)] == site[0] % 2
+
+
+@pytest.mark.parametrize("table", ["table_d2_g4", "table_d2_g5", "table_d3_g6"])
+def test_slab_built_witnesses_equal_extended_window_fields(table, request):
+    # a witness laid out on the dilated window and mapped by zero extension gives, bit for
+    # bit, the images of the field on the window under its periodic, constant or zero extension
+    specs = standard_specs(request.getfixturevalue(table))
+    d, gamma = specs[0].dim, specs[0].gamma
+    excess = gamma - 2 * d
+    window = suite_window(d, 16 if d == 2 else 8)
+    h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0) - LaurentPoly.variable(d, d - 1) ** 2
+    c = 3 * excess if excess else 3
+    parity = (2 * excess * (excess + 4) if excess else 1) * (np.arange(window.lo[0], window.hi[0] + 1) % 2)
+    on_window = {
+        "constant": (HeightConfig.constant(window, gamma, c), "constant"),
+        "f_multiple": (HeightConfig(window, gamma, poly_heights(window, laplacian_poly(d, gamma) * h)), "zero"),
+        "periodic_family": (
+            HeightConfig(window, gamma, np.broadcast_to(parity.reshape((-1,) + (1,) * (d - 1)), window.shape)),
+            "periodic",
+        ),
+    }
+    for kind, (field, extension) in on_window.items():
+        _, images = kernel_witness(kind, specs, window, h)
+        for spec, x in zip(specs, images):
+            ref = xi_apply(spec, field, extension=extension, constant=c)
+            assert x.window == ref.window and x.err == ref.err, (kind, spec.g)
+            assert np.array_equal(x.values, ref.values), (kind, spec.g)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -241,12 +268,6 @@ def test_parity_images_are_integers(d):
         mass = multiplier_sum(g)
         assert (4 * mass + at_flip) % 8 == 0
         assert (4 * mass - at_flip) % 8 == 0
-
-
-def test_periodic_witness_needs_matching_window(specs_d2):
-    # the parity field alternates with period 2; an odd side cannot hold it
-    with pytest.raises(ValueError, match="window side 9 is not a multiple of the axis-0 period 2"):
-        kernel_witness("periodic_family", specs_d2, suite_window(2, 9))
 
 
 def test_witness_kind_validation(specs_d2):
@@ -264,7 +285,7 @@ def test_separated_pair_clears_quarter_gap(spec_d2):
     v = HeightConfig.all_max(w, 4)
     vp = HeightConfig(w, 4, v.heights - poly_heights(w, LaurentPoly(2, {(0, 0): 1})))
     Q = BoxWindow((0, 0), (0, 0))
-    gap = separation_check(spec_d2, v, vp, Q)
+    gap, _ = separation_check(spec_d2, v, vp, Q)
     x = xi_apply(spec_d2, v)
     assert gap >= 1 / 8 - 2 * x.err
 
@@ -351,7 +372,7 @@ def test_poly_action_window_geometry(spec_d2, rng):
 
 def test_addition_demo_matches_direct_difference(spec_d2, rng):
     out = BoxWindow.centered(2, 2)
-    delta, mismatch = addition_operator_demo(spec_d2, (0, 0), out, rng=rng)
+    delta, mismatch, _ = addition_operator_demo(spec_d2, (0, 0), out, rng=rng)
     assert delta.window == out
     v = random_recurrent(out.dilated(2), 4, rng)
     before = xi_apply(spec_d2, v, out_window=out)
