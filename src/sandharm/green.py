@@ -22,9 +22,11 @@ coordinate sign flip, so the same per-axis cosine form is exact there.
 
 Accuracy fields come from Richardson comparison of two node counts
 (N versus 2N, patch node counts doubled), scaled by a safety factor.
-The independent check is the random-walk series oracle: exact
-dynamic-programming walk distributions combined per axis, with tails
-removed by extrapolation ladders whose spread gives the error bound.
+The independent check is the random-walk series oracle: exact walk
+distributions from the fair 1D walk's table, two axes at a time by the 45
+degree rotation and each further axis by one vectorized binomial split,
+with tails removed by extrapolation ladders whose spread gives the error
+bound.
 """
 
 from __future__ import annotations
@@ -385,49 +387,58 @@ def compute_green(d, gamma, radius, spec=None):
 
 @lru_cache(maxsize=4)
 def _walk_1d_table(kmax):
-    """W[m, x + kmax] = P(fair +-1 walk is at x after m steps), by DP."""
+    """W[m, x + kmax] = P(fair +-1 walk is at x after m steps), by DP; read-only, as it is shared."""
     W = np.zeros((kmax + 1, 2 * kmax + 1))
     W[0, kmax] = 1.0
     for m in range(kmax):
         W[m + 1, 1:] += 0.5 * W[m, :-1]
         W[m + 1, :-1] += 0.5 * W[m, 1:]
+    W.flags.writeable = False
     return W
 
 
 @lru_cache(maxsize=8)
 def _binom_p_table(kmax, p):
-    """B[k, a] = C(k, a) p^a (1-p)^(k-a), by the Pascal recurrence."""
+    """B[k, a] = C(k, a) p^a (1-p)^(k-a), by the Pascal recurrence; read-only, as it is shared."""
     B = np.zeros((kmax + 1, kmax + 1))
     B[0, 0] = 1.0
     q = 1.0 - p
     for k in range(kmax):
         B[k + 1, : k + 2] = q * B[k, : k + 2]
         B[k + 1, 1 : k + 2] += p * B[k, : k + 1]
+    B.flags.writeable = False
     return B
 
 
-def walk_distribution(d, n, kmax):
-    """P(X_k = n), k = 0..kmax, for the simple walk on Z^d.
+def _walk_1d(W, x):
+    """P(fair +-1 walk is at x after k steps), k = 0..kmax, as a fresh array."""
+    kmax = W.shape[0] - 1
+    return W[:, kmax + x].copy() if abs(x) <= kmax else np.zeros(kmax + 1)
 
-    Steps are dealt to axes by iterated binomial allocation and each axis
-    contributes an exact 1D fair-walk factor; everything is dynamic
-    programming on probabilities, so no overflow and ~1e-14 relative error.
+
+def walk_distribution(d, n, kmax):
+    """P(X_k = n), k = 0..kmax, for the simple walk on Z^d, as a fresh array.
+
+    The last two axes use the 45 degree rotation: u = x + y and v = x - y of
+    the simple walk on Z^2 are independent fair +-1 walks (Spitzer,
+    Principles of Random Walk), so P(X_k = (x, y)) = W[k, x + y] W[k, x - y].
+    Each further axis takes a ~ Bin(k, 1/axes_left) of the steps:
+    nxt[k] = sum_a B[k, a] col[a] cur[k - a], one einsum over a zero-copy
+    Toeplitz view of the zero-padded cur, so no Python loop runs over k.
+    Only products and sums of probabilities: no overflow, ~1e-15 relative error.
     """
     n = tuple(int(x) for x in n)
     if len(n) != d:
         raise ValueError("site has wrong dimension")
     W = _walk_1d_table(kmax)
-    cur = W[:, kmax + n[-1]] if abs(n[-1]) <= kmax else np.zeros(kmax + 1)
-    axes_left = 1
-    for axis in range(d - 2, -1, -1):
-        axes_left += 1
+    if d == 1:
+        return _walk_1d(W, n[0])
+    cur = _walk_1d(W, n[-2] + n[-1]) * _walk_1d(W, n[-2] - n[-1])
+    for axes_left, x in enumerate(reversed(n[:-2]), start=3):
         B = _binom_p_table(kmax, 1.0 / axes_left)
-        col = W[:, kmax + n[axis]] if abs(n[axis]) <= kmax else np.zeros(kmax + 1)
-        nxt = np.zeros(kmax + 1)
-        for k in range(kmax + 1):
-            a = np.arange(k + 1)
-            nxt[k] = np.dot(B[k, : k + 1], col[: k + 1] * cur[k - a])
-        cur = nxt
+        # T[k, a] = cur[k - a], and 0 for a > k
+        T = np.lib.stride_tricks.sliding_window_view(np.concatenate([np.zeros(kmax), cur]), kmax + 1)[:, ::-1]
+        cur = np.einsum("ka,ka,a->k", B, T, _walk_1d(W, x))
     return cur
 
 
@@ -456,7 +467,7 @@ def _critical_ladder(csum, levels, x, scale):
     m = len(csum)
     Js = [max(2 + i, m >> (levels - i)) for i in range(levels + 1)]
     est, spread = _neville_to_zero([csum[J - 1] for J in Js], [x(J) for J in Js])
-    return Estimate(est / scale, (spread + 1e-13) / scale, "walk series")
+    return Estimate(float(est / scale), float((spread + 1e-13) / scale), "walk series")
 
 
 def walk_series_oracle(d, gamma, n):
@@ -472,12 +483,19 @@ def walk_series_oracle(d, gamma, n):
     Tails of the critical series are removed by extrapolation: after parity
     pairing, d = 2 partial sums expand in powers of 1/J and d = 3 in odd
     powers of J^{-1/2}; the ladder spread is the reported error bound.
+
+    Every branch returns float value and err.  d < 1, and critical d = 1,
+    whose series diverges because the 1D walk is recurrent, are refused.
     """
     n = tuple(int(x) for x in n)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     if len(n) != d:
         raise ValueError("site has wrong dimension")
     if gamma < 2 * d:
         raise ValueError("gamma must be at least 2d")
+    if gamma == 2 and d == 1:
+        raise ValueError("the critical series diverges in d = 1 (the walk is recurrent)")
     if gamma != 2 * d:
         ratio = 2 * d / float(gamma)
         k_max = min(2000, int(math.log(1e-15 * (gamma - 2 * d)) / math.log(ratio)) + 8)

@@ -1,5 +1,7 @@
 """Green's function tables: quadrature values against the walk-series oracle,
-exact symmetries, the stencil residual check, and the decay/entropy helpers."""
+the oracle against closed forms and the walk distributions behind it against
+the step-count loop and brute force, exact symmetries, the stencil residual
+check, and the decay/entropy helpers."""
 
 import itertools
 import math
@@ -66,9 +68,113 @@ def test_d3_center_matches_series(table_d3_g6):
 def test_oracle_closed_forms():
     near = walk_series_oracle(2, 4, (1, 0))
     diag = walk_series_oracle(2, 4, (1, 1))
+    knight = walk_series_oracle(2, 4, (2, 1))
     assert abs(near.value + 0.25) <= near.err_bound + 1e-9
     assert near.err_bound < 1e-6
     assert abs(diag.value + 1 / math.pi) <= diag.err_bound + 1e-9
+    assert abs(knight.value - (0.25 - 2 / math.pi)) <= knight.err_bound + 1e-9
+
+
+# Watson's value 6 w(0) = sqrt(6)/(32 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)
+# for the critical d=3 lattice (Watson 1939; Glasser-Zucker 1977)
+WATSON_6W0 = math.sqrt(6) / (32 * math.pi**3) * math.prod(math.gamma(k / 24) for k in (1, 5, 7, 11))
+
+
+def test_d3_center_matches_watson(table_d3_g6):
+    assert abs(WATSON_6W0 - 1.516386059151978) <= 1e-15
+    oracle = walk_series_oracle(3, 6, (0, 0, 0))
+    assert abs(6 * oracle.value - WATSON_6W0) <= 6 * oracle.err_bound
+    assert abs(6 * table_d3_g6.value((0, 0, 0)) - WATSON_6W0) <= 6 * table_d3_g6.accuracy
+
+
+@pytest.mark.parametrize("gamma", [3, 5])
+def test_oracle_dissipative_d1_closed_form(gamma):
+    # gamma w_n - w_{n-1} - w_{n+1} = delta_n gives w_0 = 1/sqrt(gamma^2 - 4)
+    oracle = walk_series_oracle(1, gamma, (0,))
+    assert abs(oracle.value - 1 / math.sqrt(gamma**2 - 4)) <= oracle.err_bound
+
+
+def test_oracle_refuses_what_it_cannot_serve():
+    with pytest.raises(ValueError, match="dimension"):
+        walk_series_oracle(0, 0, ())
+    with pytest.raises(ValueError, match="diverges"):
+        walk_series_oracle(1, 2, (0,))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        walk_series_oracle(2, 4, (0,))
+    with pytest.raises(ValueError, match="at least 2d"):
+        walk_series_oracle(3, 5, (0, 0, 0))
+
+
+@pytest.mark.parametrize("d,gamma,site", [(2, 4, (0, 0)), (2, 4, (1, 0)), (3, 6, (1, 0, 0)), (2, 5, (1, 0)), (1, 3, (0,))])
+def test_oracle_returns_floats_on_every_branch(d, gamma, site):
+    oracle = walk_series_oracle(d, gamma, site)
+    assert type(oracle.value) is float and type(oracle.err_bound) is float
+
+
+# -- walk distributions against the step-by-step DP and brute force ------------
+
+
+def _loop_walk_distribution(d, n, kmax):
+    """Reference: the step-count loop, dealing steps to one axis at a time by binomial allocation."""
+    W = green._walk_1d_table(kmax)
+
+    def column(x):
+        return W[:, kmax + x] if abs(x) <= kmax else np.zeros(kmax + 1)
+
+    cur = column(n[-1])
+    for axes_left, axis in enumerate(range(d - 2, -1, -1), start=2):
+        B = green._binom_p_table(kmax, 1.0 / axes_left)
+        col = column(n[axis])
+        nxt = np.zeros(kmax + 1)
+        for k in range(kmax + 1):
+            a = np.arange(k + 1)
+            nxt[k] = np.dot(B[k, : k + 1], col[: k + 1] * cur[k - a])
+        cur = nxt
+    return cur
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kmax", [0, 1, 5, 40, 600, 800])
+def test_walk_distribution_matches_loop_reference(d, kmax):
+    sites = [(0,) * d, (1,) + (0,) * (d - 1), tuple(range(-1, d - 1)), (3,) * d,
+             (kmax + 1,) + (0,) * (d - 1), (kmax // 2 + 1,) * d, (kmax // 2,) + (0,) * (d - 1)]
+    for n in sites:
+        ref = _loop_walk_distribution(d, n, kmax)
+        p = green.walk_distribution(d, n, kmax)
+        assert p.shape == (kmax + 1,)
+        assert np.all(np.abs(p - ref) <= 4e-15 * np.abs(ref)), (n, np.max(np.abs(p - ref)))
+
+
+@pytest.mark.parametrize("d,K", [(2, 8), (3, 6)])
+def test_walk_distribution_matches_enumeration(d, K):
+    """Every one of the (2d)^K walks of K steps; each k-step prefix occurs (2d)^(K-k) times."""
+    steps = np.concatenate([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
+    walks = np.indices((2 * d,) * K).reshape(K, -1).T
+    ends = np.concatenate([np.zeros((len(walks), 1, d), np.int64), np.cumsum(steps[walks], axis=1)], axis=1)
+    side = 2 * K + 3  # sites with |n_j| <= K + 1, one ring past reach
+    exact = np.zeros((K + 1,) + (side,) * d)
+    for k in range(K + 1):
+        idx = tuple((ends[:, k] + K + 1).T)
+        np.add.at(exact[k], idx, 1.0)
+    exact /= len(walks)
+    total = np.zeros(K + 1)
+    for n in itertools.product(range(-K - 1, K + 2), repeat=d):
+        p = green.walk_distribution(d, n, K)
+        want = exact[(slice(None),) + tuple(x + K + 1 for x in n)]
+        assert np.all(np.abs(p - want) <= 4e-15 * want), (n, p, want)
+        total += p
+    assert np.max(np.abs(total - 1.0)) <= 1e-14
+
+
+def test_walk_distribution_results_are_fresh():
+    for d, n in [(1, (0,)), (2, (1, 0)), (3, (1, 1, 0))]:
+        want = green.walk_distribution(d, n, 5).copy()
+        p = green.walk_distribution(d, n, 5)
+        p[:] = 0.0
+        assert np.array_equal(green.walk_distribution(d, n, 5), want)
+    for table in (green._walk_1d_table(5), green._binom_p_table(5, 0.5)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("fixture,span", [("table_d2_g4", 2), ("table_d2_g5", 2), ("table_d3_g6", 1)])
