@@ -39,7 +39,6 @@ from .laurent import (
 )
 from .sandpile import (
     HeightConfig,
-    apply_correction,
     burning_test,
     correct_to_recurrent,
     count_recurrent,
@@ -62,7 +61,6 @@ __all__ = [
     "TorusPoint",
     "XiSpec",
     "addition_operator_demo",
-    "apply_correction",
     "burning_test",
     "compute_green",
     "correct_to_recurrent",

@@ -484,8 +484,11 @@ def walk_series_oracle(d, gamma, n):
     pairing, d = 2 partial sums expand in powers of 1/J and d = 3 in odd
     powers of J^{-1/2}; the ladder spread is the reported error bound.
 
-    Every branch returns float value and err.  d < 1, and critical d = 1,
-    whose series diverges because the 1D walk is recurrent, are refused.
+    Every branch returns float value and err.  d < 1, critical d = 1,
+    whose series diverges because the 1D walk is recurrent, and a gamma so
+    close to 2d that the dissipative series needs over 2000 steps (integer
+    gamma needs at most 232 up to d = 3) are refused before any table is
+    built.
     """
     n = tuple(int(x) for x in n)
     if d < 1:
@@ -498,7 +501,9 @@ def walk_series_oracle(d, gamma, n):
         raise ValueError("the critical series diverges in d = 1 (the walk is recurrent)")
     if gamma != 2 * d:
         ratio = 2 * d / float(gamma)
-        k_max = min(2000, int(math.log(1e-15 * (gamma - 2 * d)) / math.log(ratio)) + 8)
+        k_max = int(math.log(1e-15 * (gamma - 2 * d)) / math.log(ratio)) + 8
+        if k_max > 2000:
+            raise ValueError("gamma %r is too close to 2d: the series needs %d > 2000 steps" % (gamma, k_max))
         p = walk_distribution(d, n, k_max)
         weights = ratio ** np.arange(k_max + 1)
         value = float(np.dot(weights, p)) / gamma

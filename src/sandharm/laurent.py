@@ -309,24 +309,15 @@ def ideal_certificate(g):
 def multiplier_sum(g):
     """Total mass of the summable multiplier field of g, as an exact integer.
 
-    Equals -sum_k g_k k_j (k_j - 1) / 2 for any axis j; the value is
-    asserted to agree across axes, which holds for ideal members.  Raises
-    ValueError if g fails the membership certificate.
+    Equals -sum_k g_k k_j (k_j - 1) / 2 for any axis j.  By conditions B
+    and D that sum is the certificate's common second moment c, which is
+    even as each k_j (k_j - 1) is, so the mass is -c/2.  Raises ValueError
+    if g fails the membership certificate.
     """
     cert = ideal_certificate(g)
     if not cert.member:
         raise ValueError("multiplier_sum requires an ideal member; failing condition %r" % (cert.failing,))
-    d = g.dim
-    values = []
-    for j in range(d):
-        acc = 0
-        for k, c in g.terms.items():
-            acc += c * k[j] * (k[j] - 1)
-        if acc % 2 != 0:
-            raise AssertionError("k(k-1) sum must be even")
-        values.append(-acc // 2)
-    assert all(v == values[0] for v in values), "axis-independent by conditions B and D"
-    return values[0]
+    return -cert.common_second_moment // 2
 
 
 # -- exact division ----------------------------------------------------------

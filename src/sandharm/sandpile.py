@@ -41,9 +41,9 @@ eigenvalues available on box windows.
 
 The correction operator turns an arbitrary bounded integer field into one
 whose restriction to a centered box is recurrent by adding a multiple of
-the lattice Laplacian polynomial, following a two-phase scheme: first
-subtract at sites holding 2d or more, then add rounds of 0/1 indicator
-polynomials supported on the stuck set until the burning test passes.
+the lattice Laplacian polynomial.  It is the sandpile group's identity
+construction: two ``stabilize`` calls, one for the shift 2m - (2m)° (m
+all-max) and one for the field plus enough multiples of that shift.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import LaurentPoly, laplacian_poly
-from .window import BoxWindow, laplacian, neighbour_sum
+from .laurent import LaurentPoly
+from .window import BoxWindow, laplacian
 
 
 # -- height configurations ---------------------------------------------------
@@ -686,14 +686,17 @@ def add_poly(v, poly):
 def correct_to_recurrent(v, M):
     """Polynomial h with support in Q_M making v + h*f recurrent on Q_M.
 
-    Two phases.  Phase 1 subtracts f at any Q_M site holding at least 2d
-    grains (like toppling without a boundary: the surplus lands on the
-    M+1 shell, which the window must contain).  Phase 2 adds rounds of 0/1
-    polynomials: each round's support is the burning-test stuck set (which
-    holds every negative site), extended until the addition creates no fresh
-    negatives; heights on Q_M stay below 2d throughout, so the rounds
-    decrease the stuck region monotonically in an onion-peeling fashion.
-    The result is unique regardless of these order choices.
+    On Q_M, with the M+1 shell as sink, adding h*f adds L h for the
+    toppling matrix L at threshold 2d, and each class of Z^Q_M / L Z^Q_M
+    holds exactly one recurrent configuration (Dhar), so h is unique (L is
+    nonsingular).  Two ``stabilize`` calls find it.  With m the all-max
+    patch and u_2m the odometer of 2m, delta = 2m - (2m)° = L u_2m lies in
+    L Z^Q_M and is at least m, as (2m)° <= m (Creutz's identity
+    construction).  With j = 1 + ceil(max(0, -min w) / (2d - 1)) for
+    w = v|Q_M, w + j delta >= m, and adding grains to m and stabilizing
+    stays recurrent.  That stabilization is w + L (j u_2m - u), u its
+    odometer, so h = j u_2m - u.  The surplus of h*f lands on the M+1
+    shell, which the window must contain.
 
     The critical threshold 2d is used no matter the configuration's gamma:
     the corrected patch is recurrent for the critical model that the
@@ -703,50 +706,16 @@ def correct_to_recurrent(v, M):
     if M < 1:
         raise ValueError("M must be >= 1")
     inner = BoxWindow.centered(d, M)
-    outer = BoxWindow.centered(d, M + 1)
-    if not v.window.contains_window(outer):
+    if not v.window.contains_window(BoxWindow.centered(d, M + 1)):
         raise ValueError("window must contain the centered box of radius M+1")
     two_d = 2 * d
-    cur = v.heights.copy()
-    inner_sl, outer_sl = v.window.slices(inner), v.window.slices(outer)
-    h_net = np.zeros(inner.shape, dtype=np.int64)
-
-    # phase 1: subtract f wherever Q_M holds 2d or more
-    while True:
-        sub = cur[inner_sl]
-        k = sub // two_d
-        np.maximum(k, 0, out=k)
-        if not k.any():
-            break
-        h_net -= k
-        sub -= two_d * k
-        cur[outer_sl] += neighbour_sum(np.pad(k, 1))
-
-    # phase 2: add 0/1 rounds on the stuck set until recurrent
-    for _ in range(1_000_000):
-        sub = cur[inner_sl]
-        # negative sites never burn, so the stuck set holds them all
-        support = burning_test(HeightConfig(inner, two_d, sub)).rounds == 0
-        if not support.any():
-            break
-        while True:
-            s_mask = support.astype(np.int64)
-            fresh = (sub + laplacian(s_mask, two_d) < 0) & ~support
-            if not fresh.any():
-                break
-            support |= fresh
-        h_net += s_mask
-        cur[outer_sl] += laplacian(np.pad(s_mask, 1), two_d)
-    else:
-        raise RuntimeError("correction did not converge")
-
-    return window_poly(inner, h_net)
-
-
-def apply_correction(v, h):
-    """v + h * f for the critical Laplacian of v's dimension."""
-    f = laplacian_poly(v.dim)
-    return add_poly(v, h * f)
+    w = v.heights[v.window.slices(inner)]
+    two_m = 2 * (two_d - 1)
+    s_2m, u_2m = stabilize(HeightConfig.constant(inner, two_d, two_m))
+    delta = two_m - s_2m.heights
+    j = 1 - min(0, int(w.min())) // (two_d - 1)
+    _, u = stabilize(HeightConfig(inner, two_d, w + j * delta))
+    return window_poly(inner, j * u_2m.counts - u.counts)
 
 
 # -- group operation ---------------------------------------------------------

@@ -33,7 +33,6 @@ from sandharm.laurent import (
 from sandharm.sandpile import (
     HeightConfig,
     _burn_all,
-    apply_correction,
     correct_to_recurrent,
     count_recurrent,
     finite_entropy_estimate,
@@ -46,7 +45,7 @@ from sandharm.sandpile import (
 )
 from sandharm.window import BoxWindow
 
-from test_sandpile import has_forbidden_subset, stabilize_serial
+from test_sandpile import apply_correction, has_forbidden_subset, stabilize_serial
 
 
 def test_criterion_01_entropy_constants():

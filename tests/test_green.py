@@ -105,6 +105,14 @@ def test_oracle_refuses_what_it_cannot_serve():
         walk_series_oracle(3, 5, (0, 0, 0))
 
 
+def test_oracle_refuses_near_critical_gamma_before_building_tables():
+    walk, binom = green._walk_1d_table.cache_info().misses, green._binom_p_table.cache_info().misses
+    with pytest.raises(ValueError, match="too close to 2d"):
+        walk_series_oracle(3, 6.001, (0, 0, 0))
+    assert green._walk_1d_table.cache_info().misses == walk
+    assert green._binom_p_table.cache_info().misses == binom
+
+
 @pytest.mark.parametrize("d,gamma,site", [(2, 4, (0, 0)), (2, 4, (1, 0)), (3, 6, (1, 0, 0)), (2, 5, (1, 0)), (1, 3, (0,))])
 def test_oracle_returns_floats_on_every_branch(d, gamma, site):
     oracle = walk_series_oracle(d, gamma, site)

@@ -14,7 +14,6 @@ from sandharm import sandpile, window
 from sandharm.laurent import LaurentPoly, laplacian_poly
 from sandharm.sandpile import (
     HeightConfig,
-    apply_correction,
     burning_test,
     correct_to_recurrent,
     count_recurrent,
@@ -857,6 +856,72 @@ def rel_patch(v, M):
         slice(lo - wl, hi - wl + 1) for lo, hi, wl in zip(inner.lo, inner.hi, v.window.lo)
     )
     return HeightConfig(inner, 2 * d, v.heights[idx])
+
+
+def apply_correction(v, h):
+    """v + h * f for the critical Laplacian of v's dimension."""
+    return sandpile.add_poly(v, h * laplacian_poly(v.dim))
+
+
+def correct_two_phase(v, M):
+    """Reference correction by the earlier two-phase relaxation.
+
+    Phase 1 subtracts f wherever Q_M holds 2d or more.  Phase 2 adds 0/1
+    rounds on the burning test's stuck set (which holds every negative
+    site), grown until the addition makes no fresh negative site, until
+    the patch burns.  Slow on deep negatives: a round lifts the stuck set
+    by about one grain.
+    """
+    d = v.dim
+    two_d = 2 * d
+    inner = BoxWindow.centered(d, M)
+    inner_sl, outer_sl = v.window.slices(inner), v.window.slices(BoxWindow.centered(d, M + 1))
+    cur = v.heights.copy()
+    sub = cur[inner_sl]  # a view: updates through cur show in it
+    h_net = np.zeros(inner.shape, dtype=np.int64)
+    while True:
+        k = np.maximum(sub // two_d, 0)
+        if not k.any():
+            break
+        h_net -= k
+        sub -= two_d * k
+        cur[outer_sl] += neighbour_sum(np.pad(k, 1))
+    while True:
+        support = burning_test(HeightConfig(inner, two_d, sub)).rounds == 0
+        if not support.any():
+            return sandpile.window_poly(inner, h_net)
+        while True:
+            s_mask = support.astype(np.int64)
+            fresh = (sub + window.laplacian(s_mask, two_d) < 0) & ~support
+            if not fresh.any():
+                break
+            support |= fresh
+        h_net += s_mask
+        cur[outer_sl] += window.laplacian(np.pad(s_mask, 1), two_d)
+
+
+@pytest.mark.parametrize("d, M", [(2, 1), (2, 2), (2, 3), (2, 5), (2, 8), (3, 1), (3, 2), (3, 3)])
+def test_correction_matches_two_phase_reference(d, M, rng):
+    # signed heights, with -min w kept small: the reference peels one grain a round
+    w = BoxWindow.centered(d, M + 1)
+    for gamma, lo, hi in ((2 * d, -6, 8), (2 * d, -2, 2), (2 * d, 0, 1), (2 * d + 1, 0, 40)):
+        v = HeightConfig(w, gamma, rng.integers(lo, hi, size=w.shape))
+        assert correct_to_recurrent(v, M) == correct_two_phase(v, M)
+
+
+@pytest.mark.parametrize("d, gamma", [(3, 6), (3, 9), (2, 7)])
+def test_correction_postconditions_any_d_and_gamma(d, gamma, rng):
+    w = BoxWindow.centered(d, 4)
+    for M in (1, 2, 3):
+        v = HeightConfig(w, gamma, rng.integers(-5, 2 * gamma, size=w.shape))
+        h = correct_to_recurrent(v, M)
+        assert all(max(abs(x) for x in e) <= M for e in h.terms)
+        vp = apply_correction(v, h)
+        assert is_recurrent(rel_patch(vp, M))  # at the critical threshold 2d, whatever gamma
+        far = np.ones(w.shape, dtype=bool)
+        far[w.slices(BoxWindow.centered(d, M + 1))] = False
+        assert np.array_equal(vp.heights[far], v.heights[far])
+        assert vp.heights.sum() == v.heights.sum()  # f has coefficient sum 0
 
 
 def test_correction_of_recurrent_is_zero(rng):
