@@ -17,8 +17,11 @@ is smooth again.
 Only the coefficients a table uses are evaluated, and without an FFT.  The
 torus integrand is even in each coordinate, so the N^d trapezoid sum folds
 onto the octant {0..N//2}^d and factors into per-axis cosine sums, one
-matrix contraction per axis.  The patch nodes are closed under each
-coordinate sign flip, so the same per-axis cosine form is exact there.
+matrix contraction per axis; the bump is built only on the octant's corner
+where it is nonzero.  The patch integrand is even in each coordinate too:
+over an orbit of the coordinate sign flips the sine terms of cos(2 pi <n,t>)
+cancel and the per-axis cosine products are equal, so the patch keeps one
+node per orbit, weighted by the orbit's size, in the same cosine form.
 
 Accuracy fields come from Richardson comparison of two node counts
 (N versus 2N, patch node counts doubled), scaled by a safety factor.
@@ -199,18 +202,13 @@ def _check_grid_budget(d, nodes):
 
 
 def _octant_grid(d, gamma, N):
-    """Symbol F(t) and |t| on the octant {0..N//2}^d of the N^d sampling grid."""
+    """Symbol F(t) = gamma - 2 sum cos(2 pi t_j) on the octant {0..N//2}^d of the N^d sampling grid.
+
+    |t| is not built here: only the bump reads it, and ``_smooth_part`` builds
+    it on the corner block where the bump is nonzero.
+    """
     t = np.arange(N // 2 + 1) / N
-    cos_axis = np.cos(2 * np.pi * t)
-    sq_axis = t * t
-    F = np.full((len(t),) * d, float(gamma))
-    R2 = np.zeros_like(F)
-    for ax in range(d):
-        sh = [1] * d
-        sh[ax] = len(t)
-        F = F - 2.0 * cos_axis.reshape(sh)
-        R2 = R2 + sq_axis.reshape(sh)
-    return F, np.sqrt(R2)
+    return sum(np.meshgrid(*[-2.0 * np.cos(2 * np.pi * t)] * d, indexing="ij", sparse=True), float(gamma))
 
 
 def _fold(G, N, radius):
@@ -240,13 +238,16 @@ def _smooth_part(d, gamma, N, radius, fn):
     only and folded (see ``_fold``); the values equal the real part of the
     N^d DFT.
     """
-    F, rho = _octant_grid(d, gamma, N)
+    F = _octant_grid(d, gamma, N)
     G = np.zeros_like(F)
-    mask = F != 0
-    G[mask] = fn(F[mask])
+    fn(F, out=G, where=F != 0)
     if gamma == 2 * d:
-        near = rho < BUMP_OUTER  # the bump vanishes elsewhere
-        G[near] *= 1.0 - _bump(rho[near])
+        # the bump vanishes unless every t_j < BUMP_OUTER: |t| and the bump
+        # are built on that corner block of the octant only
+        t = np.arange(N // 2 + 1) / N
+        t = t[t < BUMP_OUTER]
+        rho = np.sqrt(sum(np.meshgrid(*[t * t] * d, indexing="ij", sparse=True)))
+        G[(slice(0, len(t)),) * d] *= 1.0 - _bump(rho)
     return _fold(G, N, radius)
 
 
@@ -259,23 +260,31 @@ def _leggauss(n, a, b):
 
 
 def _patch_nodes(d, gamma, n_r, n_ang):
-    """Nodes, weights, radii and symbol gamma - 2 sum cos(2 pi t_j) on the bump support.
+    """Nodes, weights, radii and symbol gamma - 2 sum cos(2 pi t_j) on the bump support,
+    one node per orbit of the coordinate sign flips.
 
     Polar in d = 2, spherical in d = 3, the only dimensions the callers admit.
+    The full rule, Gauss-Legendre radii, the angles pi k / n_ang for
+    k < 2 n_ang (theta in d = 2, the azimuth in d = 3) and, in d = 3, n_ang
+    Gauss-Legendre nodes c = cos(polar angle), is closed under each sign
+    flip with unchanged weights.  Kept are k = 0..n_ang/2 and c > 0, each
+    weighted by its orbit's size: 2 at k = 0 and k = n_ang/2, 4 between,
+    times 2 for c.  An odd n_ang has no node at k = n_ang/2 and is refused.
     """
+    if n_ang % 2:
+        raise ValueError("n_ang must be even for the sign-flip fold, got %d" % n_ang)
     r, wr = _leggauss(n_r, 0.0, BUMP_OUTER)
+    k = np.arange(n_ang // 2 + 1)
+    az = np.pi * k / n_ang
+    waz = np.where((k == 0) | (2 * k == n_ang), 2.0, 4.0) * np.pi / n_ang
     if d == 2:
-        n_th = 2 * n_ang
-        th = 2 * np.pi * np.arange(n_th) / n_th
-        wth = 2 * np.pi / n_th
-        RR, TT = np.meshgrid(r, th, indexing="ij")
+        RR, TT = np.meshgrid(r, az, indexing="ij")
         pts = np.stack([(RR * np.cos(TT)).ravel(), (RR * np.sin(TT)).ravel()])
-        jac = (RR * (wr[:, None] * wth)).ravel()
+        jac = (RR * (wr[:, None] * waz)).ravel()
     else:
         c, wc = np.polynomial.legendre.leggauss(n_ang)
-        n_az = 2 * n_ang
-        az = 2 * np.pi * np.arange(n_az) / n_az
-        waz = 2 * np.pi / n_az
+        upper = c > 0
+        c, wc = c[upper], 2.0 * wc[upper]
         RR, CC, AA = np.meshgrid(r, c, az, indexing="ij")
         SS = np.sqrt(1.0 - CC**2)
         pts = np.stack(
@@ -294,10 +303,12 @@ def _patch_values(d, gamma, radius, n_r, n_ang):
     0 <= n_j <= radius.
 
     Expanding cos(2 pi <n,x>) into per-axis cosines and sines, every term
-    holding a sine is odd in that coordinate.  The node set is closed under
-    each coordinate sign flip with unchanged weights (even angle counts,
-    symmetric Gauss-Legendre), so those terms cancel and the sum is exactly
-    the node weights contracted with per-axis tables cos(2 pi n_j x_j).
+    holding a sine is odd in that coordinate, so it sums to 0 over each
+    orbit of the coordinate sign flips, and the sum over an orbit of
+    prod_j cos(2 pi n_j x_j) is the orbit's size times one term.  So the
+    full-rule sum is exactly the folded weights of ``_patch_nodes`` (one
+    node per orbit, weighted by its size) contracted with per-axis tables
+    cos(2 pi n_j x_j).
     """
     pts, jac, rad, F = _patch_nodes(d, gamma, n_r, n_ang)
     wts = _bump(rad) * jac / F

@@ -1,9 +1,9 @@
 """Shared table fixtures.
 
-Tables are the expensive ingredient (a tenth of a second to about a second
-each, the critical d=3 ones costing most), so they are computed once per
-session and shared.  Everything else builds its own
-small inputs.
+Tables are the expensive ingredient (0.01 to 0.15 s each in process on a
+2-core host, the critical d=3 ones costing most; the entropy integrals about
+0.01 s), so they are computed once per session and shared.  Everything
+else builds its own small inputs.
 """
 
 import numpy as np

@@ -390,20 +390,77 @@ def test_folded_coefficients_match_full_fft(d, N, critical):
     assert np.max(np.abs(A - ref)) <= 1e-12
 
 
+def _full_patch_nodes(d, gamma, n_r, n_ang):
+    """Reference: every node of the polar (d = 2) or spherical (d = 3) rule, no sign-flip fold."""
+    r, wr = green._leggauss(n_r, 0.0, green.BUMP_OUTER)
+    if d == 2:
+        n_th = 2 * n_ang
+        th = 2 * np.pi * np.arange(n_th) / n_th
+        wth = 2 * np.pi / n_th
+        RR, TT = np.meshgrid(r, th, indexing="ij")
+        pts = np.stack([(RR * np.cos(TT)).ravel(), (RR * np.sin(TT)).ravel()])
+        jac = (RR * (wr[:, None] * wth)).ravel()
+    else:
+        c, wc = np.polynomial.legendre.leggauss(n_ang)
+        n_az = 2 * n_ang
+        az = 2 * np.pi * np.arange(n_az) / n_az
+        waz = 2 * np.pi / n_az
+        RR, CC, AA = np.meshgrid(r, c, az, indexing="ij")
+        SS = np.sqrt(1.0 - CC**2)
+        pts = np.stack([(RR * SS * np.cos(AA)).ravel(), (RR * SS * np.sin(AA)).ravel(), (RR * CC).ravel()])
+        jac = (RR**2 * (wr[:, None, None] * wc[None, :, None] * waz)).ravel()
+    return pts, jac, RR.ravel(), float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_separable_patch_matches_direct_sum(d):
-    gamma, radius, n_r, n_ang = 2 * d, 3, 8, 6
-    P = green._patch_values(d, gamma, radius, n_r, n_ang)
+    """The folded patch equals the plain sum over the full circle or sphere, at small and default fine counts."""
+    gamma = 2 * d
+    for radius, (n_r, n_ang) in [(3, (8, 6)), (8, green._default_patch_counts(d, fine=True))]:
+        P = green._patch_values(d, gamma, radius, n_r, n_ang)
+        pts, jac, rad, F = green._patch_nodes(d, gamma, n_r, n_ang)
+        assert np.array_equal(F, gamma - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0))
+        pts, jac, rad, F = _full_patch_nodes(d, gamma, n_r, n_ang)
+        wts = green._bump(rad) * jac / F
+        for site in [(0, 0, 0), (1, 0, 0), (2, 3, 1), (3, 1, 2), (3, 3, 3), (radius, radius - 3, 2), (radius,) * 3]:
+            site = site[:d]
+            c = np.cos(2 * np.pi * (np.array(site, dtype=float) @ pts))
+            assert abs(P[site] - np.dot(c, wts)) <= 1e-12
+            if d == 2:
+                # the regularized numerator e^{-2 pi i <n,t>} - 1 used at d = 2
+                assert abs((P[site] - P[0, 0]) - np.dot(c - 1.0, wts)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,gamma,n_r,n_ang,nodes", [(3, 6, 64, 48, 38_400), (2, 4, 96, 96, 4_704),
+                                                     (3, 6, 8, 6, 96), (2, 4, 8, 6, 32)])
+def test_patch_keeps_one_node_per_sign_flip_orbit(d, gamma, n_r, n_ang, nodes):
+    """Work-count guard: the folded node count, and the full rule's weight sum."""
     pts, jac, rad, F = green._patch_nodes(d, gamma, n_r, n_ang)
-    assert np.array_equal(F, gamma - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0))
-    wts = green._bump(rad) * jac / F
-    for site in [(0, 0, 0), (1, 0, 0), (2, 3, 1), (3, 1, 2), (3, 3, 3)]:
-        site = site[:d]
-        c = np.cos(2 * np.pi * (np.array(site, dtype=float) @ pts))
-        assert abs(P[site] - np.dot(c, wts)) <= 1e-12
-        if d == 2:
-            # the regularized numerator e^{-2 pi i <n,t>} - 1 used at d = 2
-            assert abs((P[site] - P[0, 0]) - np.dot(c - 1.0, wts)) <= 1e-12
+    assert pts.shape == (d, nodes) and jac.shape == rad.shape == F.shape == (nodes,)
+    assert np.all(pts >= 0.0)
+    full = _full_patch_nodes(d, gamma, n_r, n_ang)[1].sum()
+    assert abs(jac.sum() - full) <= 1e-14 * full
+
+
+def test_patch_refuses_odd_angle_count_before_building_nodes(monkeypatch):
+    monkeypatch.setattr(green, "_leggauss", _no_grid)
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="even"):
+            green._patch_nodes(d, 2 * d, 8, 7)
+
+
+@pytest.mark.parametrize("d,N,side", [(2, 50, 12), (3, 50, 12), (3, 256, 62), (2, 2048, 492)])
+def test_smooth_part_builds_the_bump_on_its_corner_block_only(monkeypatch, d, N, side):
+    """Work-count guard: |t| and the bump cover the indices with t_j = k/N < BUMP_OUTER, not the octant."""
+    shapes, bump = [], green._bump
+
+    def recording_bump(rho):
+        shapes.append(np.shape(rho))
+        return bump(rho)
+
+    monkeypatch.setattr(green, "_bump", recording_bump)
+    green._smooth_part(d, 2 * d, N, 0, np.reciprocal)
+    assert shapes == [(side,) * d]
 
 
 @pytest.mark.parametrize("d,N", [(2, 20), (2, 21), (3, 16), (3, 17)])
@@ -411,7 +468,9 @@ def test_folded_entropy_mean_matches_full_grid(d, N):
     F, rho = _full_grid(d, 2 * d, N)
     G = np.zeros_like(F)
     G[F != 0] = (1.0 - green._bump(rho[F != 0])) * np.log(F[F != 0])
-    Fo, rho_o = green._octant_grid(d, 2 * d, N)
+    Fo = green._octant_grid(d, 2 * d, N)
+    t = np.arange(N // 2 + 1) / N
+    rho_o = np.sqrt(sum(a**2 for a in np.meshgrid(*[t] * d, indexing="ij")))
     Go = np.zeros_like(Fo)
     Go[Fo != 0] = (1.0 - green._bump(rho_o[Fo != 0])) * np.log(Fo[Fo != 0])
     assert abs(green._fold(Go, N, 0).item() - G.mean()) <= 1e-12
