@@ -4,7 +4,8 @@ The covering map is harmonic mod 1, shift-equivariant, annihilates the
 stencil multiples, separates recurrent configurations, is additive on the
 sandpile group, and intertwines multiplication by h with the action of h.
 Each suite tests one property on random recurrent configurations of a
-suite window.  A check compares two numbers:
+suite window, every field taken as zero outside its window; additivity
+counts the grains the group sum sent off the window.  A check compares:
 
 - harmonicity, equivariance, intertwining: the worst residual against the
   smallest error bound, passing when it is at most that bound;
@@ -33,7 +34,7 @@ import numpy as np
 from .harmonic import (XiSpec, equivariance_residuals, harmonicity_residual, kernel_witness, point_distance,
                        point_sum, poly_action, poly_label, separation_check, torus_distance, xi_apply_stack)
 from .laurent import LaurentPoly
-from .sandpile import HeightConfig, group_add_stack, random_load, random_recurrent, stabilize_stack
+from .sandpile import HeightConfig, group_add_stack, random_load, random_recurrent, stabilize_stack, with_outflow
 from .window import BoxWindow
 
 
@@ -209,9 +210,11 @@ def separation(specs, window, rng, n):
 
 
 def additivity(specs, window, rng, n):
-    """xi(v + v') = xi(v) + xi(v') on the group sum of n random recurrent pairs.
+    """xi(v) + xi(v') = xi(v + v' stabilized, its outflow on the shell) on n random recurrent pairs.
 
-    Compared on the radius-2 box at the origin, within the three images' err.
+    The rest of the load is L k for the odometer k, which every map sends
+    to integers (``with_outflow``).  Compared on the radius-2 box at the
+    origin, within the three images' err.
     """
     gamma, d = specs[0].gamma, specs[0].dim
     out_window = BoxWindow.centered(d, 2)
@@ -220,7 +223,7 @@ def additivity(specs, window, rng, n):
     # each pair draws its two operands in turn
     operands = _recurrent(random_load(window, gamma, rng) for _ in range(2 * n))
     vs, vps = operands[0::2], operands[1::2]
-    ws = group_add_stack(vs, vps)
+    ws = [with_outflow(w, k) for w, k in group_add_stack(vs, vps)]
     ratios = []
     for spec in specs:
         images = xi_apply_stack(spec, vs + vps + ws, out_windows=[out_window] * (3 * n))
@@ -228,7 +231,7 @@ def additivity(specs, window, rng, n):
             dist = point_distance(xw, point_sum(xv, xvp))
             ratios.append(_ratio(dist, xv.err + xvp.err + xw.err))
     worst = _worst(ratios)
-    detail = "max image mismatch over %d pairs: %.3f of the combined err budget" % (n, worst)
+    detail = "max image mismatch over %d pairs: %.3e of the combined err budget" % (n, worst)
     return [_at_most("additivity", worst, 1.0, detail)]
 
 

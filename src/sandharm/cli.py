@@ -52,7 +52,6 @@ from .green import (
     walk_series_oracle,
 )
 from .harmonic import (
-    EXTENSIONS,
     XiSpec,
     addition_operator_demo,
     poly_label,
@@ -571,7 +570,7 @@ def cmd_xi_apply(ns):
     table = _resolve_table(ns, v.dim, v.gamma)
     g = parse_poly(ns.g, v.dim, v.gamma)
     spec = XiSpec.build(g, table)
-    point = xi_apply(spec, v, extension=ns.extension, constant=ns.constant)
+    point = xi_apply(spec, v)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
     largest = float(torus_distance(point.values).max())
     print(
@@ -591,8 +590,9 @@ def cmd_xi_check(ns):
         raise CliInputError("--side must be at least 6")
     if ns.configs < 1 or ns.pairs < 1:
         raise CliInputError("--configs and --pairs must be positive")
-    # the suites hold up to this many configurations' heights at once, and each map a slab grid
-    held = max(len(specs) * ns.configs, 3 * ns.pairs) * side**d
+    # the suites hold up to this many heights at once, additivity two operands and a sum with its
+    # outflow shell per pair, and each map a slab grid
+    held = max(len(specs) * ns.configs * side**d, ns.pairs * (2 * side**d + (side + 2) ** d))
     slab = (side + 2 * max(spec.trunc_radius for spec in specs)) ** d
     if max(held, slab) > GRID_POINT_BUDGET:
         raise CliInputError(
@@ -635,7 +635,7 @@ def cmd_xi_demo_addition(ns):
     delta, mismatch, bound = addition_operator_demo(spec, site, out_window, rng)
     ok = mismatch <= bound
     print(
-        "grain at %s shifts xi[%s] by the translated kernel; direct-evaluation mismatch %.3e <= %.3e: %s"
+        "grain added at %s and stabilized shifts xi[%s] by the translated kernel; ledger mismatch %.3e <= %.3e: %s"
         % (site, poly_label(g), mismatch, bound, "pass" if ok else "FAIL")
     )
     if ns.out:
@@ -747,9 +747,6 @@ def _build_parser():
     p = xsub.add_parser("apply", help="map a grid to a torus-valued field CSV")
     p.add_argument("--grid", required=True)
     p.add_argument("--g", default="g1", help="multiplier: alias (f, g1..gN) or expression over u1..ud")
-    p.add_argument("--extension", choices=EXTENSIONS, default="zero",
-                   help="how the field continues outside the grid (default zero)")
-    p.add_argument("--constant", type=int, default=None, help="fill value for --extension constant")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--table", default=None)
     p.add_argument("--out", default=None)
@@ -766,7 +763,7 @@ def _build_parser():
     p.add_argument("--out", default=None, help="write the check table as CSV")
     p.set_defaults(func=cmd_xi_check, command_path="xi check")
 
-    p = xsub.add_parser("demo-addition", help="one grain shifts the image by the translated kernel")
+    p = xsub.add_parser("demo-addition", help="add a grain and stabilize: the image moves by the translated kernel")
     p.add_argument("--d", type=int, required=True, choices=(2, 3))
     _add_table_options(p)
     p.add_argument("--g", default="g1")

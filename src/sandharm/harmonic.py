@@ -7,10 +7,12 @@ v into a torus-valued field
 
 which satisfies the harmonicity relation gamma.x_n = sum of neighbours
 (mod 1) up to certified error.  Everything here works on finite windows:
-the kernel is the whole multiplier table, the mass beyond its reach is
-bounded by an extrapolated shell-sum decay, and every output carries the
-resulting error bound.  Comparisons always use the
-torus metric min(|t - n| : n integer), never raw subtraction.
+a field is zero outside its window, the kernel is the whole multiplier
+table, the mass beyond its reach is bounded by an extrapolated shell-sum
+decay, and every output carries the resulting error bound.  Comparisons
+always use the torus metric min(|t - n| : n integer), never raw
+subtraction.  Those that stabilize map the grains that left the window
+too, laid on its shell by ``sandpile.with_outflow``.
 
 The truncation calculus follows one rule, ``XiSpec.field_err``, which
 only ``xi_apply_stack`` applies: an image's err is the sup of its slab
@@ -30,8 +32,6 @@ from .green import decay_profile, multiplier_table, tail_beyond
 from .laurent import LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
 from .sandpile import HeightConfig
 from .window import BoxWindow, laplacian, site_rows
-
-EXTENSIONS = ("zero", "constant", "periodic")
 
 # margin for floating accumulation inside an FFT convolution, per unit of
 # field sup times kernel l1 mass; generous next to a certified tail bound
@@ -198,24 +198,6 @@ def standard_specs(table):
 # -- applying the map ---------------------------------------------------------
 
 
-def _extended_heights(v, slab_window, extension, constant):
-    """Height data of v on a slab, filled by the declared extension rule."""
-    if extension not in EXTENSIONS:
-        raise ValueError("extension must be one of %r" % (EXTENSIONS,))
-    if extension == "periodic":
-        axes = [
-            (np.arange(lo, hi + 1) - vlo) % span
-            for lo, hi, vlo, span in zip(slab_window.lo, slab_window.hi, v.window.lo, v.window.shape)
-        ]
-        return v.heights[np.ix_(*axes)].astype(float)
-    fill = 0.0 if extension == "zero" else float(constant)
-    out = np.full(slab_window.shape, fill)
-    common = slab_window.intersection(v.window)
-    if common is not None:
-        out[slab_window.slices(common)] = v.heights[v.window.slices(common)]
-    return out
-
-
 def _next_fast_len(n):
     """Smallest 5-smooth size 2^a 3^b 5^c >= n, the padded length of a real FFT."""
     best = 1 << (n - 1).bit_length()
@@ -280,45 +262,46 @@ def _convolve_valid(fields, kernel):
     return out
 
 
-def xi_apply(spec, v, extension="constant", constant=None, out_window=None):
+def xi_apply(spec, v, out_window=None):
     """Image of an integer field under the covering map.
 
-    The field is read from v inside its window and from the extension rule
-    outside; ``constant`` defaults to gamma - 1, the all-max extension that
-    keeps recurrent configurations recurrent.  The output window defaults
-    to v's window.  Every site's value is
+    The field is v's heights inside its window and zero outside it; the
+    output window defaults to v's window.  Every site's value is
 
         x_n = sum_{|k| <= trunc_radius} v_{n-k} kernel_k  (mod 1)
 
     and err covers the kernel tail, the table error across all kernel
-    entries, and FFT accumulation, all scaled by the sup of the extended
-    field.  This is ``xi_apply_stack`` on a stack of one.
+    entries, and FFT accumulation, all scaled by the sup of the field on
+    the slab the output window reads.  This is ``xi_apply_stack`` on a
+    stack of one.
     """
-    return xi_apply_stack(spec, [v], extension, constant, None if out_window is None else [out_window])[0]
+    return xi_apply_stack(spec, [v], None if out_window is None else [out_window])[0]
 
 
-def xi_apply_stack(spec, configs, extension="constant", constant=None, out_windows=None):
+def xi_apply_stack(spec, configs, out_windows=None):
     """``xi_apply`` of each configuration, each on its own output window (default its own window).
 
-    The fields are grouped by slab shape, and each group is convolved with
-    one kernel spectrum, freed before the next group's is formed; the
-    images are the ones ``xi_apply`` gives one at a time, bit for bit.
+    The slabs (output window dilated by the kernel radius) are grouped by
+    shape, and each group is convolved with one kernel spectrum, freed
+    before the next group's is formed; the images are the ones
+    ``xi_apply`` gives one at a time, bit for bit.
     """
     configs = list(configs)
     if any(spec.dim != v.dim for v in configs):
         raise ValueError("dimension mismatch")
-    if constant is None:
-        constant = spec.gamma - 1
     if out_windows is None:
         out_windows = [v.window for v in configs]
     if len(out_windows) != len(configs):
         raise ValueError("%d output windows for %d configurations" % (len(out_windows), len(configs)))
-    T = spec.trunc_radius
-    slabs = [_extended_heights(v, w.dilated(T), extension, constant) for v, w in zip(configs, out_windows)]
+    slabs, by_shape = [], {}
+    for i, (v, w) in enumerate(zip(configs, out_windows)):
+        slab_window = w.dilated(spec.trunc_radius)
+        slabs.append(np.zeros(slab_window.shape))
+        common = slab_window.intersection(v.window)
+        if common is not None:
+            slabs[i][slab_window.slices(common)] = v.heights[v.window.slices(common)]
+        by_shape.setdefault(slabs[i].shape, []).append(i)
     images = [None] * len(slabs)
-    by_shape = {}
-    for i, slab in enumerate(slabs):
-        by_shape.setdefault(slab.shape, []).append(i)
     for group in by_shape.values():
         for i, conv in zip(group, _convolve_valid([slabs[i] for i in group], spec.kernel)):
             if conv.shape != out_windows[i].shape:
@@ -426,9 +409,9 @@ def kernel_witness(kind, specs, window, h=None):
 
     Each field is laid out on ``window`` dilated by the largest kernel
     radius, which holds every site any image on ``window`` reads, and is
-    mapped by zero extension onto ``window``.  The field's heights are
-    exact integers by construction.  Returns the field and its images, one
-    per spec in order, each with its err.
+    mapped onto ``window``.  The field's heights are exact integers by
+    construction.  Returns the field and its images, one per spec in order,
+    each with its err.
     """
     specs = list(specs)
     if not specs:
@@ -453,7 +436,7 @@ def kernel_witness(kind, specs, window, h=None):
     else:
         raise ValueError("kind must be constant, f_multiple or periodic_family")
 
-    return v, [xi_apply(spec, v, extension="zero", out_window=window) for spec in specs]
+    return v, [xi_apply(spec, v, out_window=window) for spec in specs]
 
 
 # -- separation ---------------------------------------------------------------
@@ -492,25 +475,24 @@ def separation_check(spec, v, vp, Q):
 
 
 def addition_operator_demo(spec, site, out_window, rng):
-    """Image increment caused by dropping one grain at a site.
+    """The addition operator a_n: one grain dropped at a site, then stabilized.
 
     Returns the kernel translated to the site (as a torus point on
-    ``out_window``), the measured mismatch against a direct before/after
-    evaluation on a random recurrent configuration on ``out_window``
-    dilated by 2, and its bound: linearity makes the mismatch at most the
-    three images' err summed.
+    ``out_window``), the measured mismatch of the ledger
+    xi(v) + K_{.-n} = xi(a_n v + e) (mod 1) on a random recurrent
+    configuration v on ``out_window`` dilated by 2, with e the grains the
+    stabilization sent across the border (``sandpile.with_outflow``), and
+    its bound, the three images' err summed.
     """
     site = tuple(int(x) for x in site)
     d = spec.dim
     if len(site) != d:
         raise ValueError("site dimension mismatch")
-    delta_window = BoxWindow(site, site)
-    delta_cfg = HeightConfig.delta(delta_window, spec.gamma, site, amount=1)
-    delta = xi_apply(spec, delta_cfg, extension="zero", out_window=out_window)
+    delta = xi_apply(spec, HeightConfig.delta(BoxWindow(site, site), spec.gamma, site, amount=1), out_window=out_window)
     v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
     if site not in v.window:
         raise ValueError("site must lie in the configuration's window")
-    bumped = sandpile.add_poly(v, LaurentPoly(d, {site: 1}))
-    before, after = xi_apply_stack(spec, [v, bumped], out_windows=[out_window] * 2)
+    added = sandpile.with_outflow(*sandpile.stabilize(sandpile.add_poly(v, LaurentPoly(d, {site: 1}))))
+    before, after = xi_apply_stack(spec, [v, added], out_windows=[out_window] * 2)
     mismatch = point_distance(after, point_sum(before, delta))
     return delta, mismatch, after.err + before.err + delta.err

@@ -3,8 +3,9 @@
 A height configuration assigns an integer number of grains to each site of a
 box window.  Sites holding at least ``gamma`` grains topple, sending one
 grain to each of the 2d nearest lattice neighbours; grains sent outside the
-window vanish (open boundary), and for gamma > 2d each toppling additionally
-dissipates gamma - 2d grains.  Stabilization is order-independent (the
+window vanish (open boundary; ``with_outflow`` reads them back off the
+odometer), and for gamma > 2d each toppling additionally dissipates
+gamma - 2d grains.  Stabilization is order-independent (the
 abelian property), and its odometer is the least nonnegative integer field
 whose toppling leaves the configuration stable (least action, Fey-Levine-
 Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import LaurentPoly
-from .window import BoxWindow, laplacian
+from .window import BoxWindow, laplacian, neighbour_sum
 
 
 # -- height configurations ---------------------------------------------------
@@ -733,11 +734,11 @@ def group_add(v, w):
 
 
 def group_add_stack(vs, ws):
-    """``group_add`` of each pair (vs[i], ws[i]): the operands burnt together, the sums stabilized together.
+    """``group_add`` of each pair (vs[i], ws[i]) with its odometer: a list of (config, odometer).
 
-    The pairs share one window and gamma.  ``group_add`` itself stays a
-    call of ``is_recurrent`` twice and ``stabilize`` once, each a stack of
-    one.
+    The operands are burnt together and the sums stabilized together; the
+    pairs share one window and gamma.  ``group_add`` itself stays a call of
+    ``is_recurrent`` twice and ``stabilize`` once, each a stack of one.
     """
     vs, ws = list(vs), list(ws)
     if len(vs) != len(ws):
@@ -746,8 +747,20 @@ def group_add_stack(vs, ws):
         raise ValueError("operands must share window and gamma")
     if not all(report.recurrent for report in burning_test_stack(vs + ws)):
         raise ValueError("group_add requires recurrent operands")
-    sums = [HeightConfig(v.window, v.gamma, v.heights + w.heights) for v, w in zip(vs, ws)]
-    return [out for out, _ in stabilize_stack(sums)]
+    return stabilize_stack(HeightConfig(v.window, v.gamma, v.heights + w.heights) for v, w in zip(vs, ws))
+
+
+def with_outflow(v, odometer):
+    """v on its window W dilated by 1, with the grains its odometer k sent across the border on the shell.
+
+    The shell holds e_n = sum_{m in W, m ~ n} k_m.  With k zero off W and L
+    the full-lattice stencil, the load u, zero off W, is v + e + L k on Z^d,
+    and a covering map sends L k to the integer field g* . k: it maps u and
+    v + e to the same torus field.
+    """
+    heights = neighbour_sum(np.pad(odometer.counts, 1))
+    heights[(slice(1, -1),) * v.dim] = v.heights
+    return HeightConfig(v.window.dilated(1), v.gamma, heights)
 
 
 def random_load(window, gamma, rng):

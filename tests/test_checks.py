@@ -13,7 +13,7 @@ from sandharm.harmonic import (XiSpec, equivariance_residual, harmonicity_residu
                                point_distance, point_sum, poly_action, poly_label, standard_specs, torus_distance,
                                xi_apply)
 from sandharm.laurent import LaurentPoly
-from sandharm.sandpile import group_add, random_recurrent
+from sandharm.sandpile import HeightConfig, group_add, random_recurrent, stabilize, with_outflow
 from sandharm.window import BoxWindow
 
 
@@ -54,6 +54,17 @@ def test_kernel_suite_passes_on_dissipative_tables(d, gamma):
     assert set(np.unique(v.heights)) == {0, 2 * excess * (excess + 4)}
 
 
+@pytest.mark.parametrize("d, gamma", [(2, 5), (2, 6), (3, 7)])
+def test_additivity_suite_passes_on_dissipative_tables(d, gamma):
+    # the grains that leave the window are laid on its shell: without them (the comparison of
+    # the stabilized sum alone) the mismatch is 14 to 930 times the err budget here
+    specs = standard_specs(compute_green(d, gamma, 12 if d == 2 else 8))
+    window = checks.suite_window(d, 16 if d == 2 else 8)
+    (c,) = checks.additivity(specs, window, np.random.default_rng(0), 4)
+    assert c.name == "additivity" and c.bound == 1.0
+    assert c.passed, c.detail
+
+
 # -- the stacked suites against one-at-a-time references ----------------------
 
 
@@ -66,11 +77,13 @@ def reference_suite(name, specs, window, rng, n):
         for _ in range(n):
             v = random_recurrent(window, gamma, rng)
             vp = random_recurrent(window, gamma, rng)
-            w = group_add(v, vp)
+            w, k = stabilize(HeightConfig(window, gamma, v.heights + vp.heights))
+            assert np.array_equal(w.heights, group_add(v, vp).heights)
+            ledger = with_outflow(w, k)
             for spec in specs:
-                xv, xvp, xw = (xi_apply(spec, u, out_window=out_window) for u in (v, vp, w))
+                xv, xvp, xw = (xi_apply(spec, u, out_window=out_window) for u in (v, vp, ledger))
                 worst = max(worst, point_distance(xw, point_sum(xv, xvp)) / (xv.err + xvp.err + xw.err))
-        detail = "max image mismatch over %d pairs: %.3f of the combined err budget" % (n, worst)
+        detail = "max image mismatch over %d pairs: %.3e of the combined err budget" % (n, worst)
         return [checks.Check("additivity", worst <= 1.0, worst, 1.0, detail)]
     h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0)
     unit = (1,) + (0,) * (d - 1)

@@ -292,21 +292,6 @@ def test_xi_check_all_suites_pass(tmp_path, table_csv, capsys):
     assert all(row[1] == "pass" for row in rows[1:])
 
 
-def test_xi_apply_extension_options(tmp_path, table_csv):
-    # constant 0 is the zero extension; on a constant grid c the periodic extension is constant c
-    def csv_bytes(grid, *extension):
-        out = tmp_path / "x.csv"
-        assert main(["xi", "apply", "--grid", grid, "--table", table_csv, "--out", str(out)] + list(extension)) == 0
-        return out.read_bytes()
-
-    mixed = write_grid(tmp_path, "mixed.grid", [[1, 2, 0, 3], [3, 1, 2, 0], [0, 2, 1, 1]])
-    assert csv_bytes(mixed, "--extension", "constant", "--constant", "0") == csv_bytes(mixed, "--extension", "zero")
-    flat = write_grid(tmp_path, "flat.grid", np.full((5, 6), 2))
-    periodic = csv_bytes(flat, "--extension", "periodic")
-    assert periodic == csv_bytes(flat, "--extension", "constant", "--constant", "2")
-    assert periodic != csv_bytes(flat, "--extension", "zero")
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_xi_check_runs_on_an_odd_side(d, tmp_path, table_csv, table_d3_g6, capsys):
     if d == 3:
@@ -333,15 +318,35 @@ def test_xi_check_refuses_grids_over_the_budget(monkeypatch, table_csv, capsys):
     for extra in (["--side", "8192"], ["--configs", "10000000"], ["--pairs", "10000000"]):
         assert main(["xi", "check", "--d", "2", "--table", table_csv] + extra) == 3
         assert "over the budget of %d points" % green.GRID_POINT_BUDGET in capsys.readouterr().err
-    # at the defaults the suites hold 30 configurations of 16^2 sites, 7680 heights
+    # at the defaults additivity holds 10 pairs of 16^2 operands and 10 sums with their
+    # outflow shell on 18^2 sites, 8360 heights
     ran = []
     monkeypatch.setitem(checks.SUITES, "kernel", (lambda specs, window, rng, n: ran.append(n) or [], None))
     argv = ["xi", "check", "--d", "2", "--table", table_csv, "--suite", "kernel"]
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 7679)
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 8359)
     assert main(argv) == 3
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 7680)
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 8360)
     assert main(argv) == 0
     assert ran == [5]
+
+
+@pytest.mark.parametrize("d, side, pairs", [(2, 10, 7), (3, 6, 4)])
+def test_xi_check_budget_counts_the_additivity_sums_with_their_shell(monkeypatch, tmp_path, d, side, pairs):
+    # additivity holds 2 operands of side^d sites and a sum of (side + 2)^d per pair; at one
+    # configuration per check that is the largest holding, and the budget is met exactly
+    table = tmp_path / "t.csv"
+    table.write_text(green.compute_green(d, 2 * d + 1, 4).to_csv())
+    held = pairs * (2 * side**d + (side + 2) ** d)
+    assert held > 3 * pairs * side**d and (side + 8) ** d < held
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "additivity", (lambda specs, window, rng, n: ran.append(n) or [], "pairs"))
+    argv = ["xi", "check", "--d", str(d), "--gamma", str(2 * d + 1), "--table", str(table), "--suite", "additivity",
+            "--side", str(side), "--configs", "1", "--pairs", str(pairs)]
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", held - 1)
+    assert main(argv) == 3
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", held)
+    assert main(argv) == 0
+    assert ran == [pairs]
 
 
 def test_manifest_seed_is_the_seed_option(tmp_path, table_csv):

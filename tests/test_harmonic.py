@@ -11,7 +11,6 @@ import pytest
 from sandharm.checks import suite_window
 from sandharm.green import multiplier_table
 from sandharm.harmonic import (
-    EXTENSIONS,
     TorusPoint,
     XiSpec,
     addition_operator_demo,
@@ -27,7 +26,7 @@ from sandharm.harmonic import (
     torus_distance,
     xi_apply,
 )
-from sandharm.harmonic import _convolve_valid, _extended_heights, _next_fast_len
+from sandharm.harmonic import _convolve_valid, _next_fast_len
 from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, multiplier_sum, standard_polys
 from sandharm.sandpile import (
     HeightConfig,
@@ -35,6 +34,8 @@ from sandharm.sandpile import (
     group_add,
     poly_heights,
     random_recurrent,
+    stabilize,
+    with_outflow,
 )
 from sandharm.window import BoxWindow
 
@@ -56,23 +57,23 @@ def test_zero_field_maps_to_zero_exactly(specs_d2):
     v = HeightConfig.constant(suite_window(2, 8), 4, 0)
     assert len(specs_d2) == 3
     for spec in specs_d2:
-        x = xi_apply(spec, v, extension="zero")
+        x = xi_apply(spec, v)
         assert np.all(x.values == 0.0)
         assert x.err == 0.0
 
 
 def test_valid_convolution_matches_fftconvolve(specs_d2, table_d3_g6, rng):
-    # the slabs and kernels xi_apply convolves, for every extension rule
+    # the slabs and kernels xi_apply convolves: the field on its window, zero around it
     from scipy.signal import fftconvolve
 
     for specs, side in ((specs_d2, 16), (specs_d2, 7), (standard_specs(table_d3_g6), 6)):
         for spec in specs:
             d = spec.dim
             v = HeightConfig(suite_window(d, side), spec.gamma, rng.integers(0, spec.gamma, size=(side,) * d))
-            for extension in EXTENSIONS:
-                slab = _extended_heights(v, v.window.dilated(spec.trunc_radius), extension, spec.gamma - 1)
-                expected = fftconvolve(slab, spec.kernel, mode="valid")
-                assert np.array_equal(_convolve_valid([slab], spec.kernel)[0], expected)
+            slab = np.pad(v.heights.astype(float), spec.trunc_radius)
+            expected = fftconvolve(slab, spec.kernel, mode="valid")
+            assert np.array_equal(_convolve_valid([slab], spec.kernel)[0], expected)
+            assert np.array_equal(xi_apply(spec, v).values, TorusPoint(v.window, expected, 0.0).values)
 
 
 def test_shared_kernel_spectrum_is_bitwise_a_fresh_transform(specs_d2, table_d3_g6, rng):
@@ -118,9 +119,10 @@ def test_spec_build_rejects_non_summable(table_d2_g4):
 def test_dissipative_spec_defaults_to_fundamental_solution(table_d2_g5):
     spec = XiSpec.build(None, table_d2_g5)
     assert spec.g == LaurentPoly.one(2)
-    v = HeightConfig.constant(suite_window(2, 8), 5, 1)
-    x = xi_apply(spec, v, extension="constant", constant=1)
-    # constant 1 maps to the total mass 1/(gamma-2d) = 1 == 0 on the torus
+    window = suite_window(2, 8)
+    v = HeightConfig.constant(window.dilated(spec.trunc_radius), 5, 1)
+    x = xi_apply(spec, v, out_window=window)
+    # constant 1 on every site the window reads maps to the total mass 1/(gamma-2d) = 1 == 0 on the torus
     assert float(torus_distance(x.values).max()) <= x.err + 1e-9
 
 
@@ -128,7 +130,7 @@ def test_f_multiple_lands_on_integers(spec_d2):
     h = LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (0, 2): -1})
     w = suite_window(2, 12)
     v = HeightConfig(w, 4, poly_heights(w, laplacian_poly(2) * h))
-    x = xi_apply(spec_d2, v, extension="zero")
+    x = xi_apply(spec_d2, v)
     assert float(torus_distance(x.values).max()) <= x.err
 
 
@@ -235,29 +237,27 @@ def test_periodic_witness_is_parity_of_absolute_first_coordinate(specs_d2):
 
 @pytest.mark.parametrize("table", ["table_d2_g4", "table_d2_g5", "table_d3_g6"])
 def test_slab_built_witnesses_equal_extended_window_fields(table, request):
-    # a witness laid out on the dilated window and mapped by zero extension gives, bit for
-    # bit, the images of the field on the window under its periodic, constant or zero extension
+    # the f_multiple witness on the dilated window maps, bit for bit, as the same field on the
+    # window itself; the constant and parity witnesses hold the fields built here with numpy
     specs = standard_specs(request.getfixturevalue(table))
     d, gamma = specs[0].dim, specs[0].gamma
     excess = gamma - 2 * d
     window = suite_window(d, 16 if d == 2 else 8)
+    reach = window.dilated(max(spec.trunc_radius for spec in specs))
     h = LaurentPoly.one(d) + LaurentPoly.variable(d, 0) - LaurentPoly.variable(d, d - 1) ** 2
-    c = 3 * excess if excess else 3
-    parity = (2 * excess * (excess + 4) if excess else 1) * (np.arange(window.lo[0], window.hi[0] + 1) % 2)
-    on_window = {
-        "constant": (HeightConfig.constant(window, gamma, c), "constant"),
-        "f_multiple": (HeightConfig(window, gamma, poly_heights(window, laplacian_poly(d, gamma) * h)), "zero"),
-        "periodic_family": (
-            HeightConfig(window, gamma, np.broadcast_to(parity.reshape((-1,) + (1,) * (d - 1)), window.shape)),
-            "periodic",
-        ),
-    }
-    for kind, (field, extension) in on_window.items():
-        _, images = kernel_witness(kind, specs, window, h)
-        for spec, x in zip(specs, images):
-            ref = xi_apply(spec, field, extension=extension, constant=c)
-            assert x.window == ref.window and x.err == ref.err, (kind, spec.g)
-            assert np.array_equal(x.values, ref.values), (kind, spec.g)
+    field = HeightConfig(window, gamma, poly_heights(window, laplacian_poly(d, gamma) * h))
+    v, images = kernel_witness("f_multiple", specs, window, h)
+    assert v.window == reach
+    for spec, x in zip(specs, images):
+        ref = xi_apply(spec, field, out_window=window)
+        assert x.window == ref.window and x.err == ref.err, spec.g
+        assert np.array_equal(x.values, ref.values), spec.g
+    v, _ = kernel_witness("constant", specs, window, h)
+    assert v.window == reach and np.array_equal(v.heights, np.full(reach.shape, 3 * excess if excess else 3))
+    v, _ = kernel_witness("periodic_family", specs, window, h)
+    first = np.arange(reach.lo[0], reach.hi[0] + 1).reshape((-1,) + (1,) * (d - 1))
+    parity = (2 * excess * (excess + 4) if excess else 1) * (first % 2) * np.ones(reach.shape, dtype=np.int64)
+    assert v.window == reach and np.array_equal(v.heights, parity)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -316,18 +316,22 @@ def test_separation_rejects_difference_outside_q(spec_d2):
 # -- tuples and additivity -----------------------------------------------------
 
 
-def test_additivity_under_group_add(specs_d2, rng):
+def test_additivity_under_group_add(specs_d2, table_d2_g5, rng):
+    # xi(v) + xi(v') = xi(s + e) mod 1, with s the stabilized sum and e its outflow on the shell
     w = suite_window(2, 16)
     out = BoxWindow.centered(2, 2)
-    for _ in range(3):
-        v = random_recurrent(w, 4, rng)
-        vp = random_recurrent(w, 4, rng)
-        s = group_add(v, vp)
-        for spec in specs_d2:
-            xv = xi_apply(spec, v, out_window=out)
-            xvp = xi_apply(spec, vp, out_window=out)
-            xs = xi_apply(spec, s, out_window=out)
-            assert point_distance(xs, point_sum(xv, xvp)) <= xv.err + xvp.err + xs.err
+    for specs, gamma in ((specs_d2, 4), (standard_specs(table_d2_g5), 5)):
+        for _ in range(3):
+            v = random_recurrent(w, gamma, rng)
+            vp = random_recurrent(w, gamma, rng)
+            s, k = stabilize(HeightConfig(w, gamma, v.heights + vp.heights))
+            assert np.array_equal(s.heights, group_add(v, vp).heights)
+            ledger = with_outflow(s, k)
+            for spec in specs:
+                xv = xi_apply(spec, v, out_window=out)
+                xvp = xi_apply(spec, vp, out_window=out)
+                xs = xi_apply(spec, ledger, out_window=out)
+                assert point_distance(xs, point_sum(xv, xvp)) <= xv.err + xvp.err + xs.err
 
 
 def test_exact_linearity_with_zero_extension(spec_d2, rng):
@@ -337,9 +341,9 @@ def test_exact_linearity_with_zero_extension(spec_d2, rng):
     a = HeightConfig(w, 4, rng.integers(0, 4, size=w.shape))
     b = HeightConfig(w, 4, rng.integers(0, 4, size=w.shape))
     both = HeightConfig(w, 4, a.heights + b.heights)
-    xa = xi_apply(spec_d2, a, extension="zero")
-    xb = xi_apply(spec_d2, b, extension="zero")
-    xab = xi_apply(spec_d2, both, extension="zero")
+    xa = xi_apply(spec_d2, a)
+    xb = xi_apply(spec_d2, b)
+    xab = xi_apply(spec_d2, both)
     assert point_distance(xab, point_sum(xa, xb)) <= 1e-10
 
 
@@ -370,20 +374,26 @@ def test_poly_action_window_geometry(spec_d2, rng):
         poly_action(LaurentPoly(2, {(1, 0): 1, (0, 0): 1}), tiny)
 
 
-def test_addition_demo_matches_direct_difference(spec_d2, rng):
+def test_addition_demo_matches_direct_difference(spec_d2):
+    # the demo's mismatch is the ledger computed here one image at a time, from the same draw
     out = BoxWindow.centered(2, 2)
-    delta, mismatch, _ = addition_operator_demo(spec_d2, (0, 0), out, rng=rng)
+    delta, mismatch, bound = addition_operator_demo(spec_d2, (0, 0), out, np.random.default_rng(0))
     assert delta.window == out
-    v = random_recurrent(out.dilated(2), 4, rng)
+    v = random_recurrent(out.dilated(2), 4, np.random.default_rng(0))
+    s, k = stabilize(add_poly(v, LaurentPoly(2, {(0, 0): 1})))
+    assert k.counts.any()
     before = xi_apply(spec_d2, v, out_window=out)
-    assert mismatch <= before.err + delta.err + before.err
+    after = xi_apply(spec_d2, with_outflow(s, k), out_window=out)
+    assert mismatch == point_distance(after, point_sum(before, delta))
+    assert bound == after.err + before.err + delta.err
+    assert mismatch <= bound
 
 
 def test_addition_demo_on_zero_background(spec_d2):
     # with v = 0 and zero extension the delta image is exactly the kernel slice
     out = BoxWindow.centered(2, 1)
     cfg = HeightConfig.delta(BoxWindow((0, 0), (0, 0)), 4, (0, 0), 1)
-    x = xi_apply(spec_d2, cfg, extension="zero", out_window=out)
+    x = xi_apply(spec_d2, cfg, out_window=out)
     T = spec_d2.trunc_radius
     sl = spec_d2.kernel[T - 1 : T + 2, T - 1 : T + 2]
     assert np.allclose(x.values, sl % 1.0, atol=1e-12)
@@ -409,8 +419,8 @@ def test_dissipative_images_separate_non_stencil_perturbations(table_d2_g5, rng)
         hits += 1
         v = HeightConfig.constant(w, 5, 2)
         vp = add_poly(v, p)
-        x = xi_apply(spec, v, extension="constant", constant=2)
-        xp = xi_apply(spec, vp, extension="constant", constant=2)
+        x = xi_apply(spec, v)
+        xp = xi_apply(spec, vp)
         assert point_distance(x, xp) > 3 * (x.err + xp.err)
     assert hits >= 15
 

@@ -427,8 +427,38 @@ def test_stack_guards_hold_per_member():
     top, empty = HeightConfig.all_max(w, 4), HeightConfig.constant(w, 4, 0)
     with pytest.raises(ValueError, match="recurrent operands"):
         sandpile.group_add_stack([top, top], [top, empty])
-    assert np.array_equal(sandpile.group_add_stack([top], [top])[0].heights, group_add(top, top).heights)
+    assert np.array_equal(sandpile.group_add_stack([top], [top])[0][0].heights, group_add(top, top).heights)
     assert sandpile.stabilize_stack([]) == [] and sandpile.burning_test_stack([]) == []
+
+
+def test_group_add_stack_returns_the_odometers_of_the_sums(rng):
+    # each pair's (config, odometer) is stabilize of the pointwise sum, and the config is group_add's
+    w = box(5, 7)
+    vs = [random_recurrent(w, 5, rng) for _ in range(4)]
+    ws = [random_recurrent(w, 5, rng) for _ in range(4)]
+    for v, vp, (s, k) in zip(vs, ws, sandpile.group_add_stack(vs, ws)):
+        ref_s, ref_k = stabilize(HeightConfig(w, 5, v.heights + vp.heights))
+        assert np.array_equal(s.heights, ref_s.heights) and np.array_equal(s.heights, group_add(v, vp).heights)
+        assert np.array_equal(k.counts, ref_k.counts) and k.total_mass_lost == ref_k.total_mass_lost
+        assert k.counts.any()
+
+
+def test_outflow_is_the_grains_that_crossed_the_border(rng):
+    # the load, zero off the window, minus L k on Z^d is the stable heights plus the outflow on
+    # the exterior shell; the shell's grains and the dissipated ones make up the mass lost
+    for w, gamma in ((box(6, 5), 4), (box(4, 3, 5), 7)):
+        load = sandpile.random_load(w, gamma, rng)
+        s, k = stabilize(load)
+        ledger = sandpile.with_outflow(s, k)
+        assert ledger.window == w.dilated(1) and ledger.gamma == gamma
+        zero_k = np.pad(k.counts, 1)
+        expected = np.pad(load.heights, 1) - (gamma * zero_k - window.neighbour_sum(zero_k))
+        assert np.array_equal(ledger.heights, expected)
+        inner = (slice(1, -1),) * w.dim
+        assert np.array_equal(ledger.heights[inner], s.heights)
+        outflow = ledger.heights.sum() - s.heights.sum()
+        assert outflow > 0
+        assert outflow + (gamma - 2 * w.dim) * k.counts.sum() == k.total_mass_lost
 
 
 def test_stacks_split_at_the_site_budget(monkeypatch, rng):
