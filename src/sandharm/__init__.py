@@ -14,7 +14,6 @@ from .green import (
     entropy_quadrature,
     fundamental_residual,
     multiplier_table,
-    tail_beyond,
     walk_series_oracle,
 )
 from .harmonic import (
@@ -84,7 +83,6 @@ __all__ = [
     "stabilize",
     "standard_polys",
     "standard_specs",
-    "tail_beyond",
     "torus_distance",
     "walk_series_oracle",
     "xi_apply",

@@ -10,7 +10,9 @@ Four command families:
 - ``xi``: apply a covering map to a grid, run the invariant suites
   (harmonicity, equivariance, kernel witnesses, separation, additivity,
   intertwining; they live in ``sandharm.checks``), and demonstrate the
-  grain-addition identity.
+  grain-addition identity.  The map is computed from its Fourier symbol
+  and reads no Green's table; ``--table`` is only checked against d and
+  gamma.
 - ``ideal``: exact summability certificates and multiplier mass for
   inline polynomials, optionally with the kernel decay profile.
 
@@ -57,6 +59,7 @@ from .harmonic import (
     poly_label,
     standard_specs,
     torus_distance,
+    window_period,
     xi_apply,
 )
 from .laurent import LaurentPoly, ideal_certificate, laplacian_poly, multiplier_sum, standard_polys
@@ -550,58 +553,60 @@ def cmd_entropy(ns):
 # -- xi -----------------------------------------------------------------------
 
 
-def _resolve_table(ns, d, gamma):
-    """The ``--table`` file, which must be for d and gamma, or else a computed table; gamma None means 2d."""
-    if gamma is None:
-        gamma = 2 * d
-    if ns.table:
-        table = _load(ns.table, GreenTable.from_csv, "table")
-        if table.dim != d or table.gamma != gamma:
-            raise CliInputError(
-                "table %s is for d=%d gamma=%s, need d=%d gamma=%s"
-                % (ns.table, table.dim, table.gamma, d, gamma)
-            )
-        return table
-    return compute_green(d, gamma, _table_radius(ns, d))
+def _checked_table(ns, d, gamma):
+    """gamma (None means the critical 2d) and the ``--table`` file, which must be for d and gamma, or None."""
+    gamma = 2 * d if gamma is None else gamma
+    table = _load(ns.table, GreenTable.from_csv, "table") if ns.table else None
+    if table is not None and (table.dim != d or table.gamma != gamma):
+        raise CliInputError(
+            "table %s is for d=%d gamma=%s, need d=%d gamma=%s" % (ns.table, table.dim, table.gamma, d, gamma)
+        )
+    return gamma, table
 
 
 def cmd_xi_apply(ns):
     v = _load(ns.grid, HeightConfig.from_text, "grid")
-    table = _resolve_table(ns, v.dim, v.gamma)
+    _checked_table(ns, v.dim, v.gamma)
     g = parse_poly(ns.g, v.dim, v.gamma)
-    spec = XiSpec.build(g, table)
+    spec = XiSpec.build(g, v.dim, v.gamma)
+    period = window_period(v.window)
+    torus = "x".join(map(str, period))
+    if math.prod(period) > GRID_POINT_BUDGET:
+        raise CliInputError("a %s grid needs a %s torus of %d points, over the budget of %d points" % (
+            "x".join(map(str, v.window.shape)), torus, math.prod(period), GRID_POINT_BUDGET))
     point = xi_apply(spec, v)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
     largest = float(torus_distance(point.values).max())
     print(
-        "xi[%s] on %d sites: err %.3e per value; max torus distance from 0 = %.6g"
-        % (poly_label(g), point.values.size, point.err, largest)
+        "xi[%s] on %d sites, %s torus: err %.3e per value (FFT rounding and the aliasing term, measured, not "
+        "proved); max torus distance from 0 = %.6g" % (poly_label(g), v.window.size, torus, point.err, largest)
     )
-    results = {"csv": out, "err": point.err, "max_distance_from_zero": largest, "multiplier": poly_label(g)}
+    results = {"csv": out, "err": point.err, "max_distance_from_zero": largest, "multiplier": poly_label(g),
+               "torus": list(period)}
     _publish(ns, [(out, point.to_csv())], results)
     return EXIT_OK
 
 
 def cmd_xi_check(ns):
     d = ns.d
-    specs = standard_specs(_resolve_table(ns, d, ns.gamma))
+    specs = standard_specs(d, _checked_table(ns, d, ns.gamma)[0])
     side = ns.side if ns.side is not None else (16 if d == 2 else 8)
     if side < 6:
         raise CliInputError("--side must be at least 6")
     if ns.configs < 1 or ns.pairs < 1:
         raise CliInputError("--configs and --pairs must be positive")
-    # the suites hold up to this many heights at once, additivity two operands and a sum with its
-    # outflow shell per pair, and each map a slab grid
-    held = max(len(specs) * ns.configs * side**d, ns.pairs * (2 * side**d + (side + 2) ** d))
-    slab = (side + 2 * max(spec.trunc_radius for spec in specs)) ** d
-    if max(held, slab) > GRID_POINT_BUDGET:
-        raise CliInputError(
-            "--side %d with --configs %d and --pairs %d needs %d held heights and a %d-point slab grid, "
-            "over the budget of %d points" % (side, ns.configs, ns.pairs, held, slab, GRID_POINT_BUDGET)
-        )
     window = suite_window(d, side)
-    rng = np.random.default_rng(ns.seed)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
+    # the suites hold up to this many heights at once, additivity two operands and a sum with its
+    # outflow shell per pair; the largest torus, 4x the window, is separation's window request
+    held = max(len(specs) * ns.configs * side**d, ns.pairs * (2 * side**d + (side + 2) ** d))
+    torus = math.prod(window_period(window)) if "separation" in names else 0
+    if max(held, torus) > GRID_POINT_BUDGET:
+        raise CliInputError(
+            "--side %d with --configs %d and --pairs %d needs %d held heights and a %d-point torus, "
+            "over the budget of %d points" % (side, ns.configs, ns.pairs, held, torus, GRID_POINT_BUDGET)
+        )
+    rng = np.random.default_rng(ns.seed)
     checks = []
     for name in names:
         suite, counted = SUITES[name]
@@ -624,9 +629,9 @@ def cmd_xi_check(ns):
 
 def cmd_xi_demo_addition(ns):
     d = ns.d
-    table = _resolve_table(ns, d, ns.gamma)
-    g = parse_poly(ns.g, d, table.gamma)
-    spec = XiSpec.build(g, table)
+    gamma, _ = _checked_table(ns, d, ns.gamma)
+    g = parse_poly(ns.g, d, gamma)
+    spec = XiSpec.build(g, d, gamma)
     site = tuple(_parse_ints(ns.site, "--site")) if ns.site else (0,) * d
     if len(site) != d:
         raise CliInputError("--site needs %d coordinates" % d)
@@ -666,7 +671,8 @@ def cmd_ideal(ns):
             % (condition, axis_txt, value)
         )
     if ns.profile:
-        mult = multiplier_table(g, _resolve_table(ns, d, ns.gamma))
+        gamma, table = _checked_table(ns, d, ns.gamma)
+        mult = multiplier_table(g, table or compute_green(d, gamma, _table_radius(ns, d)))
         profile = decay_profile(mult.values)
         if profile.exponent is None:
             print("decay fit degenerate (kernel vanishes on the fitted shells)")
@@ -694,10 +700,12 @@ def cmd_ideal(ns):
 # -- parser -------------------------------------------------------------------
 
 
-def _add_table_options(p):
+_XI_TABLE_HELP = "a table CSV, checked against d and gamma (exit 3 on a mismatch); the map reads nothing else from it"
+
+
+def _add_table_options(p, table_help=_XI_TABLE_HELP):
     p.add_argument("--gamma", type=int, default=None, help="threshold (default: critical 2d)")
-    p.add_argument("--radius", type=int, default=None, help="table radius (default 16 for d=2, 8 for d=3)")
-    p.add_argument("--table", default=None, help="load a precomputed table CSV instead of computing")
+    p.add_argument("--table", default=None, help=table_help)
 
 
 def _build_parser():
@@ -747,8 +755,7 @@ def _build_parser():
     p = xsub.add_parser("apply", help="map a grid to a torus-valued field CSV")
     p.add_argument("--grid", required=True)
     p.add_argument("--g", default="g1", help="multiplier: alias (f, g1..gN) or expression over u1..ud")
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--table", default=None)
+    p.add_argument("--table", default=None, help=_XI_TABLE_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_xi_apply, command_path="xi apply")
 
@@ -776,7 +783,8 @@ def _build_parser():
     p.add_argument("--poly", required=True, help="inline expression, e.g. \"(1-u1)^3\" or f")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--profile", action="store_true", help="also fit the multiplier decay profile")
-    _add_table_options(p)
+    _add_table_options(p, "load a precomputed table CSV instead of computing")
+    p.add_argument("--radius", type=int, default=None, help="table radius (default 16 for d=2, 8 for d=3)")
     p.add_argument("--out", default=None, help="write the certificate as JSON")
     p.set_defaults(func=cmd_ideal, command_path="ideal")
 

@@ -114,10 +114,6 @@ class GreenTable:
     accuracy: float
     method: str
 
-    @property
-    def is_critical(self):
-        return self.gamma == 2 * self.dim
-
     def value(self, site):
         idx = tuple(int(x) + self.radius for x in site)
         if any(i < 0 or i > 2 * self.radius for i in idx):
@@ -624,29 +620,6 @@ def decay_profile(values):
     np.maximum.at(shell_max, flat_shell, flat_abs)
     np.add.at(shell_sum, flat_shell, flat_abs)
     return DecayProfile(R, shell_sum, _log_log_slope(shell_max, R), (max(1, R // 2), R))
-
-
-def tail_beyond(profile):
-    """Bound the l1 mass of the shells beyond the profile radius.
-
-    The last shell sum is extrapolated with the fitted shell-sum decay
-    exponent softened by a +0.5 safety margin; the bound is 0 when that
-    shell is empty or the fit is degenerate.
-    """
-    R = profile.radius
-    slope = _log_log_slope(profile.shell_sum, R)
-    last = float(profile.shell_sum[R])
-    if slope is None or last == 0:
-        return 0.0
-    slope += 0.5
-    if slope >= -1.0:
-        slope = -1.01
-    # sum_{r > R} last * (r/R)^slope, explicit to 100R then an integral bound
-    r = np.arange(R + 1, max(R + 2, 100 * R))
-    geom = float(np.sum((r / float(R)) ** slope))
-    r_end = float(r[-1])
-    geom += (r_end / float(R)) ** slope * r_end / (-slope - 1.0)
-    return last * geom
 
 
 # -- entropy -----------------------------------------------------------------

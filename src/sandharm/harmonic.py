@@ -1,41 +1,42 @@
 """Covering maps from sandpile configurations onto the harmonic model.
 
-A multiplier g with summable kernel g* . w turns any bounded integer field
-v into a torus-valued field
+A multiplier g in the summable ideal turns any bounded integer field v
+into the torus-valued field x_n = sum_k v_{n-k} (g* . w)_k (mod 1), which
+satisfies gamma.x_n = sum of neighbours (mod 1).  The kernel K = g* . w
+has the symbol S_g(t) = g(e^{it}) / f(t), f(t) = gamma - 2 sum_i cos t_i,
+bounded and continuous as g is in the summable ideal, with S_g(0) the
+integer -c/2 = ``multiplier_sum(g)`` on critical tables.  K is summable,
+so by Poisson summation the inverse DFT of S_g sampled on an N-torus is
+sum_z K(. + N z), and one real FFT pair computes the map of the
+N-periodic extension of v, exactly up to float rounding.  No Green's
+table is read.  A request is either:
 
-    x_n = sum_k v_{n-k} (g* . w)_k  (mod 1),
+- periodic (a ``period`` given): err is the stated FFT rounding.  The
+  identity comparisons run so, on a torus that holds their window and its
+  outflow shell: periodization is linear and commutes with the stencil,
+  so every identity of the map on Z^d holds for the periodized fields;
+- a window request: v is zero outside its window, the torus is at least
+  4 times the extent, and err adds the aliasing term, measured, not proved.
 
-which satisfies the harmonicity relation gamma.x_n = sum of neighbours
-(mod 1) up to certified error.  Everything here works on finite windows:
-a field is zero outside its window, the kernel is the whole multiplier
-table, the mass beyond its reach is bounded by an extrapolated shell-sum
-decay, and every output carries the resulting error bound.  Comparisons
-always use the torus metric min(|t - n| : n integer), never raw
-subtraction.  Those that stabilize map the grains that left the window
-too, laid on its shell by ``sandpile.with_outflow``.
-
-The truncation calculus follows one rule, ``XiSpec.field_err``, which
-only ``xi_apply_stack`` applies: an image's err is the sup of its slab
-field times (kernel tail + per-entry table error times kernel size + FFT
-rounding), propagated additively through any further linear step.  Every
-comparison reads the err of the images it compares, never a budget
-worked out again from an assumed sup.
+``XiSpec.field_err``, which only ``xi_apply_stack`` applies, is the one
+err rule; every comparison reads the err of the images it compares, with
+the torus metric min(|t - n| : n integer).  Those that stabilize map the
+grains that left the window too, laid on its shell by
+``sandpile.with_outflow``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sandpile
-from .green import decay_profile, multiplier_table, tail_beyond
-from .laurent import LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
+from .laurent import IdealCertificate, LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
 from .sandpile import HeightConfig
 from .window import BoxWindow, laplacian, site_rows
 
-# margin for floating accumulation inside an FFT convolution, per unit of
-# field sup times kernel l1 mass; generous next to a certified tail bound
-_FFT_SLOP = 1e-12
+# unit roundoff of float64
+_U = 2.0**-53
 
 
 def torus_distance(a, b=0.0):
@@ -128,163 +129,165 @@ def point_sum(x, y):
 # -- the map specification ----------------------------------------------------
 
 
+def _symbol(spec, period):
+    """S_g on the ``numpy.fft.rfftn`` grid of the torus ``period`` (t = 2 pi k / N), and its rounding per unit sup.
+
+    On critical tables f vanishes only at t = 0, where S_g(0) is set to
+    the certificate's -c/2.  Rounding, with u = 2^-53 and M points: Higham,
+    *Accuracy and Stability of Numerical Algorithms* (2nd ed., section
+    24.1, Theorem 24.2) bounds a radix-2 FFT by ||y' - y||_2 <= log2(M)
+    eta ||y||_2, eta < 7u.  Transform, product and inverse then leave
+    ||x' - x||_2 <= ||v||_2 (||S||_inf (14 log2 M + 3) u + ||dS||_inf),
+    where the computed symbol is off by |dS| <= u (l1(g) (7 |j|_1 + d +
+    terms + 4) + (gamma + 20 d + f) |S|) / f (the phases j.t and f carry
+    errors of 2 pi |j|_1 u and (gamma + 20 d) u).  A site's error is below
+    the l2 norm, ||v||_2 <= sup sqrt(M), and pocketfft's mixed radices are
+    taken at twice the radix-2 constant: per unit sup, sqrt(M)
+    (||S||_inf (28 log2 M + 6) u + ||dS||_inf).
+    """
+    d = len(period)
+    freqs = [np.fft.fftfreq(n) for n in period[:-1]] + [np.fft.rfftfreq(period[-1])]
+    t = [2 * np.pi * k.reshape((-1,) + (1,) * (d - 1 - a)) for a, k in enumerate(freqs)]
+    g_t = sum(c * math.prod(np.exp(1j * j * ta) for j, ta in zip(expo, t)) for expo, c in spec.g.items())
+    f = spec.gamma - 2 * sum(np.cos(ta) for ta in t)
+    origin = (0,) * d
+    if spec.certificate is not None:
+        f[origin] = 1.0  # 0/0 in the quotient; S_g(0) is set below
+    s = g_t / f
+    deg = max(sum(abs(j) for j in expo) for expo in spec.g.terms)
+    ds = _U * (spec.g.l1_norm() * (7 * deg + d + len(spec.g) + 4) + (spec.gamma + 20 * d + f) * np.abs(s)) / f
+    if spec.certificate is not None:
+        s[origin] = -(spec.certificate.common_second_moment // 2)
+        ds[origin] = 0.0
+    m = math.prod(period)
+    rounding = math.sqrt(m) * (float(np.abs(s).max()) * (28 * math.log2(m) + 6) * _U + float(ds.max()))
+    return s, rounding
+
+
 @dataclass(frozen=True, eq=False)
 class XiSpec:
-    """Kernel of one covering map, with its error budget.
+    """One covering map: the multiplier g at threshold gamma, with its certificate on critical tables.
 
-    ``kernel`` holds (g* . w)_k for |k|_max <= trunc_radius, the radius of
-    the multiplier table, as far as the Green's table supports it.
-    ``tail_bound`` is the l1 mass beyond that radius per unit sup of the
-    input field, extrapolated by a shell-sum decay fit softened by 0.5.
-    ``entry_error`` bounds each kernel entry's inherited table error.
+    ``symbols`` caches, per torus shape, S_g on the rfftn grid with its
+    rounding per unit sup (``_symbol``).
     """
 
     g: LaurentPoly
-    table: object
-    trunc_radius: int
-    kernel: np.ndarray
-    tail_bound: float
-    entry_error: float
+    gamma: int
+    certificate: IdealCertificate | None
+    symbols: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
-        return self.table.dim
+        return self.g.dim
 
-    @property
-    def gamma(self):
-        return self.table.gamma
+    def symbol(self, period):
+        """(S_g on the rfftn grid of the torus ``period``, rounding per unit sup), computed once per shape."""
+        if period not in self.symbols:
+            self.symbols[period] = _symbol(self, period)
+        return self.symbols[period]
 
-    def field_err(self, sup):
-        """Certified per-site error of the map on fields with |v| <= sup."""
-        sup = float(sup)
-        kernel_l1 = float(np.abs(self.kernel).sum())
-        return sup * (self.tail_bound + self.kernel.size * self.entry_error + _FFT_SLOP * kernel_l1)
+    def field_err(self, sup, period, alias_l1=0.0):
+        """Per-site err of an image of |v| <= sup on the torus: FFT rounding plus a window request's aliasing l1."""
+        return float(sup) * (self.symbol(period)[1] + alias_l1)
 
     @classmethod
-    def build(cls, g, table):
-        """Assemble the kernel, tail bound and entry error for g over a table.
+    def build(cls, g, d, gamma):
+        """The map of g at threshold gamma on Z^d.
 
-        Critical tables require g to carry an exact summability
-        certificate; dissipative tables accept any polynomial (their
-        fundamental solution is already absolutely summable) and default
-        to g = 1 when None is passed.
+        Critical tables (gamma = 2d) require g to carry an exact
+        summability certificate; dissipative ones accept any polynomial
+        (their fundamental solution is already absolutely summable) and
+        default to g = 1 when None is passed.
         """
+        if gamma < 2 * d:
+            raise ValueError("gamma must be at least 2d")
+        critical = gamma == 2 * d
         if g is None:
-            if table.is_critical:
+            if critical:
                 raise ValueError("a multiplier is required on critical tables")
-            g = LaurentPoly.one(table.dim)
-        if g.dim != table.dim:
+            g = LaurentPoly.one(d)
+        if g.dim != d:
             raise ValueError("dimension mismatch")
-        if table.is_critical:
-            cert = ideal_certificate(g)
-            if not cert.member:
-                raise ValueError(
-                    "multiplier is not summable against the critical table; failing condition %r"
-                    % (cert.failing,)
-                )
-        mult = multiplier_table(g, table)
-        tail = float(tail_beyond(decay_profile(mult.values)))
-        return cls(g, table, mult.radius, mult.values, tail, float(mult.entry_error))
+        if not g:
+            raise ValueError("zero multiplier")
+        cert = ideal_certificate(g) if critical else None
+        if critical and not cert.member:
+            raise ValueError(
+                "multiplier is not summable against the critical table; failing condition %r" % (cert.failing,)
+            )
+        return cls(g, int(gamma), cert)
 
 
-def standard_specs(table):
+def standard_specs(d, gamma):
     """One XiSpec per standard summable generator (critical tables), or
     the single fundamental-solution spec (dissipative tables)."""
-    if table.is_critical:
-        return [XiSpec.build(g, table) for g in standard_polys(table.dim)]
-    return [XiSpec.build(None, table)]
+    if gamma == 2 * d:
+        return [XiSpec.build(g, d, gamma) for g in standard_polys(d)]
+    return [XiSpec.build(None, d, gamma)]
 
 
 # -- applying the map ---------------------------------------------------------
 
 
-def _next_fast_len(n):
-    """Smallest 5-smooth size 2^a 3^b 5^c >= n, the padded length of a real FFT."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+def window_period(*windows):
+    """The torus of a window request: per axis, 4 times the side of the box that bounds the windows.
 
-
-def _spectrum(a, fshape):
-    """Real FFT of ``a`` zero-padded to fshape: rfft on the last axis, then fft on the others in increasing order."""
-    spec = np.zeros(fshape[:-1] + [fshape[-1] // 2 + 1], dtype=complex)
-    np.fft.rfft(a, fshape[-1], axis=-1, out=spec[tuple(slice(0, s) for s in a.shape[:-1])])
-    for ax in range(a.ndim - 1):
-        np.fft.fft(spec, axis=ax, out=spec)
-    return spec
-
-
-def _convolve_valid(fields, kernel):
-    """Valid-mode linear convolutions of real float arrays of one shape with one kernel, by real FFTs.
-
-    Bit for bit pocketfft's n-dimensional real transform pair, the route
-    images were computed by before numpy became the only dependency, so no
-    image changed with it.  The arrays are zero-padded to
-    ``_next_fast_len`` of the full length; rfft runs on the last axis, then
-    fft on the others in increasing order (``numpy.fft.rfftn`` goes in
-    reverse order, which moves the last bits).  The product is inverted
-    unscaled, ifft on the leading axes then irfft, and scaled once by
-    1/prod(fshape) formed in long double, as pocketfft does (a per-axis
-    scaling also moves the last bits).  The valid part starts at
-    kernel.shape - 1.
-
-    The kernel is transformed once for all the fields, which are
-    transformed one at a time; every product is the one a single field
-    would get, so sharing the spectrum changes no bit.
+    Every difference of two of their sites is then below a quarter of the
+    torus side, and stays apart on the half-size torus the aliasing term
+    compares with.
     """
-    full = [a + b - 1 for a, b in zip(fields[0].shape, kernel.shape)]
-    fshape = [_next_fast_len(n) for n in full]
-    valid = tuple(slice(b - 1, a) for a, b in zip(fields[0].shape, kernel.shape))
-    scale = float(1 / np.longdouble(math.prod(fshape)))
-    kernel_spec = _spectrum(kernel, fshape)
-    out = []
-    for i, field in enumerate(fields):
-        # in place throughout, and the kernel's spectrum freed before the last
-        # inverse allocates: fewer live grids, fewer fresh pages per call
-        spec = _spectrum(field, fshape)
-        spec *= kernel_spec
-        if i == len(fields) - 1:
-            del kernel_spec
-        for ax in range(field.ndim - 1):
-            np.fft.ifft(spec, axis=ax, norm="forward", out=spec)
-        conv = np.fft.irfft(spec, fshape[-1], axis=-1, norm="forward")
-        conv *= scale
-        out.append(conv[valid].copy())  # the full grid is freed now, not when the last field is done
-    return out
+    lo = [min(w.lo[a] for w in windows) for a in range(windows[0].dim)]
+    hi = [max(w.hi[a] for w in windows) for a in range(windows[0].dim)]
+    return tuple(4 * (h - l + 1) for l, h in zip(lo, hi))
 
 
-def xi_apply(spec, v, out_window=None):
+def _torus_index(window, period):
+    """Index arrays that lay the window's sites on the torus ``period``, site n at n mod period."""
+    return np.ix_(*[np.arange(l, h + 1) % n for l, h, n in zip(window.lo, window.hi, period)])
+
+
+def _alias_table(symbol, period):
+    """|K_{N/2} - K_N| on the N-torus, where K_N is the inverse DFT of the symbol.
+
+    By Poisson summation K_{N/2}(y) = sum_{z in {0,1}^d} K_N(y + z N/2), a
+    fold of K_N, and |K_{N/2} - K_N| is the kernel mass that wraps onto y
+    at half the torus side.
+    """
+    k = np.fft.irfftn(symbol, s=period, axes=range(len(period)))
+    half = k.reshape([m for n in period for m in (2, n // 2)]).sum(axis=tuple(range(0, 2 * len(period), 2)))
+    return np.abs(np.tile(half, (2,) * len(period)) - k)
+
+
+def _alias_l1(symbol, period, window, out_window):
+    """The l1 of ``_alias_table`` over the box of differences out_window - window."""
+    diffs = BoxWindow(tuple(a - b for a, b in zip(out_window.lo, window.hi)),
+                      tuple(a - b for a, b in zip(out_window.hi, window.lo)))
+    return float(_alias_table(symbol, period)[_torus_index(diffs, period)].sum())
+
+
+def xi_apply(spec, v, out_window=None, period=None):
     """Image of an integer field under the covering map.
 
-    The field is v's heights inside its window and zero outside it; the
-    output window defaults to v's window.  Every site's value is
-
-        x_n = sum_{|k| <= trunc_radius} v_{n-k} kernel_k  (mod 1)
-
-    and err covers the kernel tail, the table error across all kernel
-    entries, and FFT accumulation, all scaled by the sup of the field on
-    the slab the output window reads.  This is ``xi_apply_stack`` on a
-    stack of one.
+    The output window defaults to v's window.  With a ``period``, v is read
+    as periodic with that period, and its window must fit in the torus;
+    without one, v is zero outside its window.  This is ``xi_apply_stack``
+    on a stack of one.
     """
-    return xi_apply_stack(spec, [v], None if out_window is None else [out_window])[0]
+    return xi_apply_stack(spec, [v], None if out_window is None else [out_window], period)[0]
 
 
-def xi_apply_stack(spec, configs, out_windows=None):
+def xi_apply_stack(spec, configs, out_windows=None, period=None):
     """``xi_apply`` of each configuration, each on its own output window (default its own window).
 
-    The slabs (output window dilated by the kernel radius) are grouped by
-    shape, and each group is convolved with one kernel spectrum, freed
-    before the next group's is formed; the images are the ones
-    ``xi_apply`` gives one at a time, bit for bit.
+    The one evaluation step: lay the field on the torus, site n at n mod
+    period, multiply its real FFT by the cached symbol, invert, and read
+    the output window mod period.  A window request takes the torus
+    ``window_period(v.window, out_window)`` and adds to the rounding term
+    of err the aliasing term ``_alias_l1``, a Richardson-type estimate like
+    the tables' accuracy, on critical and dissipative tables alike:
+    measured, not proved.  The fields are mapped one at a time with the
+    shared symbol, so a stack gives each member's lone image bit for bit.
     """
     configs = list(configs)
     if any(spec.dim != v.dim for v in configs):
@@ -293,20 +296,20 @@ def xi_apply_stack(spec, configs, out_windows=None):
         out_windows = [v.window for v in configs]
     if len(out_windows) != len(configs):
         raise ValueError("%d output windows for %d configurations" % (len(out_windows), len(configs)))
-    slabs, by_shape = [], {}
-    for i, (v, w) in enumerate(zip(configs, out_windows)):
-        slab_window = w.dilated(spec.trunc_radius)
-        slabs.append(np.zeros(slab_window.shape))
-        common = slab_window.intersection(v.window)
-        if common is not None:
-            slabs[i][slab_window.slices(common)] = v.heights[v.window.slices(common)]
-        by_shape.setdefault(slabs[i].shape, []).append(i)
-    images = [None] * len(slabs)
-    for group in by_shape.values():
-        for i, conv in zip(group, _convolve_valid([slabs[i] for i in group], spec.kernel)):
-            if conv.shape != out_windows[i].shape:
-                raise AssertionError("convolution shape %r != window %r" % (conv.shape, out_windows[i].shape))
-            images[i] = TorusPoint(out_windows[i], conv, spec.field_err(np.abs(slabs[i]).max()))
+    if period is not None:
+        period = tuple(int(n) for n in period)
+        if len(period) != spec.dim or any(s > n for v in configs for s, n in zip(v.window.shape, period)):
+            raise ValueError("a window does not fit in the torus %r" % (period,))
+    images = []
+    for v, w in zip(configs, out_windows):
+        torus = period or window_period(v.window, w)
+        symbol = spec.symbol(torus)[0]
+        grid = np.zeros(torus)
+        grid[_torus_index(v.window, torus)] = v.heights
+        x = np.fft.irfftn(np.fft.rfftn(grid) * symbol, s=torus, axes=range(len(torus)))
+        alias = 0.0 if period else _alias_l1(symbol, torus, v.window, w)
+        err = spec.field_err(np.abs(v.heights).max(), torus, alias)
+        images.append(TorusPoint(w, x[_torus_index(w, torus)], err))
     return images
 
 
@@ -326,24 +329,23 @@ def shifted_config(v, m):
     return HeightConfig(v.window.shifted(off), v.gamma, v.heights.copy())
 
 
-def equivariance_residual(spec, v, m):
+def equivariance_residual(spec, v, m, period=None):
     """Shift-commutation defect: map the shifted field vs shift the mapped field.
 
-    Both routes approximate the same torus field, each within its image's
-    err, so the result is at most the two images' err; with the window
-    carried along by the shift the two computations see identical data and
-    the residual reduces to floating-point variation between FFT sizes.
+    Both routes compute the same torus field, each within its image's err,
+    so the result is at most the two images' err.
     """
-    return equivariance_residuals(spec, [v], [[m]])[0][0][0]
+    return equivariance_residuals(spec, [v], [[m]], period)[0][0][0]
 
 
-def equivariance_residuals(spec, configs, shifts):
+def equivariance_residuals(spec, configs, shifts, period=None):
     """``equivariance_residual`` of each configuration under each of its shifts, with its bound.
 
     ``shifts[i]`` lists the shifts of ``configs[i]``, and the result nests
     the same way, each entry a pair (defect, the two images' err summed).
     Each configuration is mapped once whatever its number of shifts, and
-    all the images come from one ``xi_apply_stack`` call.
+    all the images come from one ``xi_apply_stack`` call, periodic when a
+    ``period`` is given.
     """
     fields, windows = list(configs), [v.window for v in configs]
     for v, ms in zip(configs, shifts):
@@ -354,7 +356,7 @@ def equivariance_residuals(spec, configs, shifts):
                 raise ValueError("shift leaves no overlap")
             fields.append(shifted)
             windows.append(common)
-    images = xi_apply_stack(spec, fields, out_windows=windows)
+    images = xi_apply_stack(spec, fields, windows, period)
     moved = iter(images[len(configs) :])
     pairs = [[(next(moved), b.shifted(tuple(-int(x) for x in m))) for m in ms] for b, ms in zip(images, shifts)]
     return [[(point_distance(a, b), a.err + b.err) for a, b in row] for row in pairs]
@@ -387,30 +389,30 @@ def poly_action(h, x):
 
 
 def kernel_witness(kind, specs, window, h=None):
-    """Construct a field annihilated by every given map, with its image under each.
+    """Construct a periodic field annihilated by every given map, with its image under each.
 
-    With S the kernel's sum, the three families are:
+    Each field lives on ``window`` and is read as periodic with the
+    window's shape as its period, so its image is exact up to rounding.
+    With S_g the symbol, the three families are:
 
-    - ``constant``: the constant field c.  On critical tables S is the
-      integer mass(g) = ``multiplier_sum(g)`` and c = 3; on dissipative
-      ones S = g(1)/(gamma - 2d), so c = 3(gamma - 2d) maps to 3 g(1).
-    - ``f_multiple``: the stencil f_gamma convolved with a finite h; the
-      kernel inverts f_gamma, leaving the integer field (g* . h).
+    - ``constant``: the constant field c, whose image is c S_g(0).  On
+      critical tables S_g(0) is the integer mass(g) = ``multiplier_sum(g)``
+      and c = 3; on dissipative ones S_g(0) = g(1)/(gamma - 2d), so
+      c = 3(gamma - 2d) maps to 3 g(1).
+    - ``f_multiple``: the stencil f_gamma times a finite h, laid on the
+      window (its support must fit).  Periodized, it is f_gamma times the
+      periodized h, and maps to the integer field g* . h periodized.
     - ``periodic_family``: A times the parity field n_0 mod 2 of the
-      absolute first coordinate.  As n_0 mod 2 = (1 - (-1)^{n_0})/2, and
-      the kernel sums against (-1)^{k_0} to
-      g(-1,1,...,1)/f_gamma(-1,1,...,1) = g(-1,1,...,1)/(gamma - 2d + 4),
-      the parity field maps to
-      S/2 - (-1)^{n_0} g(-1,1,...,1)/(2(gamma - 2d + 4)).  On critical
-      tables A = 1 and the image mass(g)/2 - (-1)^{n_0} g(-1,1,...,1)/8
-      is an integer for every standard generator.  On dissipative ones
-      A = 2(gamma - 2d)(gamma - 2d + 4) gives the integer
+      absolute first coordinate; its period needs an even side along
+      axis 0.  As n_0 mod 2 = (1 - (-1)^{n_0})/2, and
+      S_g(pi,0,...,0) = g(-1,1,...,1)/(gamma - 2d + 4), the parity field
+      maps to S_g(0)/2 - (-1)^{n_0} g(-1,1,...,1)/(2(gamma - 2d + 4)).  On
+      critical tables A = 1 and the image mass(g)/2 - (-1)^{n_0}
+      g(-1,1,...,1)/8 is an integer for every standard generator.  On
+      dissipative ones A = 2(gamma - 2d)(gamma - 2d + 4) gives the integer
       (gamma - 2d + 4) g(1) - (-1)^{n_0} (gamma - 2d) g(-1,1,...,1).
 
-    Each field is laid out on ``window`` dilated by the largest kernel
-    radius, which holds every site any image on ``window`` reads, and is
-    mapped onto ``window``.  The field's heights are exact integers by
-    construction.  Returns the field and its images, one per spec in order,
+    Returns the field and its images on ``window``, one per spec in order,
     each with its err.
     """
     specs = list(specs)
@@ -421,34 +423,36 @@ def kernel_witness(kind, specs, window, h=None):
     if window.dim != d:
         raise ValueError("window dimension mismatch")
     excess = gamma - 2 * d
-    reach = window.dilated(max(spec.trunc_radius for spec in specs))
 
     if kind == "constant":
-        v = HeightConfig.constant(reach, gamma, 3 * excess if excess else 3)
+        v = HeightConfig.constant(window, gamma, 3 * excess if excess else 3)
     elif kind == "f_multiple":
         if h is None:
             raise ValueError("f_multiple needs the finite factor h")
-        v = HeightConfig(reach, gamma, sandpile.poly_heights(reach, laplacian_poly(d, gamma) * h))
+        v = HeightConfig(window, gamma, sandpile.poly_heights(window, laplacian_poly(d, gamma) * h))
     elif kind == "periodic_family":
+        if window.shape[0] % 2:
+            raise ValueError("the parity witness needs an even side along axis 0")
         scale = 2 * excess * (excess + 4) if excess else 1
-        parity = scale * (np.arange(reach.lo[0], reach.hi[0] + 1) % 2)
-        v = HeightConfig(reach, gamma, np.broadcast_to(parity.reshape((-1,) + (1,) * (d - 1)), reach.shape))
+        parity = scale * (np.arange(window.lo[0], window.hi[0] + 1) % 2)
+        v = HeightConfig(window, gamma, np.broadcast_to(parity.reshape((-1,) + (1,) * (d - 1)), window.shape))
     else:
         raise ValueError("kind must be constant, f_multiple or periodic_family")
 
-    return v, [xi_apply(spec, v, out_window=window) for spec in specs]
+    return v, [xi_apply(spec, v, period=window.shape) for spec in specs]
 
 
 # -- separation ---------------------------------------------------------------
 
 
 def separation_check(spec, v, vp, Q):
-    """Largest torus gap between the images of two configurations, and the two images' err summed.
+    """Largest torus gap between the images of two configurations on their window, and the two images' err summed.
 
     The inputs must be recurrent, agree outside Q, and differ by something
     the Laplacian stencil does not divide; under those hypotheses the
-    images differ by at least 1/4d somewhere within the truncation reach
-    of Q, so gaps clearing 1/4d less that err certify genuine separation.
+    images differ by at least 1/4d somewhere, so gaps on the window
+    clearing 1/4d less that err (window requests: rounding and aliasing)
+    certify genuine separation.
     """
     if v.window != vp.window or v.gamma != vp.gamma:
         raise ValueError("inputs must share window and gamma")
@@ -466,8 +470,7 @@ def separation_check(spec, v, vp, Q):
         raise ValueError("difference is a stencil multiple; the images coincide")
     if not sandpile.is_recurrent(v) or not sandpile.is_recurrent(vp):
         raise ValueError("both inputs must be recurrent")
-    out_window = Q.dilated(spec.trunc_radius)
-    x, xp = xi_apply_stack(spec, [v, vp], out_windows=[out_window] * 2)
+    x, xp = xi_apply_stack(spec, [v, vp])
     return float(torus_distance(x.values - xp.values).max()), x.err + xp.err
 
 
@@ -477,22 +480,25 @@ def separation_check(spec, v, vp, Q):
 def addition_operator_demo(spec, site, out_window, rng):
     """The addition operator a_n: one grain dropped at a site, then stabilized.
 
-    Returns the kernel translated to the site (as a torus point on
-    ``out_window``), the measured mismatch of the ledger
-    xi(v) + K_{.-n} = xi(a_n v + e) (mod 1) on a random recurrent
-    configuration v on ``out_window`` dilated by 2, with e the grains the
-    stabilization sent across the border (``sandpile.with_outflow``), and
-    its bound, the three images' err summed.
+    Returns the grain's image (the kernel translated to the site) on
+    ``out_window``, the measured mismatch of the ledger xi(v) + K_{.-n} =
+    xi(a_n v + e) (mod 1) on a random recurrent v on ``out_window`` dilated
+    by 2, with e the grains the stabilization sent across the border
+    (``sandpile.with_outflow``), and its bound, the three images' err
+    summed.  The images are periodic on the torus that holds v's window
+    and its outflow shell, where the ledger is exact.
     """
     site = tuple(int(x) for x in site)
     d = spec.dim
     if len(site) != d:
         raise ValueError("site dimension mismatch")
-    delta = xi_apply(spec, HeightConfig.delta(BoxWindow(site, site), spec.gamma, site, amount=1), out_window=out_window)
+    period = out_window.dilated(3).shape
+    grain = HeightConfig.delta(BoxWindow(site, site), spec.gamma, site, amount=1)
+    delta = xi_apply(spec, grain, out_window=out_window, period=period)
     v = sandpile.random_recurrent(out_window.dilated(2), spec.gamma, rng)
     if site not in v.window:
         raise ValueError("site must lie in the configuration's window")
     added = sandpile.with_outflow(*sandpile.stabilize(sandpile.add_poly(v, LaurentPoly(d, {site: 1}))))
-    before, after = xi_apply_stack(spec, [v, added], out_windows=[out_window] * 2)
+    before, after = xi_apply_stack(spec, [v, added], [out_window] * 2, period)
     mismatch = point_distance(after, point_sum(before, delta))
     return delta, mismatch, after.err + before.err + delta.err

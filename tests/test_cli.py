@@ -330,6 +330,33 @@ def test_xi_check_refuses_grids_over_the_budget(monkeypatch, table_csv, capsys):
     assert ran == [5]
 
 
+def test_xi_check_budget_counts_the_window_request_torus(monkeypatch, capsys):
+    # at the d=3 defaults separation's torus, 4 x 8 = 32 a side, holds more points than the 28160
+    # heights the suites draw, and sets the budget when separation runs
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "separation", (lambda specs, window, rng, n: ran.append(n) or [], "pairs"))
+    argv = ["xi", "check", "--d", "3", "--suite", "separation"]
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 32**3 - 1)
+    assert main(argv) == 3
+    assert "a 32768-point torus, over the budget of 32767 points" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 32**3)
+    assert main(argv) == 0
+    assert ran == [10]
+
+
+def test_xi_apply_refuses_a_torus_over_the_budget(tmp_path, monkeypatch, capsys):
+    # a 6x5 grid takes the 24x20 torus, 4 times its extent
+    grid = write_grid(tmp_path, "v.grid", np.ones((6, 5), dtype=int))
+    out = tmp_path / "v.xi.csv"
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 24 * 20 - 1)
+    assert main(["xi", "apply", "--grid", grid, "--out", str(out)]) == 3
+    assert "a 6x5 grid needs a 24x20 torus of 480 points, over the budget of 479 points" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 24 * 20)
+    assert main(["xi", "apply", "--grid", grid, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "v.xi.csv.manifest.json").read_text())["results"]["torus"] == [24, 20]
+
+
 @pytest.mark.parametrize("d, side, pairs", [(2, 10, 7), (3, 6, 4)])
 def test_xi_check_budget_counts_the_additivity_sums_with_their_shell(monkeypatch, tmp_path, d, side, pairs):
     # additivity holds 2 operands of side^d sites and a sum of (side + 2)^d per pair; at one
@@ -337,7 +364,7 @@ def test_xi_check_budget_counts_the_additivity_sums_with_their_shell(monkeypatch
     table = tmp_path / "t.csv"
     table.write_text(green.compute_green(d, 2 * d + 1, 4).to_csv())
     held = pairs * (2 * side**d + (side + 2) ** d)
-    assert held > 3 * pairs * side**d and (side + 8) ** d < held
+    assert held > 3 * pairs * side**d
     ran = []
     monkeypatch.setitem(checks.SUITES, "additivity", (lambda specs, window, rng, n: ran.append(n) or [], "pairs"))
     argv = ["xi", "check", "--d", str(d), "--gamma", str(2 * d + 1), "--table", str(table), "--suite", "additivity",
@@ -373,8 +400,9 @@ def test_trunc_option_is_gone(tmp_path, table_csv, capsys):
         ["xi", "check", "--d", "2", "--table", table_csv],
         ["xi", "demo-addition", "--d", "2", "--table", table_csv],
     ):
-        assert main(argv + ["--trunc", "4"]) == 3
-        assert "unrecognized arguments: --trunc 4" in capsys.readouterr().err
+        for option in ("--trunc", "--radius"):
+            assert main(argv + [option, "4"]) == 3
+            assert "unrecognized arguments: %s 4" % option in capsys.readouterr().err
 
 
 def test_traced_names_are_callables_in_their_layers():
