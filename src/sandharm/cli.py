@@ -29,6 +29,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import io
 import json
 import math
@@ -791,10 +792,15 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: building it costs more than most requests' own parsing."""
+    return _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         _refuse_unwritable(ns)
         return ns.func(ns)
     except ValueError as exc:  # CliInputError included

@@ -9,7 +9,9 @@ integer -c/2 = ``multiplier_sum(g)`` on critical tables.  K is summable,
 so by Poisson summation the inverse DFT of S_g sampled on an N-torus is
 sum_z K(. + N z), and one real FFT pair computes the map of the
 N-periodic extension of v, exactly up to float rounding.  No Green's
-table is read.  A request is either:
+table is read.  ``xi_apply_stack`` maps the fields that share a torus
+together, one FFT pair per run of them; a window request's aliasing
+table is built once per spec and torus.  A request is either:
 
 - periodic (a ``period`` given): err is the stated FFT rounding.  The
   identity comparisons run so, on a torus that holds their window and its
@@ -169,13 +171,15 @@ class XiSpec:
     """One covering map: the multiplier g at threshold gamma, with its certificate on critical tables.
 
     ``symbols`` caches, per torus shape, S_g on the rfftn grid with its
-    rounding per unit sup (``_symbol``).
+    rounding per unit sup (``_symbol``); ``alias_tables`` caches, per torus
+    shape, the window requests' ``_alias_table``.
     """
 
     g: LaurentPoly
     gamma: int
     certificate: IdealCertificate | None
     symbols: dict = field(default_factory=dict, repr=False)
+    alias_tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
@@ -186,6 +190,12 @@ class XiSpec:
         if period not in self.symbols:
             self.symbols[period] = _symbol(self, period)
         return self.symbols[period]
+
+    def alias_table(self, period):
+        """``_alias_table`` of the symbol on the torus ``period``, computed once per shape."""
+        if period not in self.alias_tables:
+            self.alias_tables[period] = _alias_table(self.symbol(period)[0], period)
+        return self.alias_tables[period]
 
     def field_err(self, sup, period, alias_l1=0.0):
         """Per-site err of an image of |v| <= sup on the torus: FFT rounding plus a window request's aliasing l1."""
@@ -259,11 +269,11 @@ def _alias_table(symbol, period):
     return np.abs(np.tile(half, (2,) * len(period)) - k)
 
 
-def _alias_l1(symbol, period, window, out_window):
-    """The l1 of ``_alias_table`` over the box of differences out_window - window."""
+def _alias_l1(spec, period, window, out_window):
+    """The l1 of the spec's cached ``_alias_table`` over the box of differences out_window - window."""
     diffs = BoxWindow(tuple(a - b for a, b in zip(out_window.lo, window.hi)),
                       tuple(a - b for a, b in zip(out_window.hi, window.lo)))
-    return float(_alias_table(symbol, period)[_torus_index(diffs, period)].sum())
+    return float(spec.alias_table(period)[_torus_index(diffs, period)].sum())
 
 
 def xi_apply(spec, v, out_window=None, period=None):
@@ -286,8 +296,11 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
     ``window_period(v.window, out_window)`` and adds to the rounding term
     of err the aliasing term ``_alias_l1``, a Richardson-type estimate like
     the tables' accuracy, on critical and dissipative tables alike:
-    measured, not proved.  The fields are mapped one at a time with the
-    shared symbol, so a stack gives each member's lone image bit for bit.
+    measured, not proved.  The members that share a torus are mapped in
+    runs of at most ``sandpile.STACK_SITES`` torus points (at least one
+    member each), one FFT pair per run over the stacked grids.  The
+    transform treats each line on its own, so a stack gives each member's
+    lone image bit for bit.
     """
     configs = list(configs)
     if any(spec.dim != v.dim for v in configs):
@@ -300,16 +313,27 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
         period = tuple(int(n) for n in period)
         if len(period) != spec.dim or any(s > n for v in configs for s, n in zip(v.window.shape, period)):
             raise ValueError("a window does not fit in the torus %r" % (period,))
-    images = []
-    for v, w in zip(configs, out_windows):
-        torus = period or window_period(v.window, w)
+    groups = {}
+    for i, (v, w) in enumerate(zip(configs, out_windows)):
+        groups.setdefault(period or window_period(v.window, w), []).append(i)
+    images = [None] * len(configs)
+    for torus, members in groups.items():
         symbol = spec.symbol(torus)[0]
-        grid = np.zeros(torus)
-        grid[_torus_index(v.window, torus)] = v.heights
-        x = np.fft.irfftn(np.fft.rfftn(grid) * symbol, s=torus, axes=range(len(torus)))
-        alias = 0.0 if period else _alias_l1(symbol, torus, v.window, w)
-        err = spec.field_err(np.abs(v.heights).max(), torus, alias)
-        images.append(TorusPoint(w, x[_torus_index(w, torus)], err))
+        axes = range(1, len(torus) + 1)
+        windows = {w for i in members for w in (configs[i].window, out_windows[i])}
+        index = {w: _torus_index(w, torus) for w in windows}
+        per = max(1, sandpile.STACK_SITES // math.prod(torus))
+        for start in range(0, len(members), per):
+            run = members[start : start + per]
+            grid = np.zeros((len(run),) + torus)
+            for member, i in zip(grid, run):
+                member[index[configs[i].window]] = configs[i].heights
+            x = np.fft.irfftn(np.fft.rfftn(grid, axes=axes) * symbol, s=torus, axes=axes)
+            for image, i in zip(x, run):
+                v, w = configs[i], out_windows[i]
+                alias = 0.0 if period else _alias_l1(spec, torus, v.window, w)
+                err = spec.field_err(np.abs(v.heights).max(), torus, alias)
+                images[i] = TorusPoint(w, image[index[w]], err)
     return images
 
 
@@ -468,7 +492,7 @@ def separation_check(spec, v, vp, Q):
     f = laplacian_poly(v.dim, spec.gamma)
     if divide_by(sandpile.window_poly(v.window, diff), f) is not None:
         raise ValueError("difference is a stencil multiple; the images coincide")
-    if not sandpile.is_recurrent(v) or not sandpile.is_recurrent(vp):
+    if not all(report.recurrent for report in sandpile.burning_test_stack([v, vp])):
         raise ValueError("both inputs must be recurrent")
     x, xp = xi_apply_stack(spec, [v, vp])
     return float(torus_distance(x.values - xp.values).max()), x.err + xp.err

@@ -383,6 +383,16 @@ def test_manifest_seed_is_the_seed_option(tmp_path, table_csv):
     assert manifest["seed"] == manifest["params"]["seed"] == 7
 
 
+def test_reused_parser_carries_no_option_to_the_next_call(tmp_path):
+    out = tmp_path / "a.csv"
+    argv = ["xi", "check", "--d", "2", "--suite", "kernel", "--out", str(out)]
+    assert main(argv[:4] + ["--seed", "3"] + argv[4:]) == 0
+    assert json.loads((tmp_path / "a.csv.manifest.json").read_text())["seed"] == 3
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "a.csv.manifest.json").read_text())["seed"] == 0
+    assert cli._parser() is cli._parser()
+
+
 def test_xi_check_reports_failing_suite(monkeypatch, table_csv, capsys):
     forced = checks.Check("harmonicity[g]", False, 1.0, 0.0, "forced failure")
     monkeypatch.setitem(checks.SUITES, "harmonicity", (lambda specs, window, rng, n: [forced], "configs"))

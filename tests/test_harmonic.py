@@ -4,10 +4,12 @@ suites (harmonicity, equivariance, intertwining), separation of distinct
 recurrent patches, and additivity under the group operation."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
+from sandharm import harmonic, sandpile
 from sandharm.checks import suite_window
 from sandharm.green import multiplier_table
 from sandharm.harmonic import (
@@ -98,16 +100,77 @@ def test_valid_convolution_matches_fftconvolve(specs_d2, rng):
             assert float(torus_distance(x.values, at_window).max()) <= 2 * x.err
 
 
-def test_shared_kernel_spectrum_is_bitwise_a_fresh_transform(specs_d2, rng):
-    # the images of a stack share the cached symbol; each is bitwise the image a fresh spec gives alone
+def assert_each_image_is_its_lone_image(spec, configs, out_windows=None, period=None):
+    """Each image of a stack is bitwise, values and err, the image a fresh spec gives its member alone."""
+    stacked = xi_apply_stack(spec, configs, out_windows, period)
+    for v, w, x in zip(configs, out_windows or [None] * len(configs), stacked):
+        alone = xi_apply(XiSpec.build(spec.g, spec.dim, spec.gamma), v, w, period)
+        assert x.window == alone.window
+        assert np.array_equal(x.values, alone.values) and x.err == alone.err
+
+
+def test_shared_kernel_spectrum_is_bitwise_a_fresh_transform(specs_d2, rng, monkeypatch):
+    # the images of a stack share the cached symbol and their runs' FFT pair; each is bitwise the image
+    # a fresh spec gives alone
     for spec, side in [(specs_d2[0], 50), (specs_d2[2], 37)] + [(s, 12) for s in standard_specs(3, 6)[:3]]:
         window = suite_window(spec.dim, side)
         configs = [HeightConfig(window, spec.gamma, rng.integers(0, 6, size=window.shape)) for _ in range(4)]
         for period in (None, (side + 3,) * spec.dim):
-            stacked = xi_apply_stack(spec, configs, period=period)
-            for v, x in zip(configs, stacked):
-                alone = xi_apply(XiSpec.build(spec.g, spec.dim, spec.gamma), v, period=period)
-                assert np.array_equal(x.values, alone.values) and x.err == alone.err
+            assert_each_image_is_its_lone_image(spec, configs, period=period)
+    for spec in (specs_d2[1], standard_specs(3, 7)[0]):
+        d, window = spec.dim, suite_window(spec.dim, 6)
+        configs = [HeightConfig(window, spec.gamma, rng.integers(-2, 6, size=window.shape)) for _ in range(5)]
+        # a mixed stack as equivariance builds it: each field, then its shifts on the common windows
+        shifted = [shifted_config(v, m) for v in configs[:2] for m in ((1,) + (0,) * (d - 1), (-2,) + (1,) * (d - 1))]
+        commons = [window.intersection(u.window) for u in shifted]
+        for period in (None, (9,) * d):
+            assert_each_image_is_its_lone_image(spec, configs + shifted, [window] * 5 + commons, period)
+        # window requests on two output windows: two tori in one call
+        outs = [window, BoxWindow.centered(d, 1).shifted((7,) + (0,) * (d - 1))] * 2 + [window]
+        assert len({window_period(v.window, w) for v, w in zip(configs, outs)}) == 2
+        assert_each_image_is_its_lone_image(spec, configs, outs)
+        # runs of two members, the last a run of one
+        for period in (None, (9,) * d):
+            with monkeypatch.context() as m:
+                m.setattr(sandpile, "STACK_SITES", 2 * math.prod(period or window_period(window)) + 1)
+                assert_each_image_is_its_lone_image(spec, configs, period=period)
+
+
+def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
+    calls = {"rfftn": 0, "irfftn": 0, "alias": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harmonic.np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
+    monkeypatch.setattr(harmonic.np.fft, "irfftn", counted("irfftn", np.fft.irfftn))
+    monkeypatch.setattr(harmonic, "_alias_table", counted("alias", harmonic._alias_table))
+
+    def calls_of(f, *args):
+        before = dict(calls)
+        f(*args)
+        return {k: calls[k] - before[k] for k in calls}
+
+    # 30 fields of one d=3 window: a window request on the 16^3 torus, runs of 8, and periodic on 9^3, one run
+    spec = XiSpec.build(standard_polys(3)[0], 3, 6)
+    window = suite_window(3, 4)
+    configs = [HeightConfig(window, 6, rng.integers(0, 6, size=window.shape)) for _ in range(30)]
+    assert window_period(window) == (16,) * 3 and sandpile.STACK_SITES // 16**3 == 8
+    # each alias table is one inverse transform of its own
+    assert calls_of(xi_apply_stack, spec, configs) == {"rfftn": 4, "irfftn": 4 + 1, "alias": 1}
+    assert calls_of(xi_apply_stack, spec, configs) == {"rfftn": 4, "irfftn": 4, "alias": 0}
+    assert calls_of(xi_apply_stack, spec, configs, None, (9, 9, 9)) == {"rfftn": 1, "irfftn": 1, "alias": 0}
+    # a separation pair: one run on the window torus, one alias table per spec
+    for spec in standard_specs(3, 6):
+        w = suite_window(3, 5)
+        v = HeightConfig.all_max(w, 6)
+        vp = HeightConfig(w, 6, v.heights - poly_heights(w, LaurentPoly(3, {(0, 0, 0): 1})))
+        q = BoxWindow((0, 0, 0), (0, 0, 0))
+        assert calls_of(separation_check, spec, v, vp, q) == {"rfftn": 1, "irfftn": 1 + 1, "alias": 1}
+        assert calls_of(separation_check, spec, v, vp, q) == {"rfftn": 1, "irfftn": 1, "alias": 0}
 
 
 def test_window_period_is_four_times_the_extent():
@@ -327,8 +390,12 @@ def test_separation_rejects_equal_and_stencil_differences(spec_d2):
         separation_check(spec_d2, v, vp, Q)  # difference is a stencil multiple
     zeros = HeightConfig.constant(w, 4, 0)
     bumped = add_poly(zeros, LaurentPoly(2, {(0, 0): 1}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^both inputs must be recurrent$"):
         separation_check(spec_d2, zeros, bumped, Q)  # neither input recurrent
+    forbidden = HeightConfig(w, 4, v.heights - poly_heights(w, LaurentPoly(2, {(0, 0): 3, (1, 0): 3})))
+    for pair in ((v, forbidden), (forbidden, v)):  # two adjacent empty sites never burn
+        with pytest.raises(ValueError, match="^both inputs must be recurrent$"):
+            separation_check(spec_d2, *pair, Q)
 
 
 def test_separation_rejects_difference_outside_q(spec_d2):
