@@ -12,14 +12,18 @@ is the mutant's doing.
 Run with ``-s`` to see "k of m mutants killed" per paper claim.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from sandharm import checks, harmonic, sandpile
 from sandharm.harmonic import addition_operator_demo, standard_specs
+from sandharm.sandpile import HeightConfig
 from sandharm.window import BoxWindow, laplacian
 
 from test_harmonic import images_are_harmonic
+from test_sandpile import sweep_reference
 
 
 def additivity_case(d, gamma):
@@ -53,11 +57,39 @@ def suite_case(name, d, gamma):
     return "%s d=%d gamma=%d" % (name, d, gamma), run
 
 
+def stabilize_case(name, make):
+    """``stabilize`` gives the plain bulk sweeps' heights and odometer."""
+    def run():
+        v = make(np.random.default_rng(0))
+        out, odo = sandpile.stabilize(v)
+        heights, counts = sweep_reference(v.heights, v.gamma)
+        return np.array_equal(out.heights, heights) and np.array_equal(odo.counts, counts)
+
+    return "stabilize " + name, run
+
+
+def two_zeros_case():
+    """All-max on 32x32 with two adjacent zeros: the pair is a forbidden subconfiguration."""
+    def run():
+        v = HeightConfig.all_max(BoxWindow.from_shape((32, 32)), 4)
+        v.heights[10, 10:12] = 0
+        return not sandpile.burning_test(v).recurrent
+
+    return "burning test 32x32 two adjacent zeros", run
+
+
 CASES = dict([additivity_case(2, 4), additivity_case(2, 5), additivity_case(3, 6), additivity_case(3, 7),
               demo_case(2, 5, 0), suite_case("kernel", 2, 4), suite_case("kernel", 2, 5),
               suite_case("harmonicity", 2, 4), suite_case("harmonicity", 3, 6),
               ("test_images_are_harmonic_mod_one", lambda: images_are_harmonic(standard_specs(2, 4),
-                                                                                np.random.default_rng(0)))])
+                                                                                np.random.default_rng(0))),
+              stabilize_case("12x10 gamma=5", lambda rng: HeightConfig(BoxWindow.from_shape((12, 10)), 5,
+                                                                       4 + rng.integers(0, 5, size=(12, 10)))),
+              stabilize_case("pile 600 15x15 gamma=4",
+                             lambda rng: HeightConfig.delta(BoxWindow.from_shape((15, 15)), 4, (7, 7), 600)),
+              stabilize_case("5x4x6 gamma=6", lambda rng: HeightConfig(BoxWindow.from_shape((5, 4, 6)), 6,
+                                                                      rng.integers(0, 12, size=(5, 4, 6)))),
+              two_zeros_case()])
 
 
 def drop_outflow(monkeypatch):
@@ -111,6 +143,23 @@ def skip_neighbour(monkeypatch):
     monkeypatch.setattr(harmonic, "laplacian", skipping)
 
 
+def even_side(monkeypatch):
+    """The flat layout pads the last axis to an even side, so flat parity no longer 2-colours the sites."""
+    layout = sandpile._flat_layout
+
+    def even(shape):
+        padded, _, core = layout(shape)
+        padded = padded[:-1] + (shape[-1] + 2 + shape[-1] % 2,)
+        return padded, [math.prod(padded[ax + 1 :]) for ax in range(len(shape))], core
+
+    monkeypatch.setattr(sandpile, "_flat_layout", even)
+
+
+def always_recurrent(monkeypatch):
+    """Every site burns in round 1, whatever its height."""
+    monkeypatch.setattr(sandpile, "_burn_rounds", lambda heights, alive: np.ones(heights.shape, dtype=np.int32))
+
+
 # name -> (the paper claim it guards, the patch, the cases it is run against)
 MUTANTS = {
     "outflow dropped": (
@@ -137,6 +186,16 @@ MUTANTS = {
         "harmonic image",
         skip_neighbour,
         ("harmonicity d=2 gamma=4", "harmonicity d=3 gamma=6", "test_images_are_harmonic_mod_one"),
+    ),
+    "even padded side": (
+        "stabilization",
+        even_side,
+        ("stabilize 12x10 gamma=5", "stabilize pile 600 15x15 gamma=4", "stabilize 5x4x6 gamma=6"),
+    ),
+    "burning test always recurrent": (
+        "stabilization",
+        always_recurrent,
+        ("burning test 32x32 two adjacent zeros",),
     ),
 }
 

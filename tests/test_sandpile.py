@@ -107,17 +107,24 @@ def burn_rounds_reference(heights, alive):
 
 
 @st.composite
-def sandpile_inputs(draw):
-    """A window of dimension 1-3, a threshold 2d..2d+2, and a pile, an all-max + U load or a random field."""
+def sandpile_inputs(draw, even=False, grains=5000):
+    """A window of dimension 1-3, a threshold 2d..2d+2, and a pile, an all-max + U load or a random field.
+
+    With ``even`` every side is even, so the flat layout puts its second
+    sink layer on every axis; a pile holds at most ``grains``.
+    """
     d = draw(st.integers(1, 3))
-    shape = tuple(draw(st.lists(st.integers(1, (24, 9, 5)[d - 1]), min_size=d, max_size=d)))
+    side = st.integers(1, (24, 9, 5)[d - 1])
+    if even:
+        side = st.integers(1, (12, 4, 3)[d - 1]).map(lambda n: 2 * n)
+    shape = tuple(draw(st.lists(side, min_size=d, max_size=d)))
     gamma = draw(st.integers(2 * d, 2 * d + 2))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["pile", "all-max + U", "field"]))
     if kind == "pile":
         heights = np.zeros(shape, dtype=np.int64)
-        heights[tuple(int(rng.integers(n)) for n in shape)] = draw(st.integers(0, 5000))
+        heights[tuple(int(rng.integers(n)) for n in shape)] = draw(st.integers(0, grains))
     elif kind == "all-max + U":
         heights = gamma - 1 + rng.integers(0, gamma, size=shape)
     else:
@@ -352,6 +359,89 @@ def test_stabilize_matches_sweep_reference(v):
     assert np.array_equal(out.heights, ref_heights)
     assert np.array_equal(odo.counts, ref_counts)
     assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
+
+
+@given(sandpile_inputs(even=True, grains=400))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_even_sides_match_sweep_and_serial_references(v):
+    # every side even: the second sink layer sits on every axis and must take no grain
+    assert all(n % 2 == 0 for n in v.window.shape)
+    ref_heights, ref_counts = sweep_reference(v.heights, v.gamma)
+    serial, serial_odo = stabilize_serial(v, np.random.default_rng(0))
+    out, odo = stabilize(v)
+    for heights, counts in ((ref_heights, ref_counts), (serial.heights, serial_odo.counts)):
+        assert np.array_equal(out.heights, heights)
+        assert np.array_equal(odo.counts, counts)
+    assert odo.total_mass_lost == serial_odo.total_mass_lost
+
+
+def test_flat_layout_two_colours_every_member():
+    # odd strides and member sizes; lattice neighbours, window and border alike, in opposite
+    # halves; and each colour's slice adds land on exactly its flat neighbours at +-stride
+    for d in (1, 2, 3):
+        for shape in itertools.product(range(1, 8), repeat=d):
+            padded, strides, core = sandpile._flat_layout(shape)
+            assert all(st % 2 == 1 for st in strides) and math.prod(padded) % 2 == 1
+            for n in (1, 2, 3):
+                stack = np.arange(1, n * math.prod(shape) + 1).reshape((n,) + shape)
+                halves = sandpile._halves(stack, -1)
+                sizes = [h.size for h in halves]
+                assert np.array_equal(sandpile._join(halves, (n,) + padded), sandpile._pad_stack(stack, -1))
+                assert np.array_equal(sandpile._join(halves, (n,) + padded)[core], stack)
+                colour = sandpile._join([np.zeros(sizes[0]), np.ones(sizes[1])], (n,) + padded)
+                for ax in range(d):
+                    assert (np.diff(colour, axis=ax + 1) != 0).all()
+                for c in (0, 1):
+                    ones = [np.full(sizes[0], c == 0, dtype=np.int64), np.full(sizes[1], c == 1, dtype=np.int64)]
+                    flat = sandpile._join(ones, -1)
+                    reference = np.zeros_like(flat)
+                    for st in strides:
+                        reference[st:] += flat[:-st]
+                        reference[:-st] += flat[st:]
+                    landed = [np.zeros(size, dtype=np.int64) for size in sizes]
+                    for target, source in sandpile._moves(strides, c, sizes):
+                        landed[1 - c][target] += ones[c][source]
+                    assert np.array_equal(sandpile._join(landed, -1), reference)
+
+
+def jacobi_sweeps(heights, gamma, start):
+    """Full sweeps a one-colour (Jacobi) loop topples in from the head start ``start``."""
+    h = heights - window.laplacian(start, gamma)
+    sweeps = 0
+    while True:
+        k = np.maximum(h // gamma, 0)
+        if not k.any():
+            return sweeps
+        sweeps += 1
+        h -= window.laplacian(k, gamma)
+
+
+def test_half_sweeps_take_no_more_passes_than_full_sweeps(monkeypatch):
+    # counted, not timed: each half-sweep makes one np.floor_divide call on one colour's half,
+    # and there are at most the Jacobi reference's sweeps plus 2, so the site updates halve;
+    # a return to one-colour sweeps over the whole array doubles the updates and fails here
+    rng = np.random.default_rng(3)
+    for stack in ([sandpile.random_load(box(48, 48), 4, rng)],
+                  [sandpile.random_load(box(6, 6, 6), 6, rng) for _ in range(5)]):
+        heights, gamma = np.stack([v.heights for v in stack]), stack[0].gamma
+        start = sandpile._odometer_floor(heights, gamma)
+        jacobi = max(jacobi_sweeps(h, gamma, s) for h, s in zip(heights, start))
+        sizes = []
+        floor_divide = np.floor_divide
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.size)
+            return floor_divide(a, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "floor_divide", counting)
+            results = sandpile.stabilize_stack(stack)
+        sites = len(stack) * math.prod(sandpile._flat_layout(stack[0].window.shape)[0])
+        assert jacobi > 10 and len(sizes) <= jacobi + 2
+        assert max(sizes) <= (sites + 1) // 2
+        for v, (out, odo) in zip(stack, results):
+            ref_heights, ref_counts = sweep_reference(v.heights, gamma)
+            assert np.array_equal(out.heights, ref_heights) and np.array_equal(odo.counts, ref_counts)
 
 
 def head_start(heights, gamma):
