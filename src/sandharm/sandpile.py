@@ -10,18 +10,16 @@ abelian property), and its odometer is the least nonnegative integer field
 whose toppling leaves the configuration stable (least action, Fey-Levine-
 Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
 odometer in one step (the continuous solve L^-1 (h - (gamma - 1)) by DST-I),
-finishes with red-black half-sweeps, and certifies minimality with a burning
-test on the odometer's support, untoppling any stuck set.  The half-sweeps
-work on a flat padded array whose every side is odd, so the parity of a
-flat index 2-colours the lattice; each half-sweep topples one colour with
-the values the other left, and reaches the same odometer as full sweeps in
-about as many half-sweeps as they take full ones.  The result is exact
-whatever the head start's rounding, but ``_dst1`` still reproduces
-pocketfft's DST-I bit for bit, so the head start and the work done match
-the earlier transform.  The sweeps run in int32 whenever a bound on the
-odometer, proved from the input and the head start, keeps every value they
-produce below 2^30, and in int64 otherwise; integer arithmetic that cannot
-overflow is exact, so both give the same result.
+finishes with red-black half-sweeps (one colour of a flat-index parity
+colouring at a time, about as many as full sweeps would take), and
+certifies minimality with a burning test on the odometer's support,
+untoppling any stuck set.  The result is exact whatever the head start's
+rounding, but ``_dst1`` still reproduces pocketfft's DST-I bit for bit,
+so the head start and the work done match the earlier transform.  The
+sweeps run in int32 whenever a bound on the odometer, proved from the
+input and the head start, keeps every value they produce below 2^30, and
+in int64 otherwise; integer arithmetic that cannot overflow is exact, so
+both give the same result.
 
 The kernels work on stacks: several configurations on one window, laid
 one after another along a leading axis, each with its own sink border,
@@ -210,10 +208,10 @@ def _flat_layout(shape):
     become contiguous 1-d slice operations.  Every stride and every
     member's padded size are products of odd sides, hence odd, so
     neighbours differ in the parity of their flat index: parity is a
-    proper 2-colouring, the red-black split of the sweeps.  A stack of
-    such arrays, one after another, keeps the same strides: an inner
-    site's neighbours all lie in its own member's padding, so members
-    never mix (consecutive members swap colours, which is harmless).
+    proper 2-colouring.  A stack of such arrays, one after another, keeps
+    the same strides: an inner site's neighbours all lie in its own
+    member's padding, so members never mix (consecutive members swap
+    colours, which is harmless).
     """
     padded = tuple(n + 3 - n % 2 for n in shape)
     strides = [math.prod(padded[ax + 1 :]) for ax in range(len(shape))]
@@ -380,10 +378,10 @@ def stabilize(v):
     2. sweeps legally, toppling floor(h / gamma) times at every site at or
        above gamma until none is left, on a flat padded array whose border
        is a sink.  Every padded side is odd (``_flat_layout``), so flat
-       parity colours the sites red and black with no two neighbours alike;
-       each half-sweep topples one colour, with the values the other colour
-       left, and adds into the other.  Red and black sit in two contiguous
-       halves, so each neighbour update is still one slice add;
+       parity colours the sites red and black with no two neighbours
+       alike; each half-sweep topples one colour, with the values the other
+       left, and adds into the other.  Each colour is one contiguous half,
+       so each neighbour update is still one slice add;
     3. certifies the result.  A stable s = h - L w is the stabilization
        exactly when the burning test run on supp(w) alone burns all of it;
        a stuck set A is then forbidden, and w - 1_A still stabilizes, so A
