@@ -6,8 +6,8 @@ sandpile group, and intertwines multiplication by h with the action of h.
 Each suite tests one property on random recurrent configurations of a
 suite window; additivity counts the grains the group sum sent off the
 window.  All but separation map periodic fields on ``suite_torus``, where
-the map is exact up to FFT rounding; separation's window requests carry
-the measured aliasing term.  A check compares:
+the map is exact up to FFT rounding; separation's window request, a
+pair's difference, carries the measured aliasing term.  A check compares:
 
 - harmonicity, equivariance, intertwining: the worst residual against the
   smallest error bound, passing when it is at most that bound;
@@ -20,12 +20,13 @@ Every err is the one ``xi_apply_stack`` attached to the images compared.
 A nan or inf residual, ratio or err fails its check.
 
 Every suite takes ``(specs, window, rng, n)`` and draws from ``rng`` in a
-fixed order; ``SUITES`` maps each name to its suite and to what n counts.
-The suites draw all their configurations first, in the order of drawing
-them one at a time, then stabilize, burn and map them as stacks
-(``stabilize_stack``, ``group_add_stack``, ``xi_apply_stack``), which give
-the one-at-a-time results bit for bit.  Separation draws one pair at a
-time, as its redraws depend on the heights drawn.
+fixed order; ``SUITES`` maps each name to its suite, to what n counts and
+to the grid points it holds at once.  The suites draw all their
+configurations first, in the order of drawing them one at a time, then
+stabilize, burn and map them as stacks (``stabilize_stack``,
+``group_add_stack``, ``xi_apply_stack``), which give the one-at-a-time
+results bit for bit.  Separation draws one pair at a time, as its redraws
+depend on the heights drawn.
 """
 
 import math
@@ -33,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonic import (XiSpec, equivariance_residuals, harmonicity_residual, kernel_witness, point_distance,
-                       point_sum, poly_action, poly_label, separation_check, torus_distance, xi_apply_stack)
+from .harmonic import (XiSpec, equivariance_residuals, harmonicity_residual, kernel_witness, point_distance, point_sum,
+                       poly_action, poly_label, separation_check, torus_distance, window_period, xi_apply_stack)
 from .laurent import LaurentPoly
 from .sandpile import HeightConfig, group_add_stack, random_load, random_recurrent, stabilize_stack, with_outflow
 from .window import BoxWindow
@@ -176,33 +177,31 @@ def kernel(specs, window, rng=None, n=None):
 
 
 def _separation_pair(window, gamma, rng):
-    """A recurrent config and a one-grain raise at a site below gamma - 1."""
+    """A recurrent config, a one-grain raise at a site below gamma - 1, and that site as the box Q."""
     while True:
         v = random_recurrent(window, gamma, rng)
         candidates = np.argwhere(v.heights <= gamma - 2)
         if len(candidates):
             idx = tuple(candidates[rng.integers(len(candidates))])
-            site = window.site_of(idx)
             bumped = v.heights.copy()
             bumped[idx] += 1
-            return v, HeightConfig(window, gamma, bumped), site
+            return v, HeightConfig(window, gamma, bumped), BoxWindow(window.site_of(idx), window.site_of(idx))
 
 
 def separation(specs, window, rng, n):
     """n pairs of recurrent configs one grain apart: some map separates each pair.
 
-    A pair's margin is the best, over the specs tried, of its image gap
-    less the floor 1/4d - err, with err the two images' err summed; the
+    A pair's margin is the best, over the specs tried, of the gap of its
+    difference image less the floor 1/4d - err (``separation_check``); the
     specs are tried in order until one clears both 0 and the raw floor 1/4d.
-    The detail reports the largest err summed over a pair: the window
-    requests' measured aliasing term plus their rounding.
+    The detail reports the largest err: the window request's measured
+    aliasing term plus its rounding.
     """
     gamma, d = specs[0].gamma, specs[0].dim
     floor = 1.0 / (4 * d)
     margins, gaps, errs = [], [], []
     for _ in range(n):
-        v, vp, site = _separation_pair(window, gamma, rng)
-        q = BoxWindow(site, site)
+        v, vp, q = _separation_pair(window, gamma, rng)
         best, best_gap = -math.inf, 0.0
         for spec in specs:
             gap, err = separation_check(spec, v, vp, q)
@@ -217,8 +216,8 @@ def separation(specs, window, rng, n):
         margins.append(best)
         gaps.append(best_gap)
     worst = min(margins)
-    detail = "min margin over %d pairs: %.4f above the 1/4d - 2 err floor (min raw gap %.4f, floor %.4f, " \
-        "max 2 err %.3e, mostly measured aliasing)" % (n, worst, min(gaps), floor, _worst(errs))
+    detail = "min margin over %d pairs: %.4f above the 1/4d - err floor (min raw gap %.4f, floor %.4f, " \
+        "max err %.3e of the difference image, mostly measured aliasing)" % (n, worst, min(gaps), floor, _worst(errs))
     return [Check("separation", math.isfinite(worst) and worst > 0, worst, 0.0, detail)]
 
 
@@ -249,12 +248,18 @@ def additivity(specs, window, rng, n):
     return [_at_most("additivity", worst, 1.0, detail)]
 
 
-# name -> (suite, what its n counts: "configs" or "pairs"; None where unused)
+def _configs_held(specs, window, n):
+    return len(specs) * n * window.size
+
+
+# name -> (suite, what its n counts: "configs" or "pairs", None where unused, the grid points it holds at
+# once given (specs, window, n): n draws per spec; the witnesses on the suite torus; the window request's
+# torus; per pair two operands and their sum with its outflow shell)
 SUITES = {
-    "harmonicity": (harmonicity, "configs"),
-    "equivariance": (equivariance, "configs"),
-    "kernel": (kernel, None),
-    "separation": (separation, "pairs"),
-    "additivity": (additivity, "pairs"),
-    "intertwining": (intertwining, "configs"),
+    "harmonicity": (harmonicity, "configs", _configs_held),
+    "equivariance": (equivariance, "configs", _configs_held),
+    "kernel": (kernel, None, lambda specs, window, n: suite_torus(window).size),
+    "separation": (separation, "pairs", lambda specs, window, n: math.prod(window_period(window))),
+    "additivity": (additivity, "pairs", lambda specs, window, n: n * (2 * window.size + window.dilated(1).size)),
+    "intertwining": (intertwining, "configs", _configs_held),
 }

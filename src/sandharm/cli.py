@@ -598,20 +598,18 @@ def cmd_xi_check(ns):
         raise CliInputError("--configs and --pairs must be positive")
     window = suite_window(d, side)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
-    # the suites hold up to this many heights at once, additivity two operands and a sum with its
-    # outflow shell per pair; the largest torus, 4x the window, is separation's window request
-    held = max(len(specs) * ns.configs * side**d, ns.pairs * (2 * side**d + (side + 2) ** d))
-    torus = math.prod(window_period(window)) if "separation" in names else 0
-    if max(held, torus) > GRID_POINT_BUDGET:
+    counts = {name: ns.pairs if SUITES[name][1] == "pairs" else ns.configs for name in names}
+    # the grid points each suite named holds at once (``checks.SUITES``); the largest sets the budget
+    held, largest = max((SUITES[name][2](specs, window, counts[name]), name) for name in names)
+    if held > GRID_POINT_BUDGET:
         raise CliInputError(
-            "--side %d with --configs %d and --pairs %d needs %d held heights and a %d-point torus, "
-            "over the budget of %d points" % (side, ns.configs, ns.pairs, held, torus, GRID_POINT_BUDGET)
+            "--side %d with --configs %d and --pairs %d needs %d grid points in %s, over the budget of %d points"
+            % (side, ns.configs, ns.pairs, held, largest, GRID_POINT_BUDGET)
         )
     rng = np.random.default_rng(ns.seed)
     checks = []
     for name in names:
-        suite, counted = SUITES[name]
-        checks += suite(specs, window, rng, ns.pairs if counted == "pairs" else ns.configs)
+        checks += SUITES[name][0](specs, window, rng, counts[name])
     for c in checks:
         print("%s %s: %s" % ("PASS" if c.passed else "FAIL", c.name, c.detail))
     failures = [c.name for c in checks if not c.passed]

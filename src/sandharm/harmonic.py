@@ -9,9 +9,9 @@ integer -c/2 = ``multiplier_sum(g)`` on critical tables.  K is summable,
 so by Poisson summation the inverse DFT of S_g sampled on an N-torus is
 sum_z K(. + N z), and one real FFT pair computes the map of the
 N-periodic extension of v, exactly up to float rounding.  No Green's
-table is read.  ``xi_apply_stack`` maps the fields that share a torus
-together, one FFT pair per run of them; a window request's aliasing
-table is built once per spec and torus.  A request is either:
+table is read.  ``xi_apply_stack`` maps a stack of fields on one torus,
+one FFT pair per run of them; a window request's aliasing table is built
+once per spec and torus.  A request is either:
 
 - periodic (a ``period`` given): err is the stated FFT rounding.  The
   identity comparisons run so, on a torus that holds their window and its
@@ -19,6 +19,7 @@ table is built once per spec and torus.  A request is either:
   so every identity of the map on Z^d holds for the periodized fields;
 - a window request: v is zero outside its window, the torus is at least
   4 times the extent, and err adds the aliasing term, measured, not proved.
+  ``xi apply`` makes one per grid, and separation one per pair: its difference.
 
 ``XiSpec.field_err``, which only ``xi_apply_stack`` applies, is the one
 err rule; every comparison reads the err of the images it compares, with
@@ -296,11 +297,12 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
     ``window_period(v.window, out_window)`` and adds to the rounding term
     of err the aliasing term ``_alias_l1``, a Richardson-type estimate like
     the tables' accuracy, on critical and dissipative tables alike:
-    measured, not proved.  The members that share a torus are mapped in
-    runs of at most ``sandpile.STACK_SITES`` torus points (at least one
-    member each), one FFT pair per run over the stacked grids.  The
-    transform treats each line on its own, so a stack gives each member's
-    lone image bit for bit.
+    measured, not proved.  A call maps on one torus, ``period`` or the one
+    its window requests share; window requests that need two are refused.
+    The members are mapped in runs of at most ``sandpile.STACK_SITES``
+    torus points (at least one member each), one FFT pair per run over the
+    stacked grids.  The transform treats each line on its own, so a stack
+    gives each member's lone image bit for bit.
     """
     configs = list(configs)
     if any(spec.dim != v.dim for v in configs):
@@ -309,31 +311,29 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
         out_windows = [v.window for v in configs]
     if len(out_windows) != len(configs):
         raise ValueError("%d output windows for %d configurations" % (len(out_windows), len(configs)))
-    if period is not None:
-        period = tuple(int(n) for n in period)
+    if period is None:
+        tori = {window_period(v.window, w) for v, w in zip(configs, out_windows)}
+        if len(tori) != 1:
+            raise ValueError("the window requests need %d tori; one call maps on one torus" % len(tori))
+        window_requests, period = True, tori.pop()
+    else:
+        window_requests, period = False, tuple(int(n) for n in period)
         if len(period) != spec.dim or any(s > n for v in configs for s, n in zip(v.window.shape, period)):
             raise ValueError("a window does not fit in the torus %r" % (period,))
-    groups = {}
-    for i, (v, w) in enumerate(zip(configs, out_windows)):
-        groups.setdefault(period or window_period(v.window, w), []).append(i)
-    images = [None] * len(configs)
-    for torus, members in groups.items():
-        symbol = spec.symbol(torus)[0]
-        axes = range(1, len(torus) + 1)
-        windows = {w for i in members for w in (configs[i].window, out_windows[i])}
-        index = {w: _torus_index(w, torus) for w in windows}
-        per = max(1, sandpile.STACK_SITES // math.prod(torus))
-        for start in range(0, len(members), per):
-            run = members[start : start + per]
-            grid = np.zeros((len(run),) + torus)
-            for member, i in zip(grid, run):
-                member[index[configs[i].window]] = configs[i].heights
-            x = np.fft.irfftn(np.fft.rfftn(grid, axes=axes) * symbol, s=torus, axes=axes)
-            for image, i in zip(x, run):
-                v, w = configs[i], out_windows[i]
-                alias = 0.0 if period else _alias_l1(spec, torus, v.window, w)
-                err = spec.field_err(np.abs(v.heights).max(), torus, alias)
-                images[i] = TorusPoint(w, image[index[w]], err)
+    axes = range(1, spec.dim + 1)
+    index = {w: _torus_index(w, period) for w in {v.window for v in configs} | set(out_windows)}
+    requests = list(zip(configs, out_windows))
+    per = max(1, sandpile.STACK_SITES // math.prod(period))
+    images = []
+    for start in range(0, len(requests), per):
+        run = requests[start : start + per]
+        grid = np.zeros((len(run),) + period)
+        for member, (v, _) in zip(grid, run):
+            member[index[v.window]] = v.heights
+        x = np.fft.irfftn(np.fft.rfftn(grid, axes=axes) * spec.symbol(period)[0], s=period, axes=axes)
+        for image, (v, w) in zip(x, run):
+            alias = _alias_l1(spec, period, v.window, w) if window_requests else 0.0
+            images.append(TorusPoint(w, image[index[w]], spec.field_err(np.abs(v.heights).max(), period, alias)))
     return images
 
 
@@ -353,8 +353,8 @@ def shifted_config(v, m):
     return HeightConfig(v.window.shifted(off), v.gamma, v.heights.copy())
 
 
-def equivariance_residual(spec, v, m, period=None):
-    """Shift-commutation defect: map the shifted field vs shift the mapped field.
+def equivariance_residual(spec, v, m, period):
+    """Shift-commutation defect on the torus ``period``: map the shifted field vs shift the mapped field.
 
     Both routes compute the same torus field, each within its image's err,
     so the result is at most the two images' err.
@@ -362,14 +362,14 @@ def equivariance_residual(spec, v, m, period=None):
     return equivariance_residuals(spec, [v], [[m]], period)[0][0][0]
 
 
-def equivariance_residuals(spec, configs, shifts, period=None):
+def equivariance_residuals(spec, configs, shifts, period):
     """``equivariance_residual`` of each configuration under each of its shifts, with its bound.
 
     ``shifts[i]`` lists the shifts of ``configs[i]``, and the result nests
     the same way, each entry a pair (defect, the two images' err summed).
     Each configuration is mapped once whatever its number of shifts, and
-    all the images come from one ``xi_apply_stack`` call, periodic when a
-    ``period`` is given.
+    all the images come from one periodic ``xi_apply_stack`` call on the
+    torus ``period``.
     """
     fields, windows = list(configs), [v.window for v in configs]
     for v, ms in zip(configs, shifts):
@@ -470,32 +470,29 @@ def kernel_witness(kind, specs, window, h=None):
 
 
 def separation_check(spec, v, vp, Q):
-    """Largest torus gap between the images of two configurations on their window, and the two images' err summed.
+    """Largest torus gap between the images of two configurations on their window, and its err.
 
     The inputs must be recurrent, agree outside Q, and differ by something
-    the Laplacian stencil does not divide; under those hypotheses the
-    images differ by at least 1/4d somewhere, so gaps on the window
-    clearing 1/4d less that err (window requests: rounding and aliasing)
-    certify genuine separation.
+    the Laplacian stencil does not divide; their images then differ by at
+    least 1/4d somewhere.  The map is linear, so the gap is the image of
+    vp - v on Q alone, one window request whose err (rounding and aliasing)
+    scales with the difference, not with the heights.
     """
     if v.window != vp.window or v.gamma != vp.gamma:
         raise ValueError("inputs must share window and gamma")
     diff = vp.heights.astype(np.int64) - v.heights.astype(np.int64)
     if not diff.any():
         raise ValueError("inputs are equal")
-    outside = np.ones(v.window.shape, dtype=bool)
     common = v.window.intersection(Q)
-    if common is not None:
-        outside[v.window.slices(common)] = False
-    if diff[outside].any():
+    if common is None or np.count_nonzero(diff[v.window.slices(common)]) < np.count_nonzero(diff):
         raise ValueError("inputs differ outside Q")
     f = laplacian_poly(v.dim, spec.gamma)
     if divide_by(sandpile.window_poly(v.window, diff), f) is not None:
         raise ValueError("difference is a stencil multiple; the images coincide")
     if not all(report.recurrent for report in sandpile.burning_test_stack([v, vp])):
         raise ValueError("both inputs must be recurrent")
-    x, xp = xi_apply_stack(spec, [v, vp])
-    return float(torus_distance(x.values - xp.values).max()), x.err + xp.err
+    x = xi_apply(spec, HeightConfig(common, v.gamma, diff[v.window.slices(common)]), out_window=v.window)
+    return float(torus_distance(x.values).max()), x.err
 
 
 # -- grain addition -----------------------------------------------------------

@@ -20,7 +20,7 @@ def test_every_suite_verdict_follows_its_rule():
     window = checks.suite_window(2, 16)
     assert window.shape == (16, 16) and window.lo == (-8, -8)
     rng = np.random.default_rng(3)
-    for name, (suite, counted) in checks.SUITES.items():
+    for name, (suite, counted, _) in checks.SUITES.items():
         assert counted in ("configs", "pairs", None)
         results = suite(specs, window, rng, 2)
         assert results
@@ -124,7 +124,7 @@ def test_stacked_suites_equal_one_at_a_time(table, request, monkeypatch):
     window = checks.suite_window(d, 16 if d == 2 else 8)
     n = 2
     for name in STACKED:
-        suite, _ = checks.SUITES[name]
+        suite = checks.SUITES[name][0]
         expected = reference_suite(name, specs, window, np.random.default_rng(5), n)
         rng = np.random.default_rng(5)
         assert suite(specs, window, rng, n) == expected, name
@@ -135,7 +135,7 @@ def test_stacked_suites_equal_one_at_a_time(table, request, monkeypatch):
     # runs cut at three members give the same checks
     monkeypatch.setattr(sandpile, "STACK_SITES", 3 * window.size)
     for name in STACKED:
-        suite, _ = checks.SUITES[name]
+        suite = checks.SUITES[name][0]
         assert suite(specs, window, np.random.default_rng(5), n) == \
             reference_suite(name, specs, window, np.random.default_rng(5), n), name
 
@@ -148,7 +148,7 @@ def test_every_suite_fails_on_a_nan_symbol(d, gamma, monkeypatch):
                                                                     symbol(spec, period)[1]))
     specs = standard_specs(d, gamma)
     window = checks.suite_window(2, 16)
-    for name, (suite, _) in checks.SUITES.items():
+    for name, (suite, *_) in checks.SUITES.items():
         results = suite(specs, window, np.random.default_rng(2), 2)
         assert results
         for c in results:

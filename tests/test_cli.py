@@ -38,6 +38,11 @@ def table_csv(tmp_path_factory, table_d2_g4):
     return str(path)
 
 
+def replace_suite(monkeypatch, name, run):
+    """Swap a suite's function in ``checks.SUITES``, keeping what its n counts and its held-points rule."""
+    monkeypatch.setitem(checks.SUITES, name, (run,) + checks.SUITES[name][1:])
+
+
 def write_grid(tmp_path, name, heights, gamma=4):
     heights = np.asarray(heights)
     cfg = HeightConfig(BoxWindow.from_shape(heights.shape), gamma, heights)
@@ -313,32 +318,37 @@ def test_xi_check_refuses_grids_over_the_budget(monkeypatch, table_csv, capsys):
     def never(specs, window, rng, n):
         raise AssertionError("a suite ran")
 
-    for name, (_, counted) in list(checks.SUITES.items()):
-        monkeypatch.setitem(checks.SUITES, name, (never, counted))
+    for name in list(checks.SUITES):
+        replace_suite(monkeypatch, name, never)
     for extra in (["--side", "8192"], ["--configs", "10000000"], ["--pairs", "10000000"]):
         assert main(["xi", "check", "--d", "2", "--table", table_csv] + extra) == 3
         assert "over the budget of %d points" % green.GRID_POINT_BUDGET in capsys.readouterr().err
-    # at the defaults additivity holds 10 pairs of 16^2 operands and 10 sums with their
-    # outflow shell on 18^2 sites, 8360 heights
+    # each suite is held to its own rule: at the defaults additivity holds 10 pairs of 16^2 operands
+    # and 10 sums with their outflow shell on 18^2 sites, 8360 heights, and the kernel witnesses
+    # far fewer, whatever --pairs says
     ran = []
-    monkeypatch.setitem(checks.SUITES, "kernel", (lambda specs, window, rng, n: ran.append(n) or [], None))
-    argv = ["xi", "check", "--d", "2", "--table", table_csv, "--suite", "kernel"]
+    for name in ("kernel", "additivity"):
+        replace_suite(monkeypatch, name, lambda specs, window, rng, n: ran.append(n) or [])
+    argv = ["xi", "check", "--d", "2", "--table", table_csv, "--suite"]
     monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 8359)
-    assert main(argv) == 3
+    assert main(argv + ["kernel"]) == 0
+    for suite in ("additivity", "all"):
+        assert main(argv + [suite]) == 3
+        assert "needs 8360 grid points in additivity, over the budget of 8359 points" in capsys.readouterr().err
     monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 8360)
-    assert main(argv) == 0
-    assert ran == [5]
+    assert main(argv + ["additivity"]) == 0
+    assert ran == [5, 10]
 
 
 def test_xi_check_budget_counts_the_window_request_torus(monkeypatch, capsys):
     # at the d=3 defaults separation's torus, 4 x 8 = 32 a side, holds more points than the 28160
     # heights the suites draw, and sets the budget when separation runs
     ran = []
-    monkeypatch.setitem(checks.SUITES, "separation", (lambda specs, window, rng, n: ran.append(n) or [], "pairs"))
+    replace_suite(monkeypatch, "separation", lambda specs, window, rng, n: ran.append(n) or [])
     argv = ["xi", "check", "--d", "3", "--suite", "separation"]
     monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 32**3 - 1)
     assert main(argv) == 3
-    assert "a 32768-point torus, over the budget of 32767 points" in capsys.readouterr().err
+    assert "needs 32768 grid points in separation, over the budget of 32767 points" in capsys.readouterr().err
     monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 32**3)
     assert main(argv) == 0
     assert ran == [10]
@@ -366,7 +376,7 @@ def test_xi_check_budget_counts_the_additivity_sums_with_their_shell(monkeypatch
     held = pairs * (2 * side**d + (side + 2) ** d)
     assert held > 3 * pairs * side**d
     ran = []
-    monkeypatch.setitem(checks.SUITES, "additivity", (lambda specs, window, rng, n: ran.append(n) or [], "pairs"))
+    replace_suite(monkeypatch, "additivity", lambda specs, window, rng, n: ran.append(n) or [])
     argv = ["xi", "check", "--d", str(d), "--gamma", str(2 * d + 1), "--table", str(table), "--suite", "additivity",
             "--side", str(side), "--configs", "1", "--pairs", str(pairs)]
     monkeypatch.setattr(cli, "GRID_POINT_BUDGET", held - 1)
@@ -395,7 +405,7 @@ def test_reused_parser_carries_no_option_to_the_next_call(tmp_path):
 
 def test_xi_check_reports_failing_suite(monkeypatch, table_csv, capsys):
     forced = checks.Check("harmonicity[g]", False, 1.0, 0.0, "forced failure")
-    monkeypatch.setitem(checks.SUITES, "harmonicity", (lambda specs, window, rng, n: [forced], "configs"))
+    replace_suite(monkeypatch, "harmonicity", lambda specs, window, rng, n: [forced])
     rc = main(["xi", "check", "--d", "2", "--suite", "harmonicity", "--table", table_csv])
     printed = capsys.readouterr().out
     assert rc == 2
@@ -600,8 +610,8 @@ def test_unwritable_output_is_refused_before_the_work(tmp_path, monkeypatch, cap
         raise AssertionError("work ran before the output path was checked")
 
     monkeypatch.setattr(cli, "compute_green", never)
-    for name, (_, counted) in list(checks.SUITES.items()):
-        monkeypatch.setitem(checks.SUITES, name, (never, counted))
+    for name in list(checks.SUITES):
+        replace_suite(monkeypatch, name, never)
     monkeypatch.setattr(cli, "stabilize", never)
     monkeypatch.setattr(cli, "burning_test", never)
     grid = write_grid(tmp_path, "good.grid", [[3, 3], [3, 3]])

@@ -22,6 +22,7 @@ from sandharm.harmonic import (
     point_distance,
     point_sum,
     poly_action,
+    poly_label,
     separation_check,
     shifted_config,
     standard_specs,
@@ -120,15 +121,15 @@ def test_shared_kernel_spectrum_is_bitwise_a_fresh_transform(specs_d2, rng, monk
     for spec in (specs_d2[1], standard_specs(3, 7)[0]):
         d, window = spec.dim, suite_window(spec.dim, 6)
         configs = [HeightConfig(window, spec.gamma, rng.integers(-2, 6, size=window.shape)) for _ in range(5)]
-        # a mixed stack as equivariance builds it: each field, then its shifts on the common windows
+        # a mixed stack as equivariance builds it, periodic: each field, then its shifts on the common windows
         shifted = [shifted_config(v, m) for v in configs[:2] for m in ((1,) + (0,) * (d - 1), (-2,) + (1,) * (d - 1))]
         commons = [window.intersection(u.window) for u in shifted]
-        for period in (None, (9,) * d):
-            assert_each_image_is_its_lone_image(spec, configs + shifted, [window] * 5 + commons, period)
-        # window requests on two output windows: two tori in one call
+        assert_each_image_is_its_lone_image(spec, configs + shifted, [window] * 5 + commons, (9,) * d)
+        # window requests on two output windows need two tori: one call maps on one, so the stack is refused
         outs = [window, BoxWindow.centered(d, 1).shifted((7,) + (0,) * (d - 1))] * 2 + [window]
         assert len({window_period(v.window, w) for v, w in zip(configs, outs)}) == 2
-        assert_each_image_is_its_lone_image(spec, configs, outs)
+        with pytest.raises(ValueError, match="need 2 tori"):
+            xi_apply_stack(spec, configs, outs)
         # runs of two members, the last a run of one
         for period in (None, (9,) * d):
             with monkeypatch.context() as m:
@@ -270,7 +271,7 @@ def test_harmonicity_residual_of_known_fields():
 
 def test_equivariance_zero_shift_is_exact(spec_d2, rng):
     v = random_recurrent(suite_window(2, 12), 4, rng)
-    assert equivariance_residual(spec_d2, v, (0, 0)) == 0.0
+    assert equivariance_residual(spec_d2, v, (0, 0), (14, 14)) == 0.0
 
 
 def test_equivariance_under_shifts(specs_d2, rng):
@@ -377,6 +378,32 @@ def test_separated_pair_clears_quarter_gap(spec_d2):
     gap, _ = separation_check(spec_d2, v, vp, Q)
     x = xi_apply(spec_d2, v)
     assert gap >= 1 / 8 - 2 * x.err
+
+
+def test_separation_gap_is_the_gap_between_the_two_images(rng):
+    # the map is linear, so the one image of vp - v is the difference of the two images, within their
+    # errs; its own err scales with that difference, and stays under the 1/4d floor, the d=3 defaults too
+    for d, gamma, side in ((2, 4, 16), (2, 5, 16), (3, 6, 8), (3, 7, 8)):
+        window = suite_window(d, side)
+        origin = (0,) * d
+        v = HeightConfig.all_max(window, gamma)
+        pairs = [(v, HeightConfig(window, gamma, v.heights - poly_heights(window, LaurentPoly(d, {origin: 1}))),
+                  BoxWindow(origin, origin))]
+        for _ in range(2):
+            u = random_recurrent(window, gamma, rng)
+            idx = tuple(rng.choice(np.argwhere(u.heights <= gamma - 2)))
+            site = window.site_of(idx)
+            pairs.append((u, add_poly(u, LaurentPoly(d, {site: 1})), BoxWindow(site, site)))
+        # two sites of Q, not neighbours, one grain below the maximum each
+        q = BoxWindow.centered(d, 1)
+        two = LaurentPoly(d, {origin: 1, (1,) * d: 1})
+        pairs.append((v, HeightConfig(window, gamma, v.heights - poly_heights(window, two)), q))
+        for spec in standard_specs(d, gamma):
+            for a, b, q in pairs:
+                gap, err = separation_check(spec, a, b, q)
+                x, xp = xi_apply_stack(spec, [a, b])
+                assert abs(gap - float(torus_distance(x.values, xp.values).max())) <= x.err + xp.err
+                assert err < 1 / (4 * d), (poly_label(spec.g), err)
 
 
 def test_separation_rejects_equal_and_stencil_differences(spec_d2):

@@ -80,7 +80,7 @@ def two_zeros_case():
 
 CASES = dict([additivity_case(2, 4), additivity_case(2, 5), additivity_case(3, 6), additivity_case(3, 7),
               demo_case(2, 5, 0), suite_case("kernel", 2, 4), suite_case("kernel", 2, 5),
-              suite_case("harmonicity", 2, 4), suite_case("harmonicity", 3, 6),
+              suite_case("harmonicity", 2, 4), suite_case("harmonicity", 3, 6), suite_case("separation", 3, 6),
               ("test_images_are_harmonic_mod_one", lambda: images_are_harmonic(standard_specs(2, 4),
                                                                                 np.random.default_rng(0))),
               stabilize_case("12x10 gamma=5", lambda rng: HeightConfig(BoxWindow.from_shape((12, 10)), 5,
@@ -143,6 +143,16 @@ def skip_neighbour(monkeypatch):
     monkeypatch.setattr(harmonic, "laplacian", skipping)
 
 
+def zeroed_field(monkeypatch):
+    """The map sees no grain: ``xi_apply`` maps the zero field on the same windows."""
+    xi_apply = harmonic.xi_apply
+
+    def zeroed(spec, v, out_window=None, period=None):
+        return xi_apply(spec, HeightConfig(v.window, v.gamma, np.zeros_like(v.heights)), out_window, period)
+
+    monkeypatch.setattr(harmonic, "xi_apply", zeroed)
+
+
 def even_side(monkeypatch):
     """The flat layout pads the last axis to an even side, so flat parity no longer 2-colours the sites."""
     layout = sandpile._flat_layout
@@ -186,6 +196,11 @@ MUTANTS = {
         "harmonic image",
         skip_neighbour,
         ("harmonicity d=2 gamma=4", "harmonicity d=3 gamma=6", "test_images_are_harmonic_mod_one"),
+    ),
+    "map of a zeroed field": (
+        "separation",
+        zeroed_field,
+        ("separation d=3 gamma=6",),
     ),
     "even padded side": (
         "stabilization",
