@@ -18,15 +18,18 @@ Only the coefficients a table uses are evaluated, and without an FFT.  The
 torus integrand is even in each coordinate, so the N^d trapezoid sum folds
 onto the octant {0..N//2}^d and factors into per-axis cosine sums, one
 matrix contraction per axis; the bump is built only on the octant's corner
-where it is nonzero.  The patch integrand is even in each coordinate too:
-over an orbit of the coordinate sign flips the sine terms of cos(2 pi <n,t>)
-cancel and the per-axis cosine products are equal, so the patch keeps one
-node per orbit, weighted by the orbit's size, in the same cosine form.
+where it is nonzero.  The octant is never held whole: it is streamed in
+blocks of _BLOCK_POINTS points, rows of the last axis, each contracted over
+its leading axes as it is built.  The patch integrand is even in each
+coordinate too: over an orbit of the coordinate sign flips the sine terms of
+cos(2 pi <n,t>) cancel and the per-axis cosine products are equal, so the
+patch keeps one node per orbit, weighted by the orbit's size, in the same
+cosine form, contracted in chunks of nodes by the same point rule.
 
 Accuracy fields come from Richardson comparison of two node counts
 (N versus 2N, patch node counts doubled), scaled by a safety factor.
 The independent check is the random-walk series oracle: exact walk
-distributions from the fair 1D walk's table, two axes at a time by the 45
+distributions from the fair 1D walk's triangle, two axes at a time by the 45
 degree rotation and each further axis by one vectorized binomial split,
 with tails removed by extrapolation ladders whose spread gives the error
 bound.
@@ -180,11 +183,18 @@ class GreenTable:
         return cls(d, gamma, R, values, accuracy, method)
 
 
-# -- torus grids, folded onto the symmetry octant ----------------------------
+# -- torus sums, folded onto the symmetry octant and streamed in blocks ------
 
-# Largest fine-pass octant grid, in points, that a table or entropy pass may
-# build; one float array of this size takes 128 MiB.
+# Largest fine-pass octant, in points, that a table or entropy pass may
+# evaluate.  It bounds work, not memory: the largest array held is one block
+# of _BLOCK_POINTS.
 GRID_POINT_BUDGET = 2**24
+
+# Points per block of the streamed sums, 512 KiB of floats: a block of the
+# octant holds as many whole rows of the last axis as fit, and at least one,
+# which exceeds the block only in d >= 4; a patch chunk holds as many nodes as
+# fit against its (radius+1)^(d-1) cosine products.
+_BLOCK_POINTS = 2**16
 
 
 def _check_grid_budget(d, nodes):
@@ -197,54 +207,55 @@ def _check_grid_budget(d, nodes):
         )
 
 
-def _octant_grid(d, gamma, N):
-    """Symbol F(t) = gamma - 2 sum cos(2 pi t_j) on the octant {0..N//2}^d of the N^d sampling grid.
-
-    |t| is not built here: only the bump reads it, and ``_smooth_part`` builds
-    it on the corner block where the bump is nonzero.
-    """
-    t = np.arange(N // 2 + 1) / N
-    return sum(np.meshgrid(*[-2.0 * np.cos(2 * np.pi * t)] * d, indexing="ij", sparse=True), float(gamma))
-
-
-def _fold(G, N, radius):
-    """Trapezoid coefficients A_n, 0 <= n_j <= radius, of an N^d grid function
-    even in each coordinate, from its octant values G.
-
-    A_n = N^-d sum_k G_k cos(2 pi <n,k>/N) over the full grid.  Folding k_j
-    and N - k_j together gives the weights 1 at k_j = 0 and at the Nyquist
-    node k_j = N/2 (even N only), 2 elsewhere; the sum is then a product of
-    per-axis cosine sums, one (radius+1) x (N//2+1) contraction per axis.
-    """
-    k = np.arange(G.shape[0])
-    fold = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
-    C = fold * np.cos(2 * np.pi * (np.outer(np.arange(radius + 1), k) % N) / N)
-    for _ in range(G.ndim):
-        G = np.tensordot(G, C, axes=([0], [1]))
-    return G
-
-
 def _smooth_part(d, gamma, N, radius, fn):
     """Trapezoid coefficients of the smooth part of the torus integrand fn(F).
 
     Returns A with A[n] approximating the Fourier coefficient at n, for
     0 <= n_j <= radius, of (1-bump) fn(F) at gamma = 2d (the polar patch
-    adds the rest) and of fn(F) otherwise, with the value 0 where F = 0.
-    Both are even in each coordinate, so they are sampled on the octant
-    only and folded (see ``_fold``); the values equal the real part of the
-    N^d DFT.
+    adds the rest) and of fn(F) otherwise, with the value 0 where F = 0;
+    F(t) = gamma - 2 sum cos(2 pi t_j).  The values equal the real part of
+    the N^d DFT.
+
+    Both integrands are even in each coordinate, so only the octant
+    {0..N//2}^d is sampled.  A_n = N^-d sum_k G_k cos(2 pi <n,k>/N) over the
+    full grid; folding k_j and N - k_j together gives the weights 1 at
+    k_j = 0 and at the Nyquist node k_j = N/2 (even N only), 2 elsewhere, and
+    the sum is a product of per-axis cosine sums, one (radius+1) x (N//2+1)
+    contraction C per axis.  The octant is streamed in blocks of rows of the
+    last axis: each block builds F and G, contracts its leading axes with C
+    and writes its rows of one (N//2+1) x (radius+1)^(d-1) intermediate,
+    whose last axis is contracted once at the end.  Above 8, a block's row
+    count is a multiple of 8: BLAS matrix-vector products take rows in
+    groups (OpenBLAS: up to 8) and sum leftover rows in another order, so
+    whole groups per block leave only the octant's last rows over, as one
+    whole-octant product does, and radius-0 sums (the entropy) keep its
+    bits.  The bump vanishes
+    unless every t_j < BUMP_OUTER, so |t| and the bump are built only where
+    a block meets that corner of the octant.
     """
-    F = _octant_grid(d, gamma, N)
-    G = np.zeros_like(F)
-    fn(F, out=G, where=F != 0)
-    if gamma == 2 * d:
-        # the bump vanishes unless every t_j < BUMP_OUTER: |t| and the bump
-        # are built on that corner block of the octant only
-        t = np.arange(N // 2 + 1) / N
-        t = t[t < BUMP_OUTER]
-        rho = np.sqrt(sum(np.meshgrid(*[t * t] * d, indexing="ij", sparse=True)))
-        G[(slice(0, len(t)),) * d] *= 1.0 - _bump(rho)
-    return _fold(G, N, radius)
+    h = N // 2 + 1
+    k = np.arange(h)
+    t = k / N
+    cos = -2.0 * np.cos(2 * np.pi * t)
+    fold = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
+    C = fold * np.cos(2 * np.pi * (np.outer(np.arange(radius + 1), k) % N) / N)
+    corner = int(np.count_nonzero(t < BUMP_OUTER)) if gamma == 2 * d else 0
+    tt = t[:corner] * t[:corner]
+    rows = max(1, _BLOCK_POINTS // h ** (d - 1))
+    rows -= rows % 8 if rows > 8 else 0
+    partial = np.empty((h, (radius + 1) ** (d - 1)))
+    for lo in range(0, h, rows):
+        hi = min(h, lo + rows)
+        F = sum(np.meshgrid(*[cos] * (d - 1), cos[lo:hi], indexing="ij", sparse=True), float(gamma))
+        G = np.zeros_like(F)
+        fn(F, out=G, where=F != 0)
+        if lo < corner:
+            rho = np.sqrt(sum(np.meshgrid(*[tt] * (d - 1), tt[lo:hi], indexing="ij", sparse=True)))
+            G[tuple(map(slice, rho.shape))] *= 1.0 - _bump(rho)
+        for _ in range(d - 1):
+            G = np.tensordot(G, C, axes=([0], [1]))
+        partial[lo:hi] = G.reshape(hi - lo, -1)
+    return np.tensordot(partial, C, axes=([0], [1])).reshape((radius + 1,) * d)
 
 
 # -- singular patches --------------------------------------------------------
@@ -310,7 +321,7 @@ def _patch_values(d, gamma, radius, n_r, n_ang):
     wts = _bump(rad) * jac / F
     n = np.arange(radius + 1)
     out = np.zeros((radius + 1) ** d)
-    chunk = max(1, int(4.0e6 / (radius + 1) ** (d - 1)))
+    chunk = max(1, _BLOCK_POINTS // (radius + 1) ** (d - 1))
     for i in range(0, len(wts), chunk):
         C = [np.cos(2 * np.pi * np.outer(n, x[i : i + chunk])) for x in pts]
         T = C[0] * wts[i : i + chunk]
@@ -394,12 +405,15 @@ def compute_green(d, gamma, radius, spec=None):
 
 @lru_cache(maxsize=4)
 def _walk_1d_table(kmax):
-    """W[m, x + kmax] = P(fair +-1 walk is at x after m steps), by DP; read-only, as it is shared."""
-    W = np.zeros((kmax + 1, 2 * kmax + 1))
-    W[0, kmax] = 1.0
+    """W[m, j] = P(fair +-1 walk is at 2j - m after m steps), by DP; read-only, as it is shared.
+
+    A triangle, 0 for j > m: the sites the walk can reach, half of all 2kmax+1.
+    """
+    W = np.zeros((kmax + 1, kmax + 1))
+    W[0, 0] = 1.0
     for m in range(kmax):
-        W[m + 1, 1:] += 0.5 * W[m, :-1]
-        W[m + 1, :-1] += 0.5 * W[m, 1:]
+        W[m + 1, 1 : m + 2] += 0.5 * W[m, : m + 1]
+        W[m + 1, : m + 1] += 0.5 * W[m, : m + 1]
     W.flags.writeable = False
     return W
 
@@ -418,9 +432,18 @@ def _binom_p_table(kmax, p):
 
 
 def _walk_1d(W, x):
-    """P(fair +-1 walk is at x after k steps), k = 0..kmax, as a fresh array."""
+    """P(fair +-1 walk is at x after k steps), k = 0..kmax, as a fresh array.
+
+    Nonzero at k = |x|, |x| + 2, ..., at j = (k + x)/2 of W's row k: one
+    diagonal of the triangle, read as one strided slice of its flat view.
+    """
     kmax = W.shape[0] - 1
-    return W[:, kmax + x].copy() if abs(x) <= kmax else np.zeros(kmax + 1)
+    out = np.zeros(kmax + 1)
+    k0 = abs(x)
+    if k0 <= kmax:
+        start = k0 * (kmax + 1) + (k0 + x) // 2
+        out[k0::2] = W.ravel()[start :: 2 * (kmax + 1) + 1]
+    return out
 
 
 def walk_distribution(d, n, kmax):
@@ -428,7 +451,7 @@ def walk_distribution(d, n, kmax):
 
     The last two axes use the 45 degree rotation: u = x + y and v = x - y of
     the simple walk on Z^2 are independent fair +-1 walks (Spitzer,
-    Principles of Random Walk), so P(X_k = (x, y)) = W[k, x + y] W[k, x - y].
+    Principles of Random Walk), so P(X_k = (x, y)) = P(U_k = x + y) P(U_k = x - y).
     Each further axis takes a ~ Bin(k, 1/axes_left) of the steps:
     nxt[k] = sum_a B[k, a] col[a] cur[k - a], one einsum over a zero-copy
     Toeplitz view of the zero-padded cur, so no Python loop runs over k.

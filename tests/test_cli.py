@@ -235,7 +235,7 @@ def test_green_nodes_option_and_grid_budget(tmp_path, monkeypatch):
     def no_grid(*args):
         raise AssertionError("grid built for an input that must be refused")
 
-    monkeypatch.setattr(green, "_octant_grid", no_grid)
+    monkeypatch.setattr(green, "_smooth_part", no_grid)
     rc = main(["green", "--d", "3", "--gamma", "7", "--nodes", "1024", "--out", str(tmp_path / "big.csv")])
     assert rc == 3
     assert not (tmp_path / "big.csv").exists()

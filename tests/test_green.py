@@ -5,6 +5,7 @@ check, and the decay/entropy helpers."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ def _loop_walk_distribution(d, n, kmax):
     W = green._walk_1d_table(kmax)
 
     def column(x):
-        return W[:, kmax + x] if abs(x) <= kmax else np.zeros(kmax + 1)
+        # W[k, j] = P(at 2j - k after k steps): the walk is at x when k >= |x| has x's parity
+        return np.array([W[k, (k + x) // 2] if k >= abs(x) and (k + x) % 2 == 0 else 0.0 for k in range(kmax + 1)])
 
     cur = column(n[-1])
     for axes_left, axis in enumerate(range(d - 2, -1, -1), start=2):
@@ -376,9 +378,19 @@ def _full_grid(d, gamma, N):
     return F, rho
 
 
+def _block_sizes(d, N):
+    """_BLOCK_POINTS values giving blocks of 1 and 3 rows of the last axis, and the default.
+
+    At N = 20, 16 and 17 the bump's corner (5, 4 and 5 rows) ends inside a
+    3-row block; at N = 21 (6 rows) it ends on a block boundary.
+    """
+    row = (N // 2 + 1) ** (d - 1)
+    return [row, 3 * row, green._BLOCK_POINTS]
+
+
 @pytest.mark.parametrize("d,N", [(2, 20), (2, 21), (3, 16), (3, 17)])
 @pytest.mark.parametrize("critical", [True, False])
-def test_folded_coefficients_match_full_fft(d, N, critical):
+def test_folded_coefficients_match_full_fft(monkeypatch, d, N, critical):
     gamma = 2 * d if critical else 2 * d + 1
     radius = 4
     F, rho = _full_grid(d, gamma, N)
@@ -387,9 +399,11 @@ def test_folded_coefficients_match_full_fft(d, N, critical):
     if critical:
         G *= 1.0 - green._bump(rho)
     ref = (np.fft.fftn(G).real / float(N) ** d)[(slice(0, radius + 1),) * d]
-    A = green._smooth_part(d, gamma, N, radius, np.reciprocal)
-    assert A.shape == (radius + 1,) * d
-    assert np.max(np.abs(A - ref)) <= 1e-12
+    for points in _block_sizes(d, N):
+        monkeypatch.setattr(green, "_BLOCK_POINTS", points)
+        A = green._smooth_part(d, gamma, N, radius, np.reciprocal)
+        assert A.shape == (radius + 1,) * d
+        assert np.max(np.abs(A - ref)) <= 1e-12, points
 
 
 def _full_patch_nodes(d, gamma, n_r, n_ang):
@@ -453,32 +467,70 @@ def test_patch_refuses_odd_angle_count_before_building_nodes(monkeypatch):
 
 @pytest.mark.parametrize("d,N,side", [(2, 50, 12), (3, 50, 12), (3, 256, 62), (2, 2048, 492)])
 def test_smooth_part_builds_the_bump_on_its_corner_block_only(monkeypatch, d, N, side):
-    """Work-count guard: |t| and the bump cover the indices with t_j = k/N < BUMP_OUTER, not the octant."""
-    shapes, bump = [], green._bump
+    """Work-count guard: |t| and the bump cover the indices with t_j = k/N < BUMP_OUTER, not the octant.
+
+    Over all blocks the bump sees exactly the side^d corner points, each
+    once and in order along the last axis; at (3, 256) and (2, 2048) the
+    corner spans several blocks.
+    """
+    rhos, bump = [], green._bump
 
     def recording_bump(rho):
-        shapes.append(np.shape(rho))
+        rhos.append(np.array(rho))
         return bump(rho)
 
     monkeypatch.setattr(green, "_bump", recording_bump)
     green._smooth_part(d, 2 * d, N, 0, np.reciprocal)
-    assert shapes == [(side,) * d]
+    t = np.arange(side) / N
+    assert t[-1] < green.BUMP_OUTER <= side / N
+    corner = np.sqrt(sum(a**2 for a in np.meshgrid(*[t] * d, indexing="ij")))
+    assert (len(rhos) > 1) == (N > 50)
+    assert sum(r.size for r in rhos) == side**d
+    assert all(r.shape[:-1] == (side,) * (d - 1) for r in rhos)
+    assert np.array_equal(np.concatenate(rhos, axis=-1), corner)
+
+
+@pytest.mark.parametrize("fn,args", [(compute_green, (2, 4, 16)), (compute_green, (2, 5, 16)),
+                                     (compute_green, (3, 6, 8)), (compute_green, (3, 7, 8)),
+                                     (entropy_quadrature, (2, 4)), (entropy_quadrature, (3, 6))],
+                         ids=["green-2-4-16", "green-2-5-16", "green-3-6-8", "green-3-7-8", "entropy-2-4", "entropy-3-6"])
+def test_quadrature_peak_memory_is_a_few_blocks(fn, args):
+    """Memory guard: the benchmark's tables and critical entropies each peak below 8 MiB.
+
+    The streamed sums hold one block of the octant at a time.  A dissipative
+    table's work does not depend on gamma, so one gamma per dimension stands
+    for the rest.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, "%s%r peaked at %.1f MiB" % (fn.__name__, args, peak / 2**20)
 
 
 @pytest.mark.parametrize("d,N", [(2, 20), (2, 21), (3, 16), (3, 17)])
-def test_folded_entropy_mean_matches_full_grid(d, N):
+def test_folded_entropy_mean_matches_full_grid(monkeypatch, d, N):
     F, rho = _full_grid(d, 2 * d, N)
     G = np.zeros_like(F)
     G[F != 0] = (1.0 - green._bump(rho[F != 0])) * np.log(F[F != 0])
-    Fo = green._octant_grid(d, 2 * d, N)
-    t = np.arange(N // 2 + 1) / N
-    rho_o = np.sqrt(sum(a**2 for a in np.meshgrid(*[t] * d, indexing="ij")))
-    Go = np.zeros_like(Fo)
-    Go[Fo != 0] = (1.0 - green._bump(rho_o[Fo != 0])) * np.log(Fo[Fo != 0])
-    assert abs(green._fold(Go, N, 0).item() - G.mean()) <= 1e-12
+    for points in _block_sizes(d, N):
+        monkeypatch.setattr(green, "_BLOCK_POINTS", points)
+        assert abs(green._smooth_part(d, 2 * d, N, 0, np.log).item() - G.mean()) <= 1e-12, points
     # dissipative entropy is the plain grid mean of log F
     F, _ = _full_grid(d, 2 * d + 1, N)
     assert abs(green._entropy_pass(d, 2 * d + 1, N, 8, 8) - np.log(F).mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("d,gamma", [(2, 7), (2, 9), (3, 10), (3, 11)])
+def test_streamed_entropy_sum_is_bitwise_one_block(monkeypatch, d, gamma):
+    """At entropy_quadrature's fine node counts the blocked radius-0 sum equals the whole-octant one bit for bit."""
+    N = 1024 if d == 2 else 128
+    streamed = green._smooth_part(d, gamma, N, 0, np.log).item()
+    monkeypatch.setattr(green, "_BLOCK_POINTS", 2**40)  # the whole octant in one block
+    assert streamed == green._smooth_part(d, gamma, N, 0, np.log).item()
 
 
 def _no_grid(*args):
@@ -486,7 +538,7 @@ def _no_grid(*args):
 
 
 def test_compute_green_refuses_before_building_grids(monkeypatch):
-    monkeypatch.setattr(green, "_octant_grid", _no_grid)
+    monkeypatch.setattr(green, "_smooth_part", _no_grid)
     monkeypatch.setattr(green, "_patch_nodes", _no_grid)
     with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
         compute_green(4, 8, 1, QuadratureSpec(nodes_per_axis=8))
