@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonic import (XiSpec, equivariance_residuals, harmonicity_residual, kernel_witness, point_distance, point_sum,
-                       poly_action, poly_label, separation_check, torus_distance, window_period, xi_apply_stack)
+                       poly_action, poly_label, separation_check, separation_difference, torus_distance, window_period,
+                       xi_apply_stack)
 from .laurent import LaurentPoly
 from .sandpile import HeightConfig, group_add_stack, random_load, random_recurrent, stabilize_stack, with_outflow
 from .window import BoxWindow
@@ -191,9 +192,10 @@ def _separation_pair(window, gamma, rng):
 def separation(specs, window, rng, n):
     """n pairs of recurrent configs one grain apart: some map separates each pair.
 
-    A pair's margin is the best, over the specs tried, of the gap of its
-    difference image less the floor 1/4d - err (``separation_check``); the
-    specs are tried in order until one clears both 0 and the raw floor 1/4d.
+    A pair's hypotheses are checked once (``separation_difference``).  Its
+    margin is the best, over the specs tried, of the gap of its difference
+    image less the floor 1/4d - err (``separation_check``); the specs are
+    tried in order until one clears both 0 and the raw floor 1/4d.
     The detail reports the largest err: the window request's measured
     aliasing term plus its rounding.
     """
@@ -202,9 +204,10 @@ def separation(specs, window, rng, n):
     margins, gaps, errs = [], [], []
     for _ in range(n):
         v, vp, q = _separation_pair(window, gamma, rng)
+        difference = separation_difference(v, vp, q)
         best, best_gap = -math.inf, 0.0
         for spec in specs:
-            gap, err = separation_check(spec, v, vp, q)
+            gap, err = separation_check(spec, difference, window)
             errs.append(err)
             margin = gap - (floor - err)
             if not math.isfinite(margin):

@@ -469,14 +469,13 @@ def kernel_witness(kind, specs, window, h=None):
 # -- separation ---------------------------------------------------------------
 
 
-def separation_check(spec, v, vp, Q):
-    """Largest torus gap between the images of two configurations on their window, and its err.
+def separation_difference(v, vp, Q):
+    """vp - v on the part of Q in their window, once the pair meets the hypotheses of separation.
 
     The inputs must be recurrent, agree outside Q, and differ by something
     the Laplacian stencil does not divide; their images then differ by at
-    least 1/4d somewhere.  The map is linear, so the gap is the image of
-    vp - v on Q alone, one window request whose err (rounding and aliasing)
-    scales with the difference, not with the heights.
+    least 1/4d somewhere.  None of this depends on the map, so a pair is
+    checked once, however many specs map its difference.
     """
     if v.window != vp.window or v.gamma != vp.gamma:
         raise ValueError("inputs must share window and gamma")
@@ -486,12 +485,21 @@ def separation_check(spec, v, vp, Q):
     common = v.window.intersection(Q)
     if common is None or np.count_nonzero(diff[v.window.slices(common)]) < np.count_nonzero(diff):
         raise ValueError("inputs differ outside Q")
-    f = laplacian_poly(v.dim, spec.gamma)
-    if divide_by(sandpile.window_poly(v.window, diff), f) is not None:
+    if divide_by(sandpile.window_poly(v.window, diff), laplacian_poly(v.dim, v.gamma)) is not None:
         raise ValueError("difference is a stencil multiple; the images coincide")
     if not all(report.recurrent for report in sandpile.burning_test_stack([v, vp])):
         raise ValueError("both inputs must be recurrent")
-    x = xi_apply(spec, HeightConfig(common, v.gamma, diff[v.window.slices(common)]), out_window=v.window)
+    return HeightConfig(common, v.gamma, diff[v.window.slices(common)])
+
+
+def separation_check(spec, difference, window):
+    """Largest torus gap on ``window`` between a pair's images, and its err, from their ``separation_difference``.
+
+    The map is linear, so the gap is the image of the difference alone, one
+    window request whose err (rounding and aliasing) scales with the
+    difference, not with the heights.
+    """
+    x = xi_apply(spec, difference, out_window=window)
     return float(torus_distance(x.values).max()), x.err
 
 

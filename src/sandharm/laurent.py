@@ -35,7 +35,7 @@ class LaurentPoly:
             raise ValueError("dim must be >= 1")
         clean = {}
         for key, coeff in (terms or {}).items():
-            key = tuple(int(k) for k in key)
+            key = tuple(map(int, key))
             if len(key) != dim:
                 raise ValueError("exponent %r does not have dim %d" % (key, dim))
             coeff = int(coeff)

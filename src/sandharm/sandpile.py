@@ -9,17 +9,17 @@ gamma - 2d grains.  Stabilization is order-independent (the
 abelian property), and its odometer is the least nonnegative integer field
 whose toppling leaves the configuration stable (least action, Fey-Levine-
 Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
-odometer in one step (the continuous solve L^-1 (h - (gamma - 1)) by DST-I),
-finishes with red-black half-sweeps (one colour of a flat-index parity
-colouring at a time, about as many as full sweeps would take), and
-certifies minimality with a burning test on the odometer's support,
-untoppling any stuck set.  The result is exact whatever the head start's
-rounding, but ``_dst1`` still reproduces pocketfft's DST-I bit for bit,
-so the head start and the work done match the earlier transform.  The
-sweeps run in int32 whenever a bound on the odometer, proved from the
-input and the head start, keeps every value they produce below 2^30, and
-in int64 otherwise; integer arithmetic that cannot overflow is exact, so
-both give the same result.
+odometer in one step, exactly, in int64 (the continuous solve
+L^-1 (h - (gamma - 1)) by DST-I), finishes with red-black half-sweeps (one
+colour of a flat-index parity colouring at a time, about as many as full
+sweeps would take), and certifies minimality with a burning test on the
+odometer's support, untoppling any stuck set.  The result is exact
+whatever the head start's rounding, but ``_dst1`` still reproduces
+pocketfft's DST-I bit for bit, so the head start and the work done match
+the earlier transform.  The sweeps run in the narrowest of int16, int32
+and int64 that a bound on the residual odometer, about (gamma - 1)
+(n + 1)^2 / 8 for the shortest side n whatever the load, proves they fit;
+integer arithmetic that cannot overflow is exact, so all three agree.
 
 The kernels work on stacks: several configurations on one window, laid
 one after another along a leading axis, each with its own sink border,
@@ -280,11 +280,11 @@ def _stacks(configs):
     return [(run, run[0].heights[None] if len(run) == 1 else np.stack([v.heights for v in run])) for run in runs]
 
 
-# the sweeps run in int32 when every value they can produce lies strictly
-# within +-_INT32_LIMIT, else in int64 within +-_INT64_LIMIT; the padded
-# border (a sink, which never reaches gamma) starts at minus the limit
-_INT32_LIMIT = 1 << 30
+# the sweeps run in the first of these dtypes that ``_sweep_dtype`` proves they
+# fit, each with its limit: a quarter of its range, where the padded border (a
+# sink, which never reaches gamma) starts, at minus the limit
 _INT64_LIMIT = 1 << 62
+_SWEEP_LIMITS = {np.int16: 1 << 14, np.int32: 1 << 30, np.int64: _INT64_LIMIT}
 
 
 def _box_eigenvalues(shape, gamma):
@@ -337,34 +337,43 @@ def _odometer_floor(heights, gamma):
     return np.maximum(bound, 0).astype(np.int64)
 
 
-def _sweep_dtype(heights, start, gamma):
-    """int32 when no value of the sweeps from ``start`` can leave +-_INT32_LIMIT, else int64.
+def _sweep_dtype(residual, gamma):
+    """The narrowest dtype of ``_SWEEP_LIMITS`` that the sweeps of each member of a stack provably fit.
 
-    A bound U on the odometer u: final heights are >= 0, so L u <= h and,
-    L^-1 being entrywise nonnegative, u <= L^-1 h = L^-1 (h - (gamma - 1))
-    + (gamma - 1) L^-1 1.  The first term is the DST solve x whose floor,
-    less 1e-6 and clipped at 0, is the head start, so x < max(start) + 2
-    for any rounding error below 1/2.  For the second, the 1-d torsion
-    function phi = t (n + 1 - t) / 2 along the shortest axis (t = 1..n)
-    has L phi >= (gamma - 2d) phi + 1 >= 1, so L^-1 1 <= phi <= (n + 1)^2 / 8.
+    ``residual`` holds each member's h1 = h - L start, its heights with the
+    head start toppled, and the sweeps topple it legally from a zero
+    odometer R.  A site that has toppled holds >= 0 and one that has not
+    holds its h1, so every height stays >= min(h1, 0); hence L R <= h1^+ at
+    every step, and, L^-1 being entrywise nonnegative, R <= L^-1 h1^+ =
+    L^-1 h1 + L^-1 h1^-.  Here L^-1 h1 = x - start + (gamma - 1) L^-1 1,
+    with x = L^-1 (h - (gamma - 1)) the DST solve whose floor, less 1e-6
+    and clipped at 0, is the head start, so x - start < 2 for any rounding
+    error below 1/2; a head start that overshoots only makes it smaller.
+    The 1-d torsion function phi = t (n + 1 - t) / 2 along the shortest
+    axis (t = 1..n) has L phi >= (gamma - 2d) phi + 1 >= 1, so L^-1 1 <=
+    phi <= (n + 1)^2 / 8.  So R <= 2 + (gamma - 1 + max h1^-) (n + 1)^2 / 8,
+    rounded down.
 
-    The sweeps count w <= u + c, c = max(start - u)^+ <= max(start): u + c
-    is stabilizing (L 1 >= 0) and lies above ``start``, so legal topplings
-    from ``start`` never pass it (least action).  This holds even for a
-    head start that overshoots.  So w <= W = U + max(start), a height in
-    the window lies in [-gamma max(start), max(h) + 2d W], and a border
-    site holds the sink plus at most W.  The proof uses only that every
-    toppling is legal, never their order, so it covers the half-sweeps;
-    the second sink layer after an even side touches no window site, so it
-    receives nothing and keeps the sink value.  The same proof with
-    _INT64_LIMIT covers int64; a bound at or above it raises ValueError.
+    A window height gains at most R per neighbour, so it lies in
+    [min(h1, 0), max h1 + 2d R]; a border site has at most one window
+    neighbour, so it holds the sink -limit plus at most R, and the second
+    sink layer after an even side has none and keeps the sink.  One bound
+    B = max h1^+ + 2d R below 2 limit, the top of the dtype's range, proves
+    it all: B >= max h1^- keeps every height above the bottom, -2 limit,
+    and R < limit keeps the border below 0, so it never topples; each
+    product k gamma is at most the height it is taken from.  The proof uses
+    only that every toppling is legal, never their order, so it covers the
+    half-sweeps.  A member's B at or above 2^63 raises ValueError; a stack
+    takes the widest of its members' dtypes.
     """
-    top = int(start.max(initial=0))
-    odometer = 2 * top + 2 + (gamma - 1) * (min(heights.shape) + 1) ** 2 / 8
-    bound = max(int(heights.max(initial=0)) + 2 * heights.ndim * odometer, gamma * top)
-    if bound >= _INT64_LIMIT:
-        raise ValueError("stabilize cannot prove its sweeps stay below 2^62 in int64 (bound %.3g)" % bound)
-    return np.int32 if bound < _INT32_LIMIT else np.int64
+    side, d = min(residual.shape[1:]), residual.ndim - 1
+    flat = residual.reshape(len(residual), -1)
+    tops, deficits = flat.max(axis=1, initial=0).tolist(), (-flat.min(axis=1, initial=0)).tolist()
+    bound = max(top + 2 * d * (2 + (gamma - 1 + m) * (side + 1) ** 2 // 8) for top, m in zip(tops, deficits))
+    for dtype, limit in _SWEEP_LIMITS.items():
+        if bound < 2 * limit:
+            return dtype
+    raise ValueError("stabilize cannot prove its sweeps fit int64 (bound %d, at or above 2^63)" % bound)
 
 
 def stabilize(v):
@@ -374,28 +383,30 @@ def stabilize(v):
     nonnegative integer field with h - L u <= gamma - 1, and any field
     below u stays below it under legal topplings.  So ``stabilize``
 
-    1. topples the head start ``_odometer_floor`` in one step;
-    2. sweeps legally, toppling floor(h / gamma) times at every site at or
-       above gamma until none is left, on a flat padded array whose border
-       is a sink.  Every padded side is odd (``_flat_layout``), so flat
-       parity colours the sites red and black with no two neighbours
-       alike; each half-sweep topples one colour, with the values the other
-       left, and adds into the other.  Each colour is one contiguous half,
-       so each neighbour update is still one slice add;
+    1. topples the head start ``_odometer_floor`` in one step, exactly, in
+       int64: h1 = h - L start;
+    2. sweeps h1 legally from a zero residual odometer R, toppling
+       floor(h / gamma) times at every site at or above gamma until none is
+       left, on a flat padded array whose border is a sink.  Every padded
+       side is odd (``_flat_layout``), so flat parity colours the sites red
+       and black with no two neighbours alike; each half-sweep topples one
+       colour, with the values the other left, and adds into the other.
+       Each colour is one contiguous half, so each neighbour update is
+       still one slice add.  The odometer is start + R;
     3. certifies the result.  A stable s = h - L w is the stabilization
        exactly when the burning test run on supp(w) alone burns all of it;
        a stuck set A is then forbidden, and w - 1_A still stabilizes, so A
        is untoppled and the test repeated.
 
-    The sweeps run in int32, half the memory traffic of int64, whenever
-    ``_sweep_dtype`` proves from the input and the head start that no
-    height, border value or count can reach 2^30: the odometer is at most
-    L^-1 (h - (gamma - 1)), which the head start's DST already bounds, plus
-    (gamma - 1) (n + 1)^2 / 8 for the shortest side n.  Otherwise the same
-    loop runs in int64, under the same proof with 2^62; an input for which
-    that bound, or the total mass |E| max(h), reaches 2^62 raises
-    ValueError.  Integer arithmetic that does not overflow is exact, so the
-    result does not depend on the dtype.
+    The sweeps run in the narrowest of int16, int32 and int64 that
+    ``_sweep_dtype`` proves no height, border value or count of theirs can
+    leave: R is at most 2 + (gamma - 1 + max h1^-) (n + 1)^2 / 8 for the
+    shortest side n, whatever the load, since the head start has taken up
+    the rest.  Narrower integers make each numpy call cheaper.  An input
+    for which that bound, the head start's topple or the total mass
+    |E| max(h) reaches the int64 range raises ValueError.  Integer
+    arithmetic that does not overflow is exact, so the result does not
+    depend on the dtype.
 
     The certificate makes the result exact even if rounding in the head
     start overshoots; a head start above the odometer's a priori bound is
@@ -410,15 +421,17 @@ def stabilize_stack(configs):
 
     The configurations share one window and gamma.  Each run of at most
     STACK_SITES sites is stacked along a new leading axis and goes through
-    every step of ``stabilize`` at once: one DST head start, one flat
-    padded array whose member borders are all sinks, one run of half-sweeps
-    over both colours of every member, one certificate.  The
-    guards hold per member (the mass bound, the head-start ceiling,
-    ``_sweep_dtype``), so a stack raises exactly when one of its members
-    would raise alone; the sweeps run in int64 if any member needs it.
-    Each site's gamma count is at most the ``_sweep_dtype`` bound, below
-    2^62, and the partial sums of L counts lie between -sum(final) and the
-    initial mass, so the loss sums exactly in int64.
+    every step of ``stabilize`` at once: one DST head start, toppled in
+    int64 for the whole stack, one flat padded array whose member borders
+    are all sinks, one run of half-sweeps over both colours of every
+    member, one certificate.  The guards hold per member (the mass bound,
+    the head-start ceiling, the topple's int64 bound, ``_sweep_dtype``), so
+    a stack raises exactly when one of its members would raise alone; the
+    sweeps run in the widest dtype a member needs.  L counts is initial -
+    final at each site, which int64 holds exactly whatever gamma counts
+    wraps to on the way (integer arithmetic is exact mod 2^64), and its
+    partial sums lie between -sum(final) and the initial mass, so the loss
+    sums exactly in int64.
     """
     out = []
     for run, heights in _stacks(configs):
@@ -434,24 +447,28 @@ def _stabilize_heights(heights, gamma):
     if (heights < 0).any():
         raise ValueError("stabilize requires nonnegative heights")
     n, shape = heights.shape[0], heights.shape[1:]
-    tops = heights.reshape(n, -1).max(axis=1, initial=0).tolist()
-    if any(math.prod(shape) * top >= _INT64_LIMIT for top in tops):
+    tops = heights.reshape(n, -1).max(axis=1, initial=0)
+    if math.prod(shape) * int(tops.max()) >= _INT64_LIMIT:
         raise ValueError("total mass up to |E| max(h) must stay below 2^62 for int64 mass balance")
     start = _odometer_floor(heights, gamma)
-    dtype = np.int32
-    for top, h, s in zip(tops, heights, start):
-        # u <= L^-1 h <= max(h) (n + 1)^2 / 8 for the shortest side n (see _sweep_dtype);
-        # a head start far above that is a fault in the solve, not a rounding slip
-        ceiling = top * (min(shape) + 1) ** 2 / 8 + 1
-        if s.max(initial=0) > ceiling:
-            raise RuntimeError("head start %d exceeds the odometer bound %.6g" % (s.max(), ceiling))
-        if _sweep_dtype(h, s, gamma) is np.int64:
-            dtype = np.int64
-    sink = -_INT32_LIMIT if dtype == np.int32 else -_INT64_LIMIT
+    # u <= L^-1 h <= max(h) (n + 1)^2 / 8 for the shortest side n (see _sweep_dtype);
+    # a head start far above that is a fault in the solve, not a rounding slip
+    highs = start.reshape(n, -1).max(axis=1, initial=0)
+    ceilings = tops * ((min(shape) + 1) ** 2 / 8) + 1
+    over = np.flatnonzero(highs > ceilings)
+    if over.size:
+        raise RuntimeError("head start %d exceeds the odometer bound %.6g" % (highs[over[0]], ceilings[over[0]]))
+    # toppled at once (toppling is linear), the head start leaves heights in
+    # [-gamma max(start), max(h) + 2d max(start)]
+    high = int(highs.max())
+    if max(gamma * high, int(tops.max()) + 2 * len(shape) * high) >= _INT64_LIMIT:
+        raise ValueError("stabilize cannot topple its head start within 2^62 in int64")
+    residual = heights - laplacian(start, gamma, stacked=True)
+    dtype = _sweep_dtype(residual, gamma)
     padded, strides, core = _flat_layout(shape)
-    flat = _halves(heights.astype(dtype), sink)
-    swept = _halves(start.astype(dtype))
+    flat = _halves(residual.astype(dtype), -_SWEEP_LIMITS[dtype])
     sizes = [half.size for half in flat]
+    swept = [np.zeros(size, dtype=dtype) for size in sizes]
     # k, tmp and zeros are cut to each colour's size once, so are the (target,
     # source) views of its neighbour updates, and gamma is a scalar of the
     # sweep dtype: less work per numpy call.  np.maximum against an array of
@@ -460,19 +477,9 @@ def _stabilize_heights(heights, gamma):
     k, tmp, zeros = ([row[:size] for size in sizes] for row in np.zeros((3, sizes[0]), dtype=dtype))
     adds = [[(flat[1 - c][t], k[c][s]) for t, s in _moves(strides, c, sizes)] for c in (0, 1)]
     g = dtype(gamma)
-
-    def topple(c):
-        np.subtract(flat[c], np.multiply(k[c], g, out=tmp[c]), out=flat[c])
-        for target, source in adds[c]:
-            np.add(target, source, out=target)
-
-    # the head start, toppled at once (toppling is linear), then half-sweeps
-    # of alternate colours: one topples floor(h / gamma) times wherever
-    # h >= gamma, which leaves its colour below gamma, so once a half-sweep
-    # other than the first topples nothing, every site is stable
-    for c in (0, 1):
-        k[c][...] = swept[c]
-        topple(c)
+    # half-sweeps of alternate colours: one topples floor(h / gamma) times
+    # wherever h >= gamma, which leaves its colour below gamma, so once a
+    # half-sweep other than the first topples nothing, every site is stable
     half = 0
     while True:
         c = half % 2
@@ -480,11 +487,13 @@ def _stabilize_heights(heights, gamma):
         np.maximum(k[c], zeros[c], out=k[c])
         if k[c].max():
             swept[c] += k[c]
-            topple(c)
+            np.subtract(flat[c], np.multiply(k[c], g, out=tmp[c]), out=flat[c])
+            for target, source in adds[c]:
+                np.add(target, source, out=target)
         elif half:
             break
         half += 1
-    counts = _join(swept, (n,) + padded)[core].astype(np.int64)
+    counts = start + _join(swept, (n,) + padded)[core]
     stable = _join(flat, (n,) + padded)[core].astype(np.int64)
     while True:
         stuck = counts > 0
@@ -492,8 +501,7 @@ def _stabilize_heights(heights, gamma):
         if not stuck.any():
             return stable, counts
         counts -= stuck
-        for i in np.flatnonzero(stuck.reshape(n, -1).any(axis=1)):
-            stable[i] += laplacian(stuck[i].astype(np.int64), gamma)
+        stable += laplacian(stuck.astype(np.int64), gamma, stacked=True)
 
 
 def _burn_rounds(heights, alive):
@@ -741,7 +749,9 @@ def poly_heights(window, poly):
 
 def window_poly(window, arr):
     """Laurent polynomial of the array's nonzero entries at their window sites; inverts ``poly_heights``."""
-    return LaurentPoly(window.dim, {window.site_of(idx): int(arr[tuple(idx)]) for idx in np.argwhere(arr)})
+    idx = np.argwhere(arr)
+    sites = map(tuple, (idx + window.lo).tolist())
+    return LaurentPoly(window.dim, dict(zip(sites, arr[tuple(idx.T)].tolist())))
 
 
 def add_poly(v, poly):

@@ -116,10 +116,13 @@ def site_rows(window, values):
     return ["%s,%r" % (",".join(map(str, site)), value) for site, value in rows]
 
 
-def neighbour_sum(field):
-    """Sum of the 2d nearest-neighbour values at each site, zero outside the array."""
+def neighbour_sum(field, stacked=False):
+    """Sum of the 2d nearest-neighbour values at each site, zero outside the array.
+
+    With ``stacked`` the first axis lists separate arrays, not a lattice axis.
+    """
     out = np.zeros_like(field)
-    for ax in range(field.ndim):
+    for ax in range(int(stacked), field.ndim):
         lower = [slice(None)] * field.ndim
         upper = [slice(None)] * field.ndim
         lower[ax] = slice(None, -1)
@@ -129,6 +132,6 @@ def neighbour_sum(field):
     return out
 
 
-def laplacian(field, gamma):
-    """Toppling-matrix product L field, with L = gamma I - A on the array's box."""
-    return gamma * field - neighbour_sum(field)
+def laplacian(field, gamma, stacked=False):
+    """Toppling-matrix product L field, with L = gamma I - A on the array's box (each member's, if ``stacked``)."""
+    return gamma * field - neighbour_sum(field, stacked)

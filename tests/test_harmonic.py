@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from sandharm import harmonic, sandpile
+from sandharm import checks, harmonic, sandpile
 from sandharm.checks import suite_window
 from sandharm.green import multiplier_table
 from sandharm.harmonic import (
@@ -24,6 +24,7 @@ from sandharm.harmonic import (
     poly_action,
     poly_label,
     separation_check,
+    separation_difference,
     shifted_config,
     standard_specs,
     torus_distance,
@@ -170,8 +171,9 @@ def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
         v = HeightConfig.all_max(w, 6)
         vp = HeightConfig(w, 6, v.heights - poly_heights(w, LaurentPoly(3, {(0, 0, 0): 1})))
         q = BoxWindow((0, 0, 0), (0, 0, 0))
-        assert calls_of(separation_check, spec, v, vp, q) == {"rfftn": 1, "irfftn": 1 + 1, "alias": 1}
-        assert calls_of(separation_check, spec, v, vp, q) == {"rfftn": 1, "irfftn": 1, "alias": 0}
+        difference = separation_difference(v, vp, q)
+        assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfftn": 1 + 1, "alias": 1}
+        assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfftn": 1, "alias": 0}
 
 
 def test_window_period_is_four_times_the_extent():
@@ -375,7 +377,7 @@ def test_separated_pair_clears_quarter_gap(spec_d2):
     v = HeightConfig.all_max(w, 4)
     vp = HeightConfig(w, 4, v.heights - poly_heights(w, LaurentPoly(2, {(0, 0): 1})))
     Q = BoxWindow((0, 0), (0, 0))
-    gap, _ = separation_check(spec_d2, v, vp, Q)
+    gap, _ = separation_check(spec_d2, separation_difference(v, vp, Q), w)
     x = xi_apply(spec_d2, v)
     assert gap >= 1 / 8 - 2 * x.err
 
@@ -400,37 +402,56 @@ def test_separation_gap_is_the_gap_between_the_two_images(rng):
         pairs.append((v, HeightConfig(window, gamma, v.heights - poly_heights(window, two)), q))
         for spec in standard_specs(d, gamma):
             for a, b, q in pairs:
-                gap, err = separation_check(spec, a, b, q)
+                gap, err = separation_check(spec, separation_difference(a, b, q), window)
                 x, xp = xi_apply_stack(spec, [a, b])
                 assert abs(gap - float(torus_distance(x.values, xp.values).max())) <= x.err + xp.err
                 assert err < 1 / (4 * d), (poly_label(spec.g), err)
 
 
-def test_separation_rejects_equal_and_stencil_differences(spec_d2):
+def test_separation_rejects_equal_and_stencil_differences():
     w = suite_window(2, 16)
     v = HeightConfig.all_max(w, 4)
     Q = BoxWindow.centered(2, 1)
     with pytest.raises(ValueError):
-        separation_check(spec_d2, v, HeightConfig(w, 4, v.heights), Q)
+        separation_difference(v, HeightConfig(w, 4, v.heights), Q)
     vp = add_poly(v, laplacian_poly(2) * LaurentPoly(2, {(0, 0): 1}))
     with pytest.raises(ValueError):
-        separation_check(spec_d2, v, vp, Q)  # difference is a stencil multiple
+        separation_difference(v, vp, Q)  # difference is a stencil multiple
     zeros = HeightConfig.constant(w, 4, 0)
     bumped = add_poly(zeros, LaurentPoly(2, {(0, 0): 1}))
     with pytest.raises(ValueError, match="^both inputs must be recurrent$"):
-        separation_check(spec_d2, zeros, bumped, Q)  # neither input recurrent
+        separation_difference(zeros, bumped, Q)  # neither input recurrent
     forbidden = HeightConfig(w, 4, v.heights - poly_heights(w, LaurentPoly(2, {(0, 0): 3, (1, 0): 3})))
     for pair in ((v, forbidden), (forbidden, v)):  # two adjacent empty sites never burn
         with pytest.raises(ValueError, match="^both inputs must be recurrent$"):
-            separation_check(spec_d2, *pair, Q)
+            separation_difference(*pair, Q)
 
 
-def test_separation_rejects_difference_outside_q(spec_d2):
+def test_separation_rejects_difference_outside_q():
     w = suite_window(2, 16)
     v = HeightConfig.all_max(w, 4)
     vp = HeightConfig(w, 4, v.heights - poly_heights(w, LaurentPoly(2, {(5, 5): 1})))
     with pytest.raises(ValueError):
-        separation_check(spec_d2, v, vp, BoxWindow((0, 0), (0, 0)))
+        separation_difference(v, vp, BoxWindow((0, 0), (0, 0)))
+
+
+def test_separation_checks_each_pair_once(monkeypatch, rng):
+    # counted: at the d=3 defaults every pair is burnt and divided by the stencil once, however
+    # many specs map its difference
+    counts = {"burn": 0, "divide": 0, "map": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(sandpile, "burning_test_stack", counted("burn", sandpile.burning_test_stack))
+    monkeypatch.setattr(harmonic, "divide_by", counted("divide", harmonic.divide_by))
+    monkeypatch.setattr(checks, "separation_check", counted("map", checks.separation_check))
+    (check,) = checks.separation(standard_specs(3, 6), suite_window(3, 8), rng, 10)
+    assert check.passed
+    assert counts["burn"] == counts["divide"] == 10 and counts["map"] > 10
 
 
 # -- tuples and additivity -----------------------------------------------------

@@ -165,6 +165,13 @@ def even_side(monkeypatch):
     monkeypatch.setattr(sandpile, "_flat_layout", even)
 
 
+def int16_border_at_zero(monkeypatch):
+    """The int16 sweeps' padded border starts at 0, not at the sink, so a border site can topple back."""
+    halves = sandpile._halves
+    monkeypatch.setattr(sandpile, "_halves",
+                        lambda stack, value=0: halves(stack, 0 if stack.dtype == np.int16 else value))
+
+
 def always_recurrent(monkeypatch):
     """Every site burns in round 1, whatever its height."""
     monkeypatch.setattr(sandpile, "_burn_rounds", lambda heights, alive: np.ones(heights.shape, dtype=np.int32))
@@ -206,6 +213,13 @@ MUTANTS = {
         "stabilization",
         even_side,
         ("stabilize 12x10 gamma=5", "stabilize pile 600 15x15 gamma=4", "stabilize 5x4x6 gamma=6"),
+    ),
+    # only the pile sends gamma or more grains onto one border site; on the two loads each border
+    # site holds fewer, never topples back, and the mutant changes nothing
+    "int16 border at 0": (
+        "stabilization",
+        int16_border_at_zero,
+        ("stabilize pile 600 15x15 gamma=4",),
     ),
     "burning test always recurrent": (
         "stabilization",

@@ -2,6 +2,7 @@
 against the raw forbidden-subconfiguration definition, counting, the
 correction operator, and the group operation."""
 
+import contextlib
 import itertools
 import math
 
@@ -137,8 +138,8 @@ def sandpile_stacks(draw):
     """1-6 members on one window of dimension 1-3 with one threshold 2d..2d+2.
 
     Members are all-max + U loads, single piles or random fields; in about
-    half the stacks one member is a pile of 2^30 grains, whose sweeps
-    alone need int64, so the whole stack runs in int64.
+    half the stacks one member is a pile of 2^30 grains, whose head start
+    tops 2^20 while its residual still sweeps in int16.
     """
     d = draw(st.integers(1, 3))
     shape = tuple(draw(st.lists(st.integers(1, (24, 9, 5)[d - 1]), min_size=d, max_size=d)))
@@ -449,34 +450,56 @@ def head_start(heights, gamma):
     return sandpile._odometer_floor(heights[None], gamma)[0]
 
 
-def stabilize_in_int64(v):
-    """``stabilize`` with the int32 limit at 0, so its sweeps take the int64 path."""
+SWEEP_DTYPES = (np.int16, np.int32, np.int64)
+
+
+def sweep_dtype(heights, gamma, start=None):
+    """The dtype ``stabilize`` sweeps one height array in, from ``start`` (its head start by default)."""
+    start = head_start(heights, gamma) if start is None else start
+    return sandpile._sweep_dtype((heights - window.laplacian(start, gamma))[None], gamma)
+
+
+@contextlib.contextmanager
+def sweeps_in(dtype):
+    """The limits of the dtypes narrower than ``dtype`` set to 0, so no bound proves them."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sandpile, "_INT32_LIMIT", 0)
-        assert sandpile._sweep_dtype(v.heights, head_start(v.heights, v.gamma), v.gamma) is np.int64
+        for narrower in SWEEP_DTYPES[: SWEEP_DTYPES.index(dtype)]:
+            mp.setitem(sandpile._SWEEP_LIMITS, narrower, 0)
+        yield
+
+
+def stabilize_in(v, dtype):
+    """``stabilize`` with its sweeps forced to ``dtype`` through the limits."""
+    with sweeps_in(dtype):
+        assert sweep_dtype(v.heights, v.gamma) is dtype
         return stabilize(v)
 
 
 @given(sandpile_inputs())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_int32_and_int64_sweeps_agree(v):
-    assert sandpile._sweep_dtype(v.heights, head_start(v.heights, v.gamma), v.gamma) is np.int32
-    out, odo = stabilize(v)
-    out64, odo64 = stabilize_in_int64(v)
-    assert np.array_equal(out.heights, out64.heights)
-    assert np.array_equal(odo.counts, odo64.counts)
-    assert odo.total_mass_lost == odo64.total_mass_lost
+def test_int16_int32_and_int64_sweeps_agree(v):
+    assert sweep_dtype(v.heights, v.gamma) is np.int16
+    ref_heights, ref_counts = sweep_reference(v.heights, v.gamma)
+    for dtype in SWEEP_DTYPES:
+        out, odo = stabilize_in(v, dtype)
+        assert np.array_equal(out.heights, ref_heights)
+        assert np.array_equal(odo.counts, ref_counts)
+        assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
 
 
-@given(sandpile_stacks())
+@given(sandpile_stacks(), st.sampled_from(SWEEP_DTYPES))
 @settings(max_examples=80, deadline=None, derandomize=True)
-def test_stacked_stabilize_matches_sweep_reference(stack):
-    # each member of a stack comes out as the bulk sweeps give it alone, whatever its neighbours
+def test_stacked_stabilize_matches_sweep_reference(stack, dtype):
+    # each member of a stack comes out as the bulk sweeps give it alone, whatever its neighbours,
+    # in each sweep dtype; a 2^30 pile's head start takes up all but an int16 residual
     gamma = stack[0].gamma
     wide = [v for v in stack if v.heights.max() == 1 << 30]
     for v in wide:
-        assert sandpile._sweep_dtype(v.heights, head_start(v.heights, gamma), gamma) is np.int64
-    results = sandpile.stabilize_stack(stack)
+        assert head_start(v.heights, gamma).max() > 1 << 20
+        assert sweep_dtype(v.heights, gamma) is np.int16
+    with sweeps_in(dtype):
+        assert {sweep_dtype(v.heights, gamma) for v in stack} == {dtype}
+        results = sandpile.stabilize_stack(stack)
     assert len(results) == len(stack)
     for v, (out, odo) in zip(stack, results):
         ref_heights, ref_counts = sweep_reference(v.heights, gamma)
@@ -484,6 +507,57 @@ def test_stacked_stabilize_matches_sweep_reference(stack):
         assert np.array_equal(out.heights, ref_heights)
         assert np.array_equal(odo.counts, ref_counts)
         assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
+
+
+def test_stack_sweeps_in_its_widest_members_dtype(monkeypatch):
+    # an overshooting head start on one member alone: that member needs int32, so the stack
+    # sweeps in int32, and every member still comes out as the bulk sweeps give it alone
+    rng = np.random.default_rng(11)
+    w = box(15, 15)
+    stack = [sandpile.random_load(w, 4, rng) for _ in range(3)]
+    floor = sandpile._odometer_floor
+
+    def overshoot(heights, gamma):
+        start = floor(heights, gamma)
+        start[1, 7, 7] += 150
+        return start
+
+    lone = [sweep_dtype(v.heights, 4) for v in stack]
+    monkeypatch.setattr(sandpile, "_odometer_floor", overshoot)
+    starts = sandpile._odometer_floor(np.stack([v.heights for v in stack]), 4)
+    assert lone == [np.int16] * 3 and sweep_dtype(stack[1].heights, 4, starts[1]) is np.int32
+    residuals = np.stack([v.heights for v in stack]) - window.laplacian(starts, 4, stacked=True)
+    assert sandpile._sweep_dtype(residuals, 4) is np.int32
+    for v, (out, odo) in zip(stack, sandpile.stabilize_stack(stack)):
+        ref_heights, ref_counts = sweep_reference(v.heights, 4)
+        assert np.array_equal(out.heights, ref_heights) and np.array_equal(odo.counts, ref_counts)
+
+
+def test_sandpile_bulk_inputs_sweep_in_int16(monkeypatch):
+    # counted, not timed: every sweep of the benchmark's five stabilize inputs (the 128^2 and 32^3
+    # loads, the 128^2 group sum, the 2^15 pile on 129^2, the M=30 correction) runs in int16; a
+    # guard that widens the dtype fails here, not only in the benchmark's times
+    rng = np.random.default_rng(0)
+    w128 = box(128, 128)
+    a, b = (random_recurrent(w128, 4, rng) for _ in range(2))
+    field = BoxWindow.centered(2, 31)
+    dtypes = []
+    floor_divide = np.floor_divide
+
+    def recording(x, *args, **kwargs):
+        dtypes.append(x.dtype)
+        return floor_divide(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "floor_divide", recording)
+    for run in (lambda: stabilize(sandpile.random_load(w128, 4, rng)),
+                lambda: stabilize(sandpile.random_load(box(32, 32, 32), 6, rng)),
+                lambda: group_add(a, b),
+                lambda: stabilize(HeightConfig.delta(BoxWindow.centered(2, 64), 4, (0, 0), 2**15)),
+                lambda: correct_to_recurrent(HeightConfig(field, 4, rng.integers(-3, 8, size=field.shape)), 30)):
+        before = len(dtypes)
+        run()
+        assert len(dtypes) > before + 10
+    assert set(dtypes) == {np.dtype(np.int16)}
 
 
 @given(burn_stacks())
@@ -573,26 +647,39 @@ def test_sweep_dtype_guard():
     for shape, gamma in [((9,), 2), ((7, 12), 4), ((12, 7), 5), ((4, 5, 6), 6), ((6, 6, 3), 8)]:
         ones = np.linalg.solve(toppling_matrix(box(*shape), gamma), np.ones(math.prod(shape)))
         assert ones.max() <= (min(shape) + 1) ** 2 / 8 * (1 + 1e-12)
-    # a pile whose odometer bound passes 2^30 is swept in int64; a smaller one in int32
+    # the int16 bound on concrete shapes: R <= 6242 on a 128^2 load and 6339 on the 129^2 pile,
+    # so 2d R < 2^15; a 256^2 load (R <= 24770) takes int32
+    rng = np.random.default_rng(2)
+    for v, dtype in [(sandpile.random_load(box(128, 128), 4, rng), np.int16),
+                     (HeightConfig.delta(BoxWindow.centered(2, 64), 4, (0, 0), 2**15), np.int16),
+                     (sandpile.random_load(box(32, 32, 32), 6, rng), np.int16),
+                     (sandpile.random_load(box(256, 256), 4, rng), np.int32)]:
+        assert sweep_dtype(v.heights, v.gamma) is dtype
+    # the head start takes up a pile, however large: its residual sweeps in int16
     w = box(65, 65)
-    for grains, dtype in [(1 << 31, np.int64), (1 << 40, np.int64), (1 << 20, np.int32)]:
+    for grains in (1 << 20, 1 << 31, 1 << 40):
         heights = HeightConfig.delta(w, 4, (32, 32), grains).heights
-        assert sandpile._sweep_dtype(heights, head_start(heights, 4), 4) is dtype
-    # so is a head start that overshoots far enough, even on a stable pile
+        assert sweep_dtype(heights, 4) is np.int16
+    # a head start that overshoots far enough widens the dtype, even on a stable pile
     heights = np.zeros((3, 3), dtype=np.int64)
-    assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 28), 4) is np.int64
-    assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 20), 4) is np.int32
+    for top, dtype in [(1 << 8, np.int16), (1 << 20, np.int32), (1 << 28, np.int64)]:
+        assert sweep_dtype(heights, 4, np.full((3, 3), top)) is dtype
 
 
-def test_int64_guard_refuses_unprovable_sweeps():
-    # the int32 proof, applied to int64: a bound at 2^62 or more is refused
+def test_int64_guard_refuses_unprovable_sweeps(monkeypatch):
+    # the same bound in int64: at 2^63 or more it is refused
     heights = np.zeros((3, 3), dtype=np.int64)
-    assert sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 58), 4) is np.int64
-    with pytest.raises(ValueError, match="2\\^62"):
-        sandpile._sweep_dtype(heights, np.full((3, 3), 1 << 60), 4)
-    # a threshold that large makes the odometer bound itself pass 2^62
-    with pytest.raises(ValueError, match="2\\^62"):
+    assert sweep_dtype(heights, 4, np.full((3, 3), 1 << 58)) is np.int64
+    with pytest.raises(ValueError, match="2\\^63"):
+        sweep_dtype(heights, 4, np.full((3, 3), 1 << 60))
+    # a threshold that large makes the odometer bound itself pass 2^63
+    with pytest.raises(ValueError, match="2\\^63"):
         stabilize(HeightConfig.constant(box(3, 3), 1 << 62, 1))
+    # a head start within its ceiling whose topple would leave int64 is refused before it is toppled
+    v = HeightConfig.delta(box(1000), 64, (500,), 1 << 40)
+    monkeypatch.setattr(sandpile, "_odometer_floor", lambda h, gamma: np.full(h.shape, 1 << 56))
+    with pytest.raises(ValueError, match="topple its head start"):
+        stabilize(v)
 
 
 def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
@@ -611,7 +698,7 @@ def test_certificate_repairs_an_overshooting_head_start(monkeypatch):
     ]
     for v in cases:
         ref_heights, ref_counts = sweep_reference(v.heights, v.gamma)
-        for out, odo in (stabilize(v), stabilize_in_int64(v)):
+        for out, odo in (stabilize_in(v, dtype) for dtype in SWEEP_DTYPES):
             assert np.array_equal(out.heights, ref_heights)
             assert np.array_equal(odo.counts, ref_counts)
             assert odo.total_mass_lost == int(v.heights.sum() - ref_heights.sum())
@@ -1112,3 +1199,16 @@ def test_text_round_trip():
     assert back.gamma == v.gamma
     assert back.window == v.window
     assert np.array_equal(back.heights, v.heights)
+
+
+def test_window_poly_lists_the_nonzero_entries_in_c_order(rng):
+    # the terms, their order and their int coefficients are those of one site_of per entry,
+    # and poly_heights lays them back out
+    for d, lo in ((1, (-3,)), (2, (-30, 4)), (3, (2, -1, 0))):
+        w = BoxWindow(lo, tuple(x + 6 for x in lo))
+        arr = rng.integers(-5, 6, size=w.shape) * (rng.random(w.shape) < 0.6)
+        poly = sandpile.window_poly(w, arr)
+        expected = [(w.site_of(idx), int(arr[tuple(idx)])) for idx in np.argwhere(arr)]
+        assert list(poly.terms.items()) == expected
+        assert all(type(x) is int for site, c in poly.terms.items() for x in site + (c,))
+        assert np.array_equal(sandpile.poly_heights(w, poly), arr)
