@@ -3,8 +3,9 @@
 Four command families:
 
 - ``green``: compute a fundamental-solution table, write it as CSV, and
-  compare the small-site entries against the independent walk-series
-  evaluation.
+  compare the entries with |n|_inf <= 4 against the independent
+  walk-series evaluation.  The quadrature's node count follows from the
+  radius; a radius whose grid exceeds the point budget exits 3.
 - ``sandpile``: stabilize grids, run the burning test, count recurrent
   configurations, and tabulate finite-volume entropy estimates.
 - ``xi``: apply a covering map to a grid, run the invariant suites
@@ -27,7 +28,6 @@ Randomized suites draw from numpy's default generator seeded by ``--seed``
 
 import argparse
 import csv
-import dataclasses
 import errno
 import functools
 import io
@@ -44,8 +44,8 @@ from . import __version__
 from .checks import SUITES, suite_window
 from .green import (
     GRID_POINT_BUDGET,
+    ORACLE_SPAN,
     GreenTable,
-    QuadratureSpec,
     canonical_site,
     compute_green,
     decay_profile,
@@ -388,10 +388,7 @@ def cmd_green(ns):
     d, gamma = ns.d, ns.gamma
     radius = _table_radius(ns, d)
     out = ns.out or "green_d%d_g%d_r%d.csv" % (d, gamma, radius)
-    spec = QuadratureSpec.default_for(d, gamma)
-    if ns.nodes is not None:
-        spec = dataclasses.replace(spec, nodes_per_axis=ns.nodes)
-    table = compute_green(d, gamma, radius, spec)
+    table = compute_green(d, gamma, radius)
     residual = fundamental_residual(table)
     residual_tol = 10.0 * table.accuracy
 
@@ -402,32 +399,27 @@ def cmd_green(ns):
     ]
     ok = residual <= residual_tol
     worst = 0.0
-    span = min(ns.oracle_span, radius)
-    if span >= 0:
-        seen = set()
-        for site in np.ndindex(*(2 * span + 1,) * d):
-            site = canonical_site(tuple(int(x) - span for x in site))
-            if site in seen:
-                continue
-            seen.add(site)
-            oracle = walk_series_oracle(d, gamma, site)
-            diff = abs(table.value(site) - oracle.value)
-            tol = oracle.err_bound + residual_tol
-            good = diff <= tol
-            ok &= good
-            worst = max(worst, diff)
-            lines.append(
-                "w[%s] = %.12g  oracle %.12g +- %.2e  |diff| %.3e <= %.3e: %s"
-                % (
-                    ",".join(str(x) for x in site),
-                    table.value(site),
-                    oracle.value,
-                    oracle.err_bound,
-                    diff,
-                    tol,
-                    "pass" if good else "FAIL",
-                )
+    span = min(ORACLE_SPAN, radius)
+    sites = (canonical_site(tuple(int(x) - span for x in n)) for n in np.ndindex(*(2 * span + 1,) * d))
+    for site in dict.fromkeys(sites):  # one site per symmetry class, in the order of first appearance
+        oracle = walk_series_oracle(d, gamma, site)
+        diff = abs(table.value(site) - oracle.value)
+        tol = oracle.err_bound + residual_tol
+        good = diff <= tol
+        ok &= good
+        worst = max(worst, diff)
+        lines.append(
+            "w[%s] = %.12g  oracle %.12g +- %.2e  |diff| %.3e <= %.3e: %s"
+            % (
+                ",".join(str(x) for x in site),
+                table.value(site),
+                oracle.value,
+                oracle.err_bound,
+                diff,
+                tol,
+                "pass" if good else "FAIL",
             )
+        )
     report = "\n".join(lines) + "\n"
     report_path = _stem(out) + ".oracle.txt"
     print(report, end="")
@@ -712,12 +704,12 @@ def _build_parser():
     parser.add_argument("--version", action="version", version="sandharm %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("green", help="compute a fundamental-solution table and check it against the walk series")
+    p = sub.add_parser("green", help="compute a fundamental-solution table and check it against the walk series "
+                       "for |n|_inf <= %d" % ORACLE_SPAN)
     p.add_argument("--d", type=int, required=True, choices=(2, 3))
     p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes per axis (default: preset)")
-    p.add_argument("--oracle-span", type=int, default=4, help="compare sites with |n| up to this (-1 skips)")
+    p.add_argument("--radius", type=int, default=None, help="table radius (default 16 for d=2, 8 for d=3); it sets "
+                   "the node count, and a radius whose grid exceeds the point budget exits 3")
     p.add_argument("--out", default=None, help="output CSV path")
     p.set_defaults(func=cmd_green, command_path="green")
 

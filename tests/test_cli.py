@@ -210,8 +210,7 @@ def test_entropy_dissipative_quick(tmp_path, capsys):
 def test_green_writes_table_and_oracle_report(tmp_path, capsys):
     out = tmp_path / "w.csv"
     rc = main([
-        "green", "--d", "2", "--gamma", "4", "--radius", "5",
-        "--oracle-span", "2", "--out", str(out),
+        "green", "--d", "2", "--gamma", "4", "--radius", "5", "--out", str(out),
     ])
     assert rc == 0
     table = GreenTable.from_csv(out.read_text())
@@ -219,24 +218,25 @@ def test_green_writes_table_and_oracle_report(tmp_path, capsys):
     assert table.value((0, 0)) == 0.0
     report = (tmp_path / "w.oracle.txt").read_text()
     assert "pass" in report
+    # the compared box is |n|_inf <= 4 whatever the radius
+    sites = [tuple(map(int, ln[2 : ln.index("]")].split(","))) for ln in report.splitlines() if ln.startswith("w[")]
+    assert max(map(max, sites)) == 4 and len(sites) == 15
     manifest = json.loads((tmp_path / "w.csv.manifest.json").read_text())
     assert manifest["versions"]["sandharm"]
 
 
 def test_green_nodes_option_and_grid_budget(tmp_path, monkeypatch):
+    # the node count follows from the radius: N = 4 (radius + 1) = 132 past the d = 3 preset, 2N in the label
     out = tmp_path / "w.csv"
-    rc = main([
-        "green", "--d", "2", "--gamma", "4", "--radius", "2", "--nodes", "16",
-        "--oracle-span", "-1", "--out", str(out),
-    ])
+    rc = main(["green", "--d", "3", "--gamma", "7", "--radius", "32", "--out", str(out)])
     assert rc == 0
-    assert GreenTable.from_csv(out.read_text()).method == "fft+polar_patch[N=32]"
+    assert GreenTable.from_csv(out.read_text()).method == "fft+none[N=264]"
 
     def no_grid(*args):
         raise AssertionError("grid built for an input that must be refused")
 
     monkeypatch.setattr(green, "_smooth_part", no_grid)
-    rc = main(["green", "--d", "3", "--gamma", "7", "--nodes", "1024", "--out", str(tmp_path / "big.csv")])
+    rc = main(["green", "--d", "3", "--gamma", "7", "--radius", "63", "--out", str(tmp_path / "big.csv")])
     assert rc == 3
     assert not (tmp_path / "big.csv").exists()
 

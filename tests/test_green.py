@@ -12,8 +12,8 @@ import pytest
 
 from sandharm import green
 from sandharm.green import (
+    ORACLE_SPAN,
     GreenTable,
-    QuadratureSpec,
     compute_green,
     decay_profile,
     entropy_quadrature,
@@ -116,6 +116,16 @@ def test_oracle_refuses_near_critical_gamma_before_building_tables():
     assert green._binom_p_table.cache_info().misses == binom
 
 
+def test_oracle_serves_critical_d3_sites_only_within_the_measured_span():
+    assert walk_series_oracle(3, 6, (4, 4, 4)).err_bound < 1e-3
+    for site in [(5, 0, 0), (0, -5, 0), (32, 0, 0)]:
+        with pytest.raises(ValueError, match="measured"):
+            walk_series_oracle(3, 6, site)
+    # the dissipative and the critical d = 2 series are served farther out
+    walk_series_oracle(3, 7, (5, 0, 0))
+    walk_series_oracle(2, 4, (5, 0))
+
+
 @pytest.mark.parametrize("d,gamma,site", [(2, 4, (0, 0)), (2, 4, (1, 0)), (3, 6, (1, 0, 0)), (2, 5, (1, 0)), (1, 3, (0,))])
 def test_oracle_returns_floats_on_every_branch(d, gamma, site):
     oracle = walk_series_oracle(d, gamma, site)
@@ -189,10 +199,11 @@ def test_walk_distribution_results_are_fresh():
             table[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("fixture,span", [("table_d2_g4", 2), ("table_d2_g5", 2), ("table_d3_g6", 1)])
-def test_oracle_agreement_near_origin(request, fixture, span):
+@pytest.mark.parametrize("fixture", ["table_d2_g4", "table_d2_g5", "table_d3_g6"])
+def test_oracle_agreement_near_origin(request, fixture):
+    # the box |n|_inf <= ORACLE_SPAN that ``sandharm green`` compares
     t = request.getfixturevalue(fixture)
-    for site in itertools.product(range(span + 1), repeat=t.dim):
+    for site in itertools.product(range(ORACLE_SPAN + 1), repeat=t.dim):
         if tuple(sorted(site, reverse=True)) != site:
             continue  # one representative per symmetry class
         oracle = walk_series_oracle(t.dim, t.gamma, site)
@@ -356,10 +367,8 @@ def test_value_outside_radius_raises(table_d3_g6):
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_axis=4)
-    with pytest.raises(ValueError):
-        compute_green(2, 4, 20, QuadratureSpec(nodes_per_axis=64))
+    # the node count is the preset up to radius 31 in d = 3, then 4 (radius + 1); the label shows 2N
+    assert compute_green(3, 7, 31).method == "fft+none[N=256]"
     with pytest.raises(ValueError):
         compute_green(2, 3.5, 4)
     with pytest.raises(ValueError):
@@ -541,11 +550,12 @@ def test_compute_green_refuses_before_building_grids(monkeypatch):
     monkeypatch.setattr(green, "_smooth_part", _no_grid)
     monkeypatch.setattr(green, "_patch_nodes", _no_grid)
     with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
-        compute_green(4, 8, 1, QuadratureSpec(nodes_per_axis=8))
+        compute_green(4, 8, 1)
+    # radius 63 needs N = 256 nodes per axis, and the fine pass's 257^3 octant is over the budget
     with pytest.raises(ValueError, match="budget of %d points" % green.GRID_POINT_BUDGET):
-        compute_green(3, 7, 1, QuadratureSpec(nodes_per_axis=1024))
+        compute_green(3, 7, 63)
     with pytest.raises(ValueError, match="budget"):
-        compute_green(2, 4, 16, QuadratureSpec(nodes_per_axis=8192))
+        compute_green(2, 4, 1023)
     with pytest.raises(ValueError, match="budget"):
         entropy_quadrature(4, 9)  # the default d=4 octant, 65^4 points
     with pytest.raises(ValueError, match=r"d in \{2, 3\}"):

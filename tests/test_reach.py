@@ -1,4 +1,5 @@
-"""Guard: every function, method and class in ``src/`` is reached by the program.
+"""Guards: every function, method and class in ``src/`` is reached by the
+program, and every CLI option is read by ``cli.py``.
 
 The program is the package itself, its CLI and the benchmark under
 ``perfbench/``; code that only the tests call belongs in ``tests/``.  A
@@ -15,11 +16,18 @@ The matching is by bare name and so is coarse: a use of one definition
 reaches every definition of that name, so it cannot tell
 ``TorusPoint.from_csv`` from ``GreenTable.from_csv``, nor a method from a
 dict's ``items``.  It finds names nothing uses at all, not every unused one.
+
+The option guard walks the parser and its subparsers and looks for each
+option's dest in ``cli.py`` as ``ns.<dest>`` or as a string (the names
+``getattr`` reads).  It too is coarse: any string equal to a dest counts.
 """
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
+
+from sandharm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sandharm"
@@ -76,3 +84,27 @@ def test_src_defines_nothing_only_the_tests_reach():
                 continue
             unreached.append("%s.%s" % (module, qualname))
     assert not unreached, "defined in src/ but reached only from the tests: %s" % ", ".join(unreached)
+
+
+def _options(parser):
+    """Every option of the parser and of its subparsers, as (command path, action)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in dict.fromkeys(action.choices.values()):
+                yield from _options(sub)
+        elif action.option_strings and not isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            yield parser.prog, action
+
+
+def test_cli_reads_every_option():
+    """Each option's dest is read in ``cli.py``, as ``ns.<dest>`` or as a string naming it (``getattr``)."""
+    source = PACKAGE / "cli.py"
+    read = set()
+    for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "ns":
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    unread = ["%s %s" % (prog, "/".join(action.option_strings))
+              for prog, action in _options(cli._build_parser()) if action.dest not in read]
+    assert not unread, "options that cli.py never reads: %s" % ", ".join(unread)
