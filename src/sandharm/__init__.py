@@ -43,7 +43,7 @@ from .sandpile import (
     count_recurrent,
     finite_entropy_estimate,
     group_add,
-    is_recurrent,
+    log_recurrent_count,
     random_recurrent,
     stabilize,
 )
@@ -73,9 +73,9 @@ __all__ = [
     "group_add",
     "harmonicity_residual",
     "ideal_certificate",
-    "is_recurrent",
     "kernel_witness",
     "laplacian_poly",
+    "log_recurrent_count",
     "multiplier_sum",
     "multiplier_table",
     "random_recurrent",

@@ -19,7 +19,8 @@ Four command families:
 
 Exit codes: 0 success, 1 semantic negative (a forbidden configuration, a
 polynomial outside the ideal), 2 tolerance or suite failure, 3 malformed
-input, 4 internal fault (any other exception, printed with its type).
+input, 4 internal fault (any other exception, printed with its type), 141
+stdout closed by its reader, as in ``| head`` (128 + SIGPIPE).
 Every file is written atomically and accompanied by a JSON run manifest;
 reports never print a number without its tolerance or error bound.
 Randomized suites draw from numpy's default generator seeded by ``--seed``
@@ -27,6 +28,7 @@ Randomized suites draw from numpy's default generator seeded by ``--seed``
 """
 
 import argparse
+import contextlib
 import csv
 import errno
 import functools
@@ -68,11 +70,12 @@ from .sandpile import (
     EXACT_DET_MAX_SITES,
     HeightConfig,
     burning_test,
+    check_threshold,
     count_recurrent,
     finite_entropy_estimate,
     grid_rows,
+    log_recurrent_count,
     stabilize,
-    toppling_determinant_exact,
 )
 from .window import BoxWindow
 
@@ -81,6 +84,7 @@ EXIT_NEGATIVE = 1
 EXIT_TOLERANCE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 
 class CliInputError(ValueError):
@@ -489,17 +493,12 @@ def cmd_burn(ns):
 
 
 def cmd_count(ns):
-    shape = _parse_shape(ns.window)
-    window = BoxWindow.from_shape(shape)
+    window = BoxWindow.from_shape(_parse_shape(ns.window))
     gamma = ns.gamma
-    if gamma < 2 * window.dim:
-        raise CliInputError("gamma must be at least 2d")
-    if gamma > np.iinfo(np.int64).max:
-        raise CliInputError("gamma %d does not fit in int64" % gamma)
     if ns.backend == "determinant":
-        log_count = count_recurrent(window, gamma, backend="determinant")
+        log_count = log_recurrent_count(window, gamma)
         if window.size <= EXACT_DET_MAX_SITES:
-            print("determinant count = %d (exact integer)" % toppling_determinant_exact(window, gamma))
+            print("determinant count = %d (exact integer)" % count_recurrent(window, gamma))
         print("log determinant = %.12g (exact eigenvalue product, fp rounding only)" % log_count)
         return EXIT_OK
     brute = count_recurrent(window, gamma, backend="bruteforce")
@@ -507,7 +506,7 @@ def cmd_count(ns):
         print("bruteforce count = %d (exact)" % brute)
         return EXIT_OK
     # brute force stops at gamma^|E| <= 1e7, so |E| <= 23 and the exact determinant always applies
-    exact_det = toppling_determinant_exact(window, gamma)
+    exact_det = count_recurrent(window, gamma)
     agree = exact_det == brute
     print("%d = %d  (bruteforce = determinant, exact comparison): %s" % (brute, exact_det, "pass" if agree else "FAIL"))
     return EXIT_OK if agree else EXIT_TOLERANCE
@@ -518,6 +517,7 @@ def cmd_entropy(ns):
     sides = _parse_ints(ns.sides, "--sides")
     if any(s < 1 for s in sides):
         raise CliInputError("sides must be positive")
+    check_threshold(d, gamma)  # before the quadrature, which would serve a gamma beyond int64
     reference = entropy_quadrature(d, gamma)
     rows = []
     print(
@@ -792,10 +792,17 @@ def main(argv=None):
     try:
         ns = _parser().parse_args(argv)
         _refuse_unwritable(ns)
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # so that a closed stdout shows here, not in the interpreter's exit-time flush
+        return code
     except ValueError as exc:  # CliInputError included
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:  # stdout's reader has gone, as in ``| head``: not a fault
+        with contextlib.suppress(OSError):  # an in-process stdout has no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # the exit-time flush of the rest cannot raise again
+        return EXIT_PIPE
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL

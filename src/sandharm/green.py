@@ -351,13 +351,13 @@ def _table_pass(d, gamma, radius, N, fine):
 
 
 def _check_domain(d, gamma):
-    """Refuse what the quadrature cannot serve: d < 2, gamma < 2d, or critical gamma outside d in {2, 3}."""
+    """Refuse what the quadrature and the oracle cannot serve: d < 2, gamma < 2d, critical d outside {2, 3}."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if gamma < 2 * d:
         raise ValueError("gamma must be at least 2d")
     if gamma == 2 * d and d not in (2, 3):
-        raise ValueError("patch quadrature implemented for d in {2, 3}")
+        raise ValueError("critical gamma = 2d is served for d in {2, 3} only")
 
 
 def compute_green(d, gamma, radius):
@@ -441,7 +441,7 @@ def _walk_1d(W, x):
 
 
 def walk_distribution(d, n, kmax):
-    """P(X_k = n), k = 0..kmax, for the simple walk on Z^d, as a fresh array.
+    """P(X_k = n), k = 0..kmax, for the simple walk on Z^d, d >= 2, as a fresh array.
 
     The last two axes use the 45 degree rotation: u = x + y and v = x - y of
     the simple walk on Z^2 are independent fair +-1 walks (Spitzer,
@@ -455,8 +455,6 @@ def walk_distribution(d, n, kmax):
     if len(n) != d:
         raise ValueError("site has wrong dimension")
     W = _walk_1d_table(kmax)
-    if d == 1:
-        return _walk_1d(W, n[0])
     cur = _walk_1d(W, n[-2] + n[-1]) * _walk_1d(W, n[-2] - n[-1])
     for axes_left, x in enumerate(reversed(n[:-2]), start=3):
         B = _binom_p_table(kmax, 1.0 / axes_left)
@@ -500,7 +498,7 @@ def walk_series_oracle(d, gamma, n):
     Critical d = 2: 4 w_n = sum_{k>=0} (P(X_k = n) - P(X_k = 0)); the k = 0
     term contributes delta_{n,0} - 1.  (Three closed-form values, -1/4 at
     (1,0), -1/pi at (1,1) and 1/4 - 2/pi at (2,1), pin this convention.)
-    Critical d >= 3: 2d w_n = sum_{k>=0} P(X_k = n).  Dissipative
+    Critical d = 3: 2d w_n = sum_{k>=0} P(X_k = n).  Dissipative
     gamma > 2d: gamma w_n = sum_{k>=0} (2d/gamma)^k P(X_k = n), a killed
     walk with survival 2d/gamma per step.
 
@@ -508,25 +506,21 @@ def walk_series_oracle(d, gamma, n):
     pairing, d = 2 partial sums expand in powers of 1/J and d = 3 in odd
     powers of J^{-1/2}; the ladder spread is the reported error bound.
 
-    Every branch returns float value and err.  d < 1, critical d = 1,
-    whose series diverges because the 1D walk is recurrent, and a gamma so
-    close to 2d that the dissipative series needs over 2000 steps (integer
-    gamma needs at most 232 up to d = 3) are refused before any table is
-    built.  So are critical sites with d >= 3 and some |n_j| > ORACLE_SPAN,
-    a range measured, not proved: against the d = 3 table of radius 16
-    (accuracy 2.8e-9), |diff| / err is at most 0.096 for |n|_inf <= 4, 0.97
-    for |n|_inf <= 6 and up to 668 for |n|_inf <= 12.  Critical d = 2 met the
-    radius-32 table within err plus its accuracy at all 561 canonical sites.
+    Every branch returns float value and err.  The oracle serves the
+    quadrature's domain (``_check_domain``; its err was never measured at
+    critical d >= 4).  It also refuses, before any table is built, a gamma
+    so close to 2d that the dissipative series needs over 2000 steps
+    (integer gamma needs at most 232 up to d = 3), and critical d = 3 sites
+    with some |n_j| > ORACLE_SPAN, a range measured, not proved: against the
+    table of radius 16 (accuracy 2.8e-9), |diff| / err is at most 0.096 for
+    |n|_inf <= 4, 0.97 for |n|_inf <= 6 and up to 668 for |n|_inf <= 12.
+    Critical d = 2 met the radius-32 table within err plus its accuracy at
+    all 561 canonical sites.
     """
     n = tuple(int(x) for x in n)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_domain(d, gamma)
     if len(n) != d:
         raise ValueError("site has wrong dimension")
-    if gamma < 2 * d:
-        raise ValueError("gamma must be at least 2d")
-    if gamma == 2 and d == 1:
-        raise ValueError("the critical series diverges in d = 1 (the walk is recurrent)")
     if gamma == 2 * d and d >= 3 and max(map(abs, n)) > ORACLE_SPAN:
         raise ValueError("critical sites in d >= 3 need |n_j| <= %d, where the series' error bound was measured "
                          "to hold; got %r" % (ORACLE_SPAN, n))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import sandpile
 from .laurent import IdealCertificate, LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
-from .sandpile import HeightConfig
+from .sandpile import HeightConfig, check_threshold
 from .window import BoxWindow, laplacian, site_rows
 
 # unit roundoff of float64
@@ -211,8 +211,7 @@ class XiSpec:
         (their fundamental solution is already absolutely summable) and
         default to g = 1 when None is passed.
         """
-        if gamma < 2 * d:
-            raise ValueError("gamma must be at least 2d")
+        check_threshold(d, gamma)
         critical = gamma == 2 * d
         if g is None:
             if critical:
@@ -354,12 +353,12 @@ def shifted_config(v, m):
 
 
 def equivariance_residual(spec, v, m, period):
-    """Shift-commutation defect on the torus ``period``: map the shifted field vs shift the mapped field.
+    """Shift-commutation defect on the torus ``period`` and its bound, the two images' err summed.
 
-    Both routes compute the same torus field, each within its image's err,
-    so the result is at most the two images' err.
+    The map of the shifted field and the shifted map of the field are the
+    same torus field, each within its image's err.
     """
-    return equivariance_residuals(spec, [v], [[m]], period)[0][0][0]
+    return equivariance_residuals(spec, [v], [[m]], period)[0][0]
 
 
 def equivariance_residuals(spec, configs, shifts, period):

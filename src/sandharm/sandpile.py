@@ -63,6 +63,14 @@ from .window import BoxWindow, laplacian, neighbour_sum
 # -- height configurations ---------------------------------------------------
 
 
+def check_threshold(d, gamma):
+    """The one rule for a toppling threshold on Z^d: gamma >= 2d, and gamma fits in int64."""
+    if gamma < 2 * d:
+        raise ValueError("gamma must be at least 2d")
+    if gamma >= 1 << 63:
+        raise ValueError("gamma %d does not fit in int64" % gamma)
+
+
 @dataclass
 class HeightConfig:
     """Integer heights on a box window, with the toppling threshold gamma.
@@ -77,8 +85,7 @@ class HeightConfig:
     heights: np.ndarray
 
     def __post_init__(self):
-        if self.gamma < 2 * self.window.dim:
-            raise ValueError("gamma must be at least 2d")
+        check_threshold(self.window.dim, self.gamma)
         arr = np.asarray(self.heights)
         if arr.shape != self.window.shape:
             raise ValueError(
@@ -136,8 +143,6 @@ class HeightConfig:
         for ln in body:
             if len(ln) != shape[-1]:
                 raise ValueError("rows must have %d entries" % shape[-1])
-        if gamma > np.iinfo(np.int64).max:
-            raise ValueError("gamma %d does not fit in int64" % gamma)
         try:
             heights = np.array(body, dtype=np.int64).reshape(shape)
         except OverflowError:
@@ -584,10 +589,6 @@ def burning_test_stack(configs):
     return out
 
 
-def is_recurrent(v):
-    return burning_test(v).recurrent
-
-
 # -- counting ----------------------------------------------------------------
 
 
@@ -657,18 +658,11 @@ def toppling_determinant_exact(window, gamma):
     laid out longest axis first: its lexicographic half-bandwidth is then the
     product of the other sides.
     """
+    check_threshold(window.dim, gamma)
     if window.size > EXACT_DET_MAX_SITES:
         raise ValueError("exact determinant limited to %d sites" % EXACT_DET_MAX_SITES)
     shape = sorted(window.shape, reverse=True)
     return _banded_det(toppling_matrix(BoxWindow.from_shape(shape), gamma), math.prod(shape[1:]))
-
-
-def _log_det_box(window, gamma):
-    """log det via the exact eigenvalues gamma - 2 sum cos(pi i_j/(s_j+1))."""
-    eig = _box_eigenvalues(window.shape, gamma)
-    if (eig <= 0).any():
-        raise ValueError("toppling matrix not positive definite")
-    return float(np.log(eig).sum())
 
 
 def _burn_all(configs, adj):
@@ -693,14 +687,14 @@ def _burn_all(configs, adj):
 
 
 def count_recurrent(window, gamma, backend="determinant"):
-    """Number of recurrent configurations on the window.
+    """Number of recurrent configurations on the window, an exact integer; ``log_recurrent_count`` is its log.
 
-    ``bruteforce`` enumerates all gamma^|E| stable configurations, in chunks
-    of 2^16 built as the base-gamma digits of an index range, and counts
-    burning-test passes, returning an exact integer; ``determinant`` returns
-    the log of det of the toppling matrix, evaluated through its exact box
-    eigenvalues.
+    ``determinant`` is det of the toppling matrix (Dhar), by
+    ``toppling_determinant_exact``; ``bruteforce`` enumerates all gamma^|E|
+    stable configurations, in chunks of 2^16 built as the base-gamma digits
+    of an index range, and counts burning-test passes.
     """
+    check_threshold(window.dim, gamma)
     size = window.size
     if backend == "bruteforce":
         total = gamma**size
@@ -715,18 +709,22 @@ def count_recurrent(window, gamma, backend="determinant"):
             count += int(_burn_all(index[:, None] // place % gamma, adj).sum())
         return count
     if backend == "determinant":
-        if size > 10**6:
-            raise ValueError("determinant backend limited to 1e6 sites")
-        return _log_det_box(window, gamma)
+        return toppling_determinant_exact(window, gamma)
     raise ValueError("unknown backend %r" % (backend,))
+
+
+def log_recurrent_count(window, gamma):
+    """log of ``count_recurrent``: sum of logs of the toppling matrix's box eigenvalues, each above gamma - 2d >= 0."""
+    check_threshold(window.dim, gamma)
+    if window.size > 10**6:
+        raise ValueError("determinant backend limited to 1e6 sites")
+    return float(np.log(_box_eigenvalues(window.shape, gamma)).sum())
 
 
 def finite_entropy_estimate(side, d, gamma):
     """log of the recurrent count per site on a side^d window."""
-    if side < 1:
-        raise ValueError("side must be >= 1")
     window = BoxWindow.from_shape((side,) * d)
-    return count_recurrent(window, gamma, backend="determinant") / float(side**d)
+    return log_recurrent_count(window, gamma) / float(side**d)
 
 
 # -- polynomial bridges ------------------------------------------------------
@@ -804,7 +802,7 @@ def group_add(v, w):
     """Sandpile-group addition: pointwise sum, then stabilization."""
     if v.window != w.window or v.gamma != w.gamma:
         raise ValueError("operands must share window and gamma")
-    if not is_recurrent(v) or not is_recurrent(w):
+    if not burning_test(v).recurrent or not burning_test(w).recurrent:
         raise ValueError("group_add requires recurrent operands")
     total = HeightConfig(v.window, v.gamma, v.heights + w.heights)
     out, _ = stabilize(total)
@@ -816,7 +814,7 @@ def group_add_stack(vs, ws):
 
     The operands are burnt together and the sums stabilized together; the
     pairs share one window and gamma.  ``group_add`` itself stays a call of
-    ``is_recurrent`` twice and ``stabilize`` once, each a stack of one.
+    ``burning_test`` twice and ``stabilize`` once, each a stack of one.
     """
     vs, ws = list(vs), list(ws)
     if len(vs) != len(ws):

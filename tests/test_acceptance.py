@@ -32,11 +32,12 @@ from sandharm.laurent import (
 from sandharm.sandpile import (
     HeightConfig,
     _burn_all,
+    burning_test,
     correct_to_recurrent,
     count_recurrent,
     finite_entropy_estimate,
     group_add,
-    is_recurrent,
+    log_recurrent_count,
     random_recurrent,
     stabilize,
     toppling_determinant_exact,
@@ -187,13 +188,14 @@ def test_criterion_06_sandpile_counting():
     assert brute_sq == 192
     assert toppling_determinant_exact(two_site, 4) == 15
     assert toppling_determinant_exact(square, 4) == 192
-    assert brute_two == round(math.exp(count_recurrent(two_site, 4, backend="determinant")))
-    assert brute_sq == round(math.exp(count_recurrent(square, 4, backend="determinant")))
+    assert brute_two == count_recurrent(two_site, 4) and brute_sq == count_recurrent(square, 4)
+    assert brute_two == round(math.exp(log_recurrent_count(two_site, 4)))
+    assert brute_sq == round(math.exp(log_recurrent_count(square, 4)))
 
     agreements = 0
     for heights in itertools.product(range(4), repeat=4):
         v = HeightConfig(square, 4, np.array(heights).reshape(2, 2))
-        assert is_recurrent(v) == (not has_forbidden_subset(v))
+        assert burning_test(v).recurrent == (not has_forbidden_subset(v))
         agreements += 1
     print(
         "criterion 6: counts 15 and 192 match the determinant exactly; "
@@ -274,7 +276,7 @@ def test_criterion_10_correction_operator(rng):
             patch = HeightConfig(
                 BoxWindow.centered(2, M), 4, vp.heights[c - M : c + M + 1, c - M : c + M + 1]
             )
-            assert is_recurrent(patch)  # (2) the Q_M patch is recurrent
+            assert burning_test(patch).recurrent  # (2) the Q_M patch is recurrent
             far = np.ones(window.shape, dtype=bool)
             far[c - M - 1 : c + M + 2, c - M - 1 : c + M + 2] = False
             assert np.array_equal(vp.heights[far], v.heights[far])  # (3)

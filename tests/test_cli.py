@@ -5,6 +5,7 @@ import csv
 import errno
 import importlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -93,6 +94,47 @@ def test_internal_fault_exits_four_not_negative(tmp_path, monkeypatch, capsys):
     assert main(["sandpile", "burn", "--grid", grid]) == 4
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: burn kernel fault\n" and captured.out == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_closed_stdout_exits_141_not_internal_fault(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    out = tmp_path / "t.csv"
+    assert main(["green", "--d", "2", "--gamma", "5", "--radius", "4", "--out", str(out)]) == cli.EXIT_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_in_a_pipeline_exits_141(tmp_path):
+    """``| head`` in a shell, unbuffered and block-buffered.
+
+    Unbuffered, ``head -1`` leaves after the first line, while the entropy
+    of the 1000x1000 windows is still being computed, so a later line
+    meets a closed pipe.  Block-buffered, ``head -n 0`` never reads, so
+    the pipe breaks at ``main``'s flush, and the buffer left behind must
+    not raise again when the interpreter flushes it at exit.
+    """
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = shlex.join([sys.executable, "-m", "sandharm.cli"])
+    script = (
+        "PYTHONUNBUFFERED=1 %s sandpile entropy --d 2 --gamma 5 --sides 8,1000,1000,1000 --out e.csv 2> a.err"
+        " | head -1; echo ${PIPESTATUS[@]} > a.codes\n"
+        "env -u PYTHONUNBUFFERED %s green --d 2 --gamma 5 --radius 4 --out t.csv 2> b.err"
+        " | head -n 0; echo ${PIPESTATUS[@]} > b.codes\n" % (run, run)
+    )
+    proc = subprocess.run(["bash", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.stdout.startswith("quadrature reference h = ") and proc.stdout.count("\n") == 1
+    for name in "ab":
+        assert (tmp_path / (name + ".codes")).read_text().split() == ["141", "0"], name
+        assert (tmp_path / (name + ".err")).read_text() == "", name
+    # green had written its table and report before the pipe broke
+    assert (tmp_path / "t.csv").exists() and (tmp_path / "t.oracle.txt").exists()
 
 
 # -- burn / stabilize ------------------------------------------------------------
@@ -425,16 +467,38 @@ def test_trunc_option_is_gone(tmp_path, table_csv, capsys):
             assert "unrecognized arguments: %s 4" % option in capsys.readouterr().err
 
 
-def test_traced_names_are_callables_in_their_layers():
-    # perfbench rebinds these by name; a rename must fail here, not only under --trace 1
+def _perfbench_spans():
+    """perfbench's span module, loaded by path."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_are_callables_in_their_layers():
+    # perfbench rebinds these by name; a rename must fail here, not only under --trace 1
+    spans = _perfbench_spans()
     for layer, names in spans.TRACED.items():
         module = importlib.import_module("sandharm." + layer)
         for name in names:
             assert callable(getattr(module, name, None)), "sandharm.%s.%s" % (layer, name)
+
+
+def test_traced_count_reads_the_counting_contract(capsys):
+    # perfbench reads count_recurrent's third argument, backend, and its exact result; a change to
+    # either must fail here, not silently zero a per-layer metric
+    spans = _perfbench_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["sandpile", "count", "--window", "2x2", "--gamma", "4", "--backend", "both"]) == 0
+    finally:
+        tracer.uninstall()
+    m = spans.layer_metrics(tracer.spans, 1.0, 0, 0.0)
+    assert m["sandpile.count_recurrent.configs_enumerated"] == 256
+    assert m["sandpile.count_recurrent.recurrent_ratio"] == 0.75
+    assert m["sandpile.toppling_determinant_exact.calls"] == 1
 
 
 def test_xi_demo_addition(table_csv, capsys):

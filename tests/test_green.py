@@ -1,7 +1,7 @@
 """Green's function tables: quadrature values against the walk-series oracle,
-the oracle against closed forms and the walk distributions behind it against
-the step-count loop and brute force, exact symmetries, the stencil residual
-check, and the decay/entropy helpers."""
+the oracle and the tables against closed forms and the walk distributions
+behind it against the step-count loop and brute force, exact symmetries, the
+stencil residual check, and the decay/entropy helpers."""
 
 import itertools
 import math
@@ -90,22 +90,31 @@ def test_d3_center_matches_watson(table_d3_g6):
     assert abs(6 * table_d3_g6.value((0, 0, 0)) - WATSON_6W0) <= 6 * table_d3_g6.accuracy
 
 
-@pytest.mark.parametrize("gamma", [3, 5])
-def test_oracle_dissipative_d1_closed_form(gamma):
-    # gamma w_n - w_{n-1} - w_{n+1} = delta_n gives w_0 = 1/sqrt(gamma^2 - 4)
-    oracle = walk_series_oracle(1, gamma, (0,))
-    assert abs(oracle.value - 1 / math.sqrt(gamma**2 - 4)) <= oracle.err_bound
+@pytest.mark.parametrize("gamma", [5, 6, 9])
+def test_oracle_dissipative_d2_closed_form(gamma):
+    # w_0 = int dt / (gamma - 2 cos 2 pi t_1 - 2 cos 2 pi t_2) = 2 K(k) / (pi gamma) with
+    # modulus k = 4 / gamma; scipy's ellipk takes the parameter m = k^2
+    from scipy.special import ellipk
+
+    exact = 2 * ellipk(16 / gamma**2) / (math.pi * gamma)
+    oracle = walk_series_oracle(2, gamma, (0, 0))
+    assert abs(oracle.value - exact) <= oracle.err_bound
+    table = compute_green(2, gamma, 16)
+    assert abs(table.value((0, 0)) - exact) <= table.accuracy
 
 
 def test_oracle_refuses_what_it_cannot_serve():
-    with pytest.raises(ValueError, match="dimension"):
-        walk_series_oracle(0, 0, ())
-    with pytest.raises(ValueError, match="diverges"):
-        walk_series_oracle(1, 2, (0,))
+    # the quadrature's domain: d >= 2, gamma >= 2d, critical gamma only in d = 2 and 3
+    for d, gamma, site in [(0, 0, ()), (1, 3, (0,)), (1, 2, (0,))]:
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            walk_series_oracle(d, gamma, site)
     with pytest.raises(ValueError, match="wrong dimension"):
         walk_series_oracle(2, 4, (0,))
     with pytest.raises(ValueError, match="at least 2d"):
         walk_series_oracle(3, 5, (0, 0, 0))
+    with pytest.raises(ValueError, match="critical gamma = 2d is served for d in"):
+        walk_series_oracle(4, 8, (1, 0, 0, 0))
+    walk_series_oracle(4, 9, (1, 0, 0, 0))
 
 
 def test_oracle_refuses_near_critical_gamma_before_building_tables():
@@ -126,7 +135,7 @@ def test_oracle_serves_critical_d3_sites_only_within_the_measured_span():
     walk_series_oracle(2, 4, (5, 0))
 
 
-@pytest.mark.parametrize("d,gamma,site", [(2, 4, (0, 0)), (2, 4, (1, 0)), (3, 6, (1, 0, 0)), (2, 5, (1, 0)), (1, 3, (0,))])
+@pytest.mark.parametrize("d,gamma,site", [(2, 4, (0, 0)), (2, 4, (1, 0)), (3, 6, (1, 0, 0)), (2, 5, (1, 0))])
 def test_oracle_returns_floats_on_every_branch(d, gamma, site):
     oracle = walk_series_oracle(d, gamma, site)
     assert type(oracle.value) is float and type(oracle.err_bound) is float
@@ -155,7 +164,7 @@ def _loop_walk_distribution(d, n, kmax):
     return cur
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("kmax", [0, 1, 5, 40, 600, 800])
 def test_walk_distribution_matches_loop_reference(d, kmax):
     sites = [(0,) * d, (1,) + (0,) * (d - 1), tuple(range(-1, d - 1)), (3,) * d,
@@ -189,7 +198,7 @@ def test_walk_distribution_matches_enumeration(d, K):
 
 
 def test_walk_distribution_results_are_fresh():
-    for d, n in [(1, (0,)), (2, (1, 0)), (3, (1, 1, 0))]:
+    for d, n in [(2, (1, 0)), (3, (1, 1, 0))]:
         want = green.walk_distribution(d, n, 5).copy()
         p = green.walk_distribution(d, n, 5)
         p[:] = 0.0

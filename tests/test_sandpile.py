@@ -20,13 +20,13 @@ from sandharm.sandpile import (
     count_recurrent,
     finite_entropy_estimate,
     group_add,
-    is_recurrent,
+    log_recurrent_count,
     random_recurrent,
     stabilize,
     toppling_determinant_exact,
     toppling_matrix,
 )
-from sandharm.sandpile import _banded_det, _burn_all, _burn_rounds, _log_det_box
+from sandharm.sandpile import _banded_det, _burn_all, _burn_rounds
 from sandharm.window import BoxWindow
 
 
@@ -804,7 +804,7 @@ def test_burn_rounds_match_full_array_rounds(rng):
 
 def test_all_max_is_recurrent():
     for w, gamma in [(box(4, 4), 4), (box(3, 3, 3), 6), (box(5, 5), 7)]:
-        assert is_recurrent(HeightConfig.all_max(w, gamma))
+        assert burning_test(HeightConfig.all_max(w, gamma)).recurrent
 
 
 def test_burning_rejects_unstable():
@@ -904,9 +904,41 @@ def test_count_backends_agree():
     ]
     for w, gamma in cases:
         brute = count_recurrent(w, gamma, backend="bruteforce")
-        log_det = count_recurrent(w, gamma, backend="determinant")
-        assert brute == round(math.exp(log_det))
-        assert brute == toppling_determinant_exact(w, gamma)
+        assert brute == count_recurrent(w, gamma, backend="determinant") == toppling_determinant_exact(w, gamma)
+        assert brute == round(math.exp(log_recurrent_count(w, gamma)))
+
+
+def test_counts_are_exact_integers_and_the_log_a_float():
+    for shape in [(2, 2), (3, 3), (16, 16)]:
+        w = BoxWindow.from_shape(shape)
+        backends = ("determinant", "bruteforce") if w.size <= 9 else ("determinant",)
+        for backend in backends:
+            assert type(count_recurrent(w, 4, backend)) is int, (shape, backend)
+        assert type(log_recurrent_count(w, 4)) is float
+    # 30x30 has no exact count (900 sites), but its log
+    with pytest.raises(ValueError, match="limited to %d sites" % sandpile.EXACT_DET_MAX_SITES):
+        count_recurrent(box(30, 30), 4)
+    assert log_recurrent_count(box(30, 30), 4) > 0
+
+
+@pytest.mark.parametrize(
+    "gamma,message", [(3, "at least 2d"), (2**63, "does not fit in int64")], ids=["below-2d", "beyond-int64"]
+)
+def test_every_counting_entry_point_shares_one_threshold_rule(gamma, message):
+    w = box(2, 2)
+    entry_points = [
+        lambda: HeightConfig(w, gamma, np.zeros((2, 2), dtype=np.int64)),
+        lambda: count_recurrent(w, gamma),
+        lambda: count_recurrent(w, gamma, "bruteforce"),
+        lambda: log_recurrent_count(w, gamma),
+        lambda: toppling_determinant_exact(w, gamma),
+        lambda: finite_entropy_estimate(2, 2, gamma),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the rule admits the int64 maximum itself
+    assert toppling_determinant_exact(box(1, 1), 2**63 - 1) == 2**63 - 1
 
 
 def test_bruteforce_matches_exact_determinant():
@@ -961,7 +993,7 @@ def test_exact_determinant_anchors():
         assert _banded_det(path[:n, :n], 1) == n + 1
     w = box(16, 16)
     log_det = math.log(toppling_determinant_exact(w, 4))
-    assert abs(log_det - _log_det_box(w, 4)) <= 1e-12 * log_det
+    assert abs(log_det - log_recurrent_count(w, 4)) <= 1e-12 * log_det
 
 
 def test_banded_det_rejects_indefinite_matrix():
@@ -990,6 +1022,8 @@ def test_bruteforce_guard():
 
 def test_entropy_estimate_single_site():
     assert finite_entropy_estimate(1, 2, 4) == pytest.approx(math.log(4))
+    with pytest.raises(ValueError, match="empty window"):  # the window's own rule refuses side 0
+        finite_entropy_estimate(0, 2, 4)
 
 
 # -- group operation ---------------------------------------------------------
@@ -1001,7 +1035,7 @@ def two_site_recurrents():
     for a in range(4):
         for b in range(4):
             v = HeightConfig(w, 4, np.array([[a, b]]))
-            if is_recurrent(v):
+            if burning_test(v).recurrent:
                 out.append(v)
     return out
 
@@ -1011,7 +1045,7 @@ def test_all_max_sum_returns_all_max():
     v = HeightConfig.all_max(w, 4)
     out = group_add(v, v)
     assert np.array_equal(out.heights, v.heights)
-    assert is_recurrent(out)
+    assert burning_test(out).recurrent
 
 
 def test_group_identity_exists_and_is_unique():
@@ -1032,7 +1066,7 @@ def test_group_add_commutes_exhaustively():
         ab = group_add(v, w)
         ba = group_add(w, v)
         assert np.array_equal(ab.heights, ba.heights)
-        assert is_recurrent(ab)
+        assert burning_test(ab).recurrent
 
 
 def test_group_add_rejects_bad_operands():
@@ -1049,7 +1083,7 @@ def test_group_add_rejects_bad_operands():
 def test_random_recurrent_is_recurrent(rng):
     for w, gamma in [(box(5, 5), 4), (BoxWindow.from_shape((3, 3, 3)), 6)]:
         for _ in range(5):
-            assert is_recurrent(random_recurrent(w, gamma, rng))
+            assert burning_test(random_recurrent(w, gamma, rng)).recurrent
 
 
 # -- correction operator -----------------------------------------------------
@@ -1124,7 +1158,7 @@ def test_correction_postconditions_any_d_and_gamma(d, gamma, rng):
         h = correct_to_recurrent(v, M)
         assert all(max(abs(x) for x in e) <= M for e in h.terms)
         vp = apply_correction(v, h)
-        assert is_recurrent(rel_patch(vp, M))  # at the critical threshold 2d, whatever gamma
+        assert burning_test(rel_patch(vp, M)).recurrent  # at the critical threshold 2d, whatever gamma
         far = np.ones(w.shape, dtype=bool)
         far[w.slices(BoxWindow.centered(d, M + 1))] = False
         assert np.array_equal(vp.heights[far], v.heights[far])
@@ -1147,7 +1181,7 @@ def test_correction_of_zero_config():
     # all-ones polynomial on Q_1
     assert h == LaurentPoly(2, {s: 1 for s in itertools.product((-1, 0, 1), repeat=2)})
     vp = apply_correction(v, h)
-    assert is_recurrent(rel_patch(vp, 1))
+    assert burning_test(rel_patch(vp, 1)).recurrent
     # untouched beyond Q_2, exact conservation inside it
     outside = vp.heights.copy()
     outside[2:7, 2:7] = 0
@@ -1164,7 +1198,7 @@ def test_correction_postconditions_random(rng):
             for e in h.terms:
                 assert max(abs(x) for x in e) <= M
             vp = apply_correction(v, h)
-            assert is_recurrent(rel_patch(vp, M))
+            assert burning_test(rel_patch(vp, M)).recurrent
             mask = np.ones(w.shape, dtype=bool)
             c = 5  # index of the origin
             mask[c - M - 1 : c + M + 2, c - M - 1 : c + M + 2] = False
