@@ -45,7 +45,6 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, suite_window
 from .green import (
-    GRID_POINT_BUDGET,
     ORACLE_SPAN,
     GreenTable,
     canonical_site,
@@ -70,14 +69,14 @@ from .sandpile import (
     EXACT_DET_MAX_SITES,
     HeightConfig,
     burning_test,
-    check_threshold,
+    check_log_count,
     count_recurrent,
     finite_entropy_estimate,
     grid_rows,
     log_recurrent_count,
     stabilize,
 )
-from .window import BoxWindow
+from .window import BoxWindow, check_grid_points
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -517,7 +516,8 @@ def cmd_entropy(ns):
     sides = _parse_ints(ns.sides, "--sides")
     if any(s < 1 for s in sides):
         raise CliInputError("sides must be positive")
-    check_threshold(d, gamma)  # before the quadrature, which would serve a gamma beyond int64
+    for side in sides:  # before the quadrature: a gamma or a side the log count cannot serve is refused first
+        check_log_count(BoxWindow.from_shape((side,) * d), gamma)
     reference = entropy_quadrature(d, gamma)
     rows = []
     print(
@@ -564,9 +564,6 @@ def cmd_xi_apply(ns):
     spec = XiSpec.build(g, v.dim, v.gamma)
     period = window_period(v.window)
     torus = "x".join(map(str, period))
-    if math.prod(period) > GRID_POINT_BUDGET:
-        raise CliInputError("a %s grid needs a %s torus of %d points, over the budget of %d points" % (
-            "x".join(map(str, v.window.shape)), torus, math.prod(period), GRID_POINT_BUDGET))
     point = xi_apply(spec, v)
     out = ns.out or _stem(ns.grid) + ".xi.csv"
     largest = float(torus_distance(point.values).max())
@@ -593,11 +590,8 @@ def cmd_xi_check(ns):
     counts = {name: ns.pairs if SUITES[name][1] == "pairs" else ns.configs for name in names}
     # the grid points each suite named holds at once (``checks.SUITES``); the largest sets the budget
     held, largest = max((SUITES[name][2](specs, window, counts[name]), name) for name in names)
-    if held > GRID_POINT_BUDGET:
-        raise CliInputError(
-            "--side %d with --configs %d and --pairs %d needs %d grid points in %s, over the budget of %d points"
-            % (side, ns.configs, ns.pairs, held, largest, GRID_POINT_BUDGET)
-        )
+    check_grid_points(held, "--side %d with --configs %d and --pairs %d needs %d grid points in %s"
+                      % (side, ns.configs, ns.pairs, held, largest))
     rng = np.random.default_rng(ns.seed)
     checks = []
     for name in names:

@@ -29,10 +29,10 @@ cosine form, contracted in chunks of nodes by the same point rule.
 Accuracy fields come from Richardson comparison of two node counts
 (N versus 2N, patch node counts doubled), scaled by a safety factor.
 The independent check is the random-walk series oracle: exact walk
-distributions from the fair 1D walk's triangle, two axes at a time by the 45
-degree rotation and each further axis by one vectorized binomial split,
-with tails removed by extrapolation ladders whose spread gives the error
-bound.
+distributions from binomial triangles, the fair one (p = 1/2) for two axes
+at a time by the 45 degree rotation and one vectorized binomial split for
+each further axis, with tails removed by extrapolation ladders whose spread
+gives the error bound.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .window import BoxWindow, laplacian, site_rows
+from .window import BoxWindow, check_grid_points, laplacian, site_rows
 
 BUMP_OUTER = 0.24
 BUMP_INNER = 0.08
@@ -179,26 +179,18 @@ class GreenTable:
 
 # -- torus sums, folded onto the symmetry octant and streamed in blocks ------
 
-# Largest fine-pass octant, in points, that a table or entropy pass may
-# evaluate.  It bounds work, not memory: the largest array held is one block
-# of _BLOCK_POINTS.
-GRID_POINT_BUDGET = 2**24
-
 # Points per block of the streamed sums, 512 KiB of floats: a block of the
 # octant holds as many whole rows of the last axis as fit, and at least one,
 # which exceeds the block only in d >= 4; a patch chunk holds as many nodes as
-# fit against its (radius+1)^(d-1) cosine products.
+# fit against its (radius+1)^(d-1) cosine products.  So the grid-point budget
+# bounds a pass's work, not its memory.
 _BLOCK_POINTS = 2**16
 
 
 def _check_grid_budget(d, nodes):
-    """Refuse node counts whose fine pass (2 nodes per axis) exceeds GRID_POINT_BUDGET."""
+    """Refuse node counts whose fine pass (2 nodes per axis) is over the grid-point budget."""
     side = nodes + 1
-    if side**d > GRID_POINT_BUDGET:
-        raise ValueError(
-            "the fine pass at %d nodes per axis needs a %d^%d octant grid, over the budget of %d points"
-            % (2 * nodes, side, d, GRID_POINT_BUDGET)
-        )
+    check_grid_points(side**d, "the fine pass at %d nodes per axis needs a %d^%d octant grid" % (2 * nodes, side, d))
 
 
 def _smooth_part(d, gamma, N, radius, fn):
@@ -369,7 +361,7 @@ def compute_green(d, gamma, radius):
     accuracy field is the maximum discrepancy times a safety factor.  Values
     are mirrored from one representative per symmetry class, so permutation
     and sign-flip symmetry is exact.  Inputs the quadrature cannot serve, or
-    whose fine grid exceeds GRID_POINT_BUDGET, are refused before any grid
+    whose fine grid is over the grid-point budget, are refused before any grid
     is built.
     """
     if radius < 1:
@@ -397,21 +389,6 @@ def compute_green(d, gamma, radius):
 ORACLE_SPAN = 4
 
 
-@lru_cache(maxsize=4)
-def _walk_1d_table(kmax):
-    """W[m, j] = P(fair +-1 walk is at 2j - m after m steps), by DP; read-only, as it is shared.
-
-    A triangle, 0 for j > m: the sites the walk can reach, half of all 2kmax+1.
-    """
-    W = np.zeros((kmax + 1, kmax + 1))
-    W[0, 0] = 1.0
-    for m in range(kmax):
-        W[m + 1, 1 : m + 2] += 0.5 * W[m, : m + 1]
-        W[m + 1, : m + 1] += 0.5 * W[m, : m + 1]
-    W.flags.writeable = False
-    return W
-
-
 @lru_cache(maxsize=8)
 def _binom_p_table(kmax, p):
     """B[k, a] = C(k, a) p^a (1-p)^(k-a), by the Pascal recurrence; read-only, as it is shared."""
@@ -426,9 +403,10 @@ def _binom_p_table(kmax, p):
 
 
 def _walk_1d(W, x):
-    """P(fair +-1 walk is at x after k steps), k = 0..kmax, as a fresh array.
+    """P(fair +-1 walk is at x after k steps), k = 0..kmax, as a fresh array; W is ``_binom_p_table(kmax, 0.5)``.
 
-    Nonzero at k = |x|, |x| + 2, ..., at j = (k + x)/2 of W's row k: one
+    With j steps up of k the walk is at 2j - k, so it is at x with
+    probability W[k, (k + x)/2], nonzero at k = |x|, |x| + 2, ...: one
     diagonal of the triangle, read as one strided slice of its flat view.
     """
     kmax = W.shape[0] - 1
@@ -454,7 +432,7 @@ def walk_distribution(d, n, kmax):
     n = tuple(int(x) for x in n)
     if len(n) != d:
         raise ValueError("site has wrong dimension")
-    W = _walk_1d_table(kmax)
+    W = _binom_p_table(kmax, 0.5)
     cur = _walk_1d(W, n[-2] + n[-1]) * _walk_1d(W, n[-2] - n[-1])
     for axes_left, x in enumerate(reversed(n[:-2]), start=3):
         B = _binom_p_table(kmax, 1.0 / axes_left)

@@ -36,7 +36,7 @@ import numpy as np
 from . import sandpile
 from .laurent import IdealCertificate, LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
 from .sandpile import HeightConfig, check_threshold
-from .window import BoxWindow, laplacian, site_rows
+from .window import BoxWindow, check_grid_points, laplacian, site_rows
 
 # unit roundoff of float64
 _U = 2.0**-53
@@ -298,10 +298,10 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
     the tables' accuracy, on critical and dissipative tables alike:
     measured, not proved.  A call maps on one torus, ``period`` or the one
     its window requests share; window requests that need two are refused.
-    The members are mapped in runs of at most ``sandpile.STACK_SITES``
-    torus points (at least one member each), one FFT pair per run over the
-    stacked grids.  The transform treats each line on its own, so a stack
-    gives each member's lone image bit for bit.
+    A torus over the grid-point budget is refused before any grid is
+    built.  The members are mapped in ``sandpile.stack_runs``, one FFT pair
+    per run over the stacked grids.  The transform treats each line on its
+    own, so a stack gives each member's lone image bit for bit.
     """
     configs = list(configs)
     if any(spec.dim != v.dim for v in configs):
@@ -310,6 +310,8 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
         out_windows = [v.window for v in configs]
     if len(out_windows) != len(configs):
         raise ValueError("%d output windows for %d configurations" % (len(out_windows), len(configs)))
+    if not configs:
+        return []
     if period is None:
         tori = {window_period(v.window, w) for v, w in zip(configs, out_windows)}
         if len(tori) != 1:
@@ -319,13 +321,13 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
         window_requests, period = False, tuple(int(n) for n in period)
         if len(period) != spec.dim or any(s > n for v in configs for s, n in zip(v.window.shape, period)):
             raise ValueError("a window does not fit in the torus %r" % (period,))
+    points = math.prod(period)
+    check_grid_points(points, "a %s grid needs a %s torus of %d points" % (
+        "x".join(map(str, configs[0].window.shape)), "x".join(map(str, period)), points))
     axes = range(1, spec.dim + 1)
     index = {w: _torus_index(w, period) for w in {v.window for v in configs} | set(out_windows)}
-    requests = list(zip(configs, out_windows))
-    per = max(1, sandpile.STACK_SITES // math.prod(period))
     images = []
-    for start in range(0, len(requests), per):
-        run = requests[start : start + per]
+    for run in sandpile.stack_runs(list(zip(configs, out_windows)), points):
         grid = np.zeros((len(run),) + period)
         for member, (v, _) in zip(grid, run):
             member[index[v.window]] = v.heights

@@ -267,8 +267,14 @@ def _moves(strides, colour, sizes):
 STACK_SITES = 1 << 15
 
 
+def stack_runs(items, sites):
+    """The list ``items``, of ``sites`` sites each, in runs of at most STACK_SITES sites and at least one item."""
+    per = max(1, STACK_SITES // sites)
+    return [items[i : i + per] for i in range(0, len(items), per)]
+
+
 def _stacks(configs):
-    """The configurations in runs of at most STACK_SITES sites (at least one each), with their stacked heights.
+    """The configurations in ``stack_runs``, with their stacked heights.
 
     They must share one window and gamma.  A run of one stacks a view of
     its heights, not a copy, so a large window takes the memory it took
@@ -280,9 +286,8 @@ def _stacks(configs):
     window, gamma = configs[0].window, configs[0].gamma
     if any(v.window != window or v.gamma != gamma for v in configs):
         raise ValueError("a stack needs one window and gamma")
-    per = max(1, STACK_SITES // window.size)
-    runs = [configs[i : i + per] for i in range(0, len(configs), per)]
-    return [(run, run[0].heights[None] if len(run) == 1 else np.stack([v.heights for v in run])) for run in runs]
+    return [(run, run[0].heights[None] if len(run) == 1 else np.stack([v.heights for v in run]))
+            for run in stack_runs(configs, window.size)]
 
 
 # the sweeps run in the first of these dtypes that ``_sweep_dtype`` proves they
@@ -713,11 +718,17 @@ def count_recurrent(window, gamma, backend="determinant"):
     raise ValueError("unknown backend %r" % (backend,))
 
 
-def log_recurrent_count(window, gamma):
-    """log of ``count_recurrent``: sum of logs of the toppling matrix's box eigenvalues, each above gamma - 2d >= 0."""
+def check_log_count(window, gamma):
+    """Refuse what ``log_recurrent_count`` cannot serve: a gamma off the threshold rule, a window over 10^6 sites."""
     check_threshold(window.dim, gamma)
     if window.size > 10**6:
-        raise ValueError("determinant backend limited to 1e6 sites")
+        raise ValueError("the log count is limited to 10^6 sites; a %s window has %d"
+                         % ("x".join(map(str, window.shape)), window.size))
+
+
+def log_recurrent_count(window, gamma):
+    """log of ``count_recurrent``: sum of logs of the toppling matrix's box eigenvalues, each above gamma - 2d >= 0."""
+    check_log_count(window, gamma)
     return float(np.log(_box_eigenvalues(window.shape, gamma)).sum())
 
 

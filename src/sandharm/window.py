@@ -9,6 +9,9 @@ and the mapping between sites and array indices.
 the one operator behind toppling, recurrence, the Green's function and
 the harmonic model, to a field on a box; ``neighbour_sum`` is its
 off-diagonal part.  Both treat the field as zero outside the array.
+
+``check_grid_points`` is the one check of the grid-point budget, called
+where each grid is sized and before it is built.
 """
 
 from __future__ import annotations
@@ -17,6 +20,16 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest grid, in points, that one request may evaluate or hold.  Only
+# ``check_grid_points`` reads it.
+GRID_POINT_BUDGET = 2**24
+
+
+def check_grid_points(points, needs):
+    """Refuse a grid of ``points`` points over GRID_POINT_BUDGET; ``needs`` says what needs them."""
+    if points > GRID_POINT_BUDGET:
+        raise ValueError("%s, over the budget of %d points" % (needs, GRID_POINT_BUDGET))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import sandharm.checks as checks
 import sandharm.cli as cli
 import sandharm.green as green
 import sandharm.sandpile as sandpile
+import sandharm.window as window
 from sandharm.cli import main, parse_poly
 from sandharm.green import GreenTable
 from sandharm.harmonic import TorusPoint
@@ -246,6 +247,20 @@ def test_entropy_dissipative_quick(tmp_path, capsys):
     assert "timestamp" not in json.dumps(manifest)
 
 
+def test_entropy_refuses_an_oversized_side_before_the_quadrature(tmp_path, monkeypatch, capsys):
+    # a 101^3 window is over the log count's 10^6 sites: refused before any work, with no line printed
+    def never(d, gamma):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(cli, "entropy_quadrature", never)
+    out = tmp_path / "ent.csv"
+    assert main(["sandpile", "entropy", "--d", "3", "--gamma", "6", "--sides", "8,101", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the log count is limited to 10^6 sites; a 101x101x101 window has 1030301\n"
+    assert not out.exists()
+
+
 # -- green -----------------------------------------------------------------------
 
 
@@ -267,7 +282,7 @@ def test_green_writes_table_and_oracle_report(tmp_path, capsys):
     assert manifest["versions"]["sandharm"]
 
 
-def test_green_nodes_option_and_grid_budget(tmp_path, monkeypatch):
+def test_green_node_count_follows_the_radius_and_grid_budget(tmp_path, monkeypatch):
     # the node count follows from the radius: N = 4 (radius + 1) = 132 past the d = 3 preset, 2N in the label
     out = tmp_path / "w.csv"
     rc = main(["green", "--d", "3", "--gamma", "7", "--radius", "32", "--out", str(out)])
@@ -364,7 +379,7 @@ def test_xi_check_refuses_grids_over_the_budget(monkeypatch, table_csv, capsys):
         replace_suite(monkeypatch, name, never)
     for extra in (["--side", "8192"], ["--configs", "10000000"], ["--pairs", "10000000"]):
         assert main(["xi", "check", "--d", "2", "--table", table_csv] + extra) == 3
-        assert "over the budget of %d points" % green.GRID_POINT_BUDGET in capsys.readouterr().err
+        assert "over the budget of %d points" % window.GRID_POINT_BUDGET in capsys.readouterr().err
     # each suite is held to its own rule: at the defaults additivity holds 10 pairs of 16^2 operands
     # and 10 sums with their outflow shell on 18^2 sites, 8360 heights, and the kernel witnesses
     # far fewer, whatever --pairs says
@@ -372,12 +387,12 @@ def test_xi_check_refuses_grids_over_the_budget(monkeypatch, table_csv, capsys):
     for name in ("kernel", "additivity"):
         replace_suite(monkeypatch, name, lambda specs, window, rng, n: ran.append(n) or [])
     argv = ["xi", "check", "--d", "2", "--table", table_csv, "--suite"]
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 8359)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", 8359)
     assert main(argv + ["kernel"]) == 0
     for suite in ("additivity", "all"):
         assert main(argv + [suite]) == 3
         assert "needs 8360 grid points in additivity, over the budget of 8359 points" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 8360)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", 8360)
     assert main(argv + ["additivity"]) == 0
     assert ran == [5, 10]
 
@@ -388,10 +403,10 @@ def test_xi_check_budget_counts_the_window_request_torus(monkeypatch, capsys):
     ran = []
     replace_suite(monkeypatch, "separation", lambda specs, window, rng, n: ran.append(n) or [])
     argv = ["xi", "check", "--d", "3", "--suite", "separation"]
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 32**3 - 1)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", 32**3 - 1)
     assert main(argv) == 3
     assert "needs 32768 grid points in separation, over the budget of 32767 points" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 32**3)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", 32**3)
     assert main(argv) == 0
     assert ran == [10]
 
@@ -400,11 +415,11 @@ def test_xi_apply_refuses_a_torus_over_the_budget(tmp_path, monkeypatch, capsys)
     # a 6x5 grid takes the 24x20 torus, 4 times its extent
     grid = write_grid(tmp_path, "v.grid", np.ones((6, 5), dtype=int))
     out = tmp_path / "v.xi.csv"
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 24 * 20 - 1)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", 24 * 20 - 1)
     assert main(["xi", "apply", "--grid", grid, "--out", str(out)]) == 3
     assert "a 6x5 grid needs a 24x20 torus of 480 points, over the budget of 479 points" in capsys.readouterr().err
     assert not out.exists()
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", 24 * 20)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", 24 * 20)
     assert main(["xi", "apply", "--grid", grid, "--out", str(out)]) == 0
     assert json.loads((tmp_path / "v.xi.csv.manifest.json").read_text())["results"]["torus"] == [24, 20]
 
@@ -421,9 +436,9 @@ def test_xi_check_budget_counts_the_additivity_sums_with_their_shell(monkeypatch
     replace_suite(monkeypatch, "additivity", lambda specs, window, rng, n: ran.append(n) or [])
     argv = ["xi", "check", "--d", str(d), "--gamma", str(2 * d + 1), "--table", str(table), "--suite", "additivity",
             "--side", str(side), "--configs", "1", "--pairs", str(pairs)]
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", held - 1)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", held - 1)
     assert main(argv) == 3
-    monkeypatch.setattr(cli, "GRID_POINT_BUDGET", held)
+    monkeypatch.setattr(window, "GRID_POINT_BUDGET", held)
     assert main(argv) == 0
     assert ran == [pairs]
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sandharm import green
+from sandharm import green, window
 from sandharm.green import (
     ORACLE_SPAN,
     GreenTable,
@@ -118,11 +118,10 @@ def test_oracle_refuses_what_it_cannot_serve():
 
 
 def test_oracle_refuses_near_critical_gamma_before_building_tables():
-    walk, binom = green._walk_1d_table.cache_info().misses, green._binom_p_table.cache_info().misses
+    misses = green._binom_p_table.cache_info().misses
     with pytest.raises(ValueError, match="too close to 2d"):
         walk_series_oracle(3, 6.001, (0, 0, 0))
-    assert green._walk_1d_table.cache_info().misses == walk
-    assert green._binom_p_table.cache_info().misses == binom
+    assert green._binom_p_table.cache_info().misses == misses
 
 
 def test_oracle_serves_critical_d3_sites_only_within_the_measured_span():
@@ -144,9 +143,26 @@ def test_oracle_returns_floats_on_every_branch(d, gamma, site):
 # -- walk distributions against the step-by-step DP and brute force ------------
 
 
+def _fair_walk_table(kmax):
+    """W[m, j] = P(fair +-1 walk is at 2j - m after m steps), by the walk's own DP: a step up or a step down."""
+    W = np.zeros((kmax + 1, kmax + 1))
+    W[0, 0] = 1.0
+    for m in range(kmax):
+        W[m + 1, 1 : m + 2] += 0.5 * W[m, : m + 1]
+        W[m + 1, : m + 1] += 0.5 * W[m, : m + 1]
+    return W
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 5, 40, 600, 800, 2000])
+def test_fair_walk_table_is_the_binomial_table_at_one_half(kmax):
+    # each Pascal step adds the same two halves as the walk's step, in the other order; uncached, so
+    # the 2001^2 table does not stay in the oracle's cache
+    assert np.array_equal(green._binom_p_table.__wrapped__(kmax, 0.5), _fair_walk_table(kmax))
+
+
 def _loop_walk_distribution(d, n, kmax):
     """Reference: the step-count loop, dealing steps to one axis at a time by binomial allocation."""
-    W = green._walk_1d_table(kmax)
+    W = green._binom_p_table(kmax, 0.5)
 
     def column(x):
         # W[k, j] = P(at 2j - k after k steps): the walk is at x when k >= |x| has x's parity
@@ -203,9 +219,8 @@ def test_walk_distribution_results_are_fresh():
         p = green.walk_distribution(d, n, 5)
         p[:] = 0.0
         assert np.array_equal(green.walk_distribution(d, n, 5), want)
-    for table in (green._walk_1d_table(5), green._binom_p_table(5, 0.5)):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        green._binom_p_table(5, 0.5)[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("fixture", ["table_d2_g4", "table_d2_g5", "table_d3_g6"])
@@ -375,7 +390,7 @@ def test_value_outside_radius_raises(table_d3_g6):
         table_d3_g6.value((9, 0, 0))
 
 
-def test_quadrature_spec_validation():
+def test_node_count_label_and_domain_refusals():
     # the node count is the preset up to radius 31 in d = 3, then 4 (radius + 1); the label shows 2N
     assert compute_green(3, 7, 31).method == "fft+none[N=256]"
     with pytest.raises(ValueError):
@@ -561,7 +576,7 @@ def test_compute_green_refuses_before_building_grids(monkeypatch):
     with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
         compute_green(4, 8, 1)
     # radius 63 needs N = 256 nodes per axis, and the fine pass's 257^3 octant is over the budget
-    with pytest.raises(ValueError, match="budget of %d points" % green.GRID_POINT_BUDGET):
+    with pytest.raises(ValueError, match="budget of %d points" % window.GRID_POINT_BUDGET):
         compute_green(3, 7, 63)
     with pytest.raises(ValueError, match="budget"):
         compute_green(2, 4, 1023)

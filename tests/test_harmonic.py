@@ -176,6 +176,26 @@ def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
         assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfftn": 1, "alias": 0}
 
 
+def test_the_map_refuses_a_torus_over_the_budget(spec_d2, monkeypatch):
+    # a window request on a 6x5 grid takes the 24x20 torus, a periodic request the torus it names;
+    # one point over the budget, each is refused before any transform runs, and at the budget it maps
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran for a torus over the budget")
+
+    v = HeightConfig(BoxWindow.from_shape((6, 5)), 4, np.ones((6, 5), dtype=np.int64))
+    requests = {(24, 20): lambda: [xi_apply(spec_d2, v)], (7, 9): lambda: xi_apply_stack(spec_d2, [v] * 3, period=(7, 9))}
+    for torus, request in requests.items():
+        points = math.prod(torus)
+        with monkeypatch.context() as m:
+            m.setattr("sandharm.window.GRID_POINT_BUDGET", points - 1)
+            m.setattr(np.fft, "rfftn", no_fft)
+            with pytest.raises(ValueError, match="a 6x5 grid needs a %dx%d torus of %d points, over the budget of %d "
+                               "points" % (torus + (points, points - 1))):
+                request()
+        monkeypatch.setattr("sandharm.window.GRID_POINT_BUDGET", points)
+        assert all(x.window == v.window for x in request())
+
+
 def test_window_period_is_four_times_the_extent():
     box = BoxWindow((-3, 0, 5), (3, 22, 5))
     out = BoxWindow((0, 30, 5), (1, 31, 7))

@@ -1,5 +1,6 @@
-"""Guards: every function, method and class in ``src/`` is reached by the
-program, and every CLI option is read by ``cli.py``.
+"""Guards: every function, method, class and module-level constant in
+``src/`` is reached by the program, and every CLI option is read by
+``cli.py``.
 
 The program is the package itself, its CLI and the benchmark under
 ``perfbench/``; code that only the tests call belongs in ``tests/``.  A
@@ -16,6 +17,12 @@ The matching is by bare name and so is coarse: a use of one definition
 reaches every definition of that name, so it cannot tell
 ``TorusPoint.from_csv`` from ``GreenTable.from_csv``, nor a method from a
 dict's ``items``.  It finds names nothing uses at all, not every unused one.
+
+The constant guard holds each module-level name that ``src/`` assigns to
+the same rule, read more narrowly: a read is a load of the bare name in
+its own module, an import of it from that module, or an attribute of that
+name anywhere, so a constant moved to another module leaves no copy
+behind that the other module's reads keep alive.  Dunders are exempt.
 
 The option guard walks the parser and its subparsers and looks for each
 option's dest in ``cli.py`` as ``ns.<dest>`` or as a string (the names
@@ -84,6 +91,47 @@ def test_src_defines_nothing_only_the_tests_reach():
                 continue
             unreached.append("%s.%s" % (module, qualname))
     assert not unreached, "defined in src/ but reached only from the tests: %s" % ", ".join(unreached)
+
+
+def _constants(tree):
+    """Names assigned at module level, each once."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names.setdefault(name.id)
+    return list(names)
+
+
+def _reads(tree, module):
+    """(module, name) for each bare-name load and each import of a name from a module; attribute names as (None, name)."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((module, node.id))
+        elif isinstance(node, ast.Attribute):
+            reads.add((None, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            reads |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
+    return reads
+
+
+def test_src_assigns_no_constant_nothing_reads():
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name.startswith("test_") or path == PACKAGE / "__init__.py":
+            continue
+        reads |= _reads(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _constants(ast.parse(path.read_text(), filename=str(path))):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if (path.stem, name) not in reads and (None, name) not in reads:
+                unread.append("%s.%s" % (path.stem, name))
+    assert not unread, "assigned in src/ but read by nothing in src/ or perfbench/: %s" % ", ".join(unread)
 
 
 def _options(parser):
