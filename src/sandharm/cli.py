@@ -66,9 +66,9 @@ from .harmonic import (
 )
 from .laurent import LaurentPoly, ideal_certificate, laplacian_poly, multiplier_sum, standard_polys
 from .sandpile import (
-    EXACT_DET_MAX_SITES,
     HeightConfig,
     burning_test,
+    check_exact_count,
     check_log_count,
     count_recurrent,
     finite_entropy_estimate,
@@ -496,7 +496,11 @@ def cmd_count(ns):
     gamma = ns.gamma
     if ns.backend == "determinant":
         log_count = log_recurrent_count(window, gamma)
-        if window.size <= EXACT_DET_MAX_SITES:
+        try:
+            check_exact_count(window, gamma)
+        except ValueError:
+            pass  # over the exact count's work limit: the log alone
+        else:
             print("determinant count = %d (exact integer)" % count_recurrent(window, gamma))
         print("log determinant = %.12g (exact eigenvalue product, fp rounding only)" % log_count)
         return EXIT_OK
@@ -504,7 +508,6 @@ def cmd_count(ns):
     if ns.backend == "bruteforce":
         print("bruteforce count = %d (exact)" % brute)
         return EXIT_OK
-    # brute force stops at gamma^|E| <= 1e7, so |E| <= 23 and the exact determinant always applies
     exact_det = count_recurrent(window, gamma)
     agree = exact_det == brute
     print("%d = %d  (bruteforce = determinant, exact comparison): %s" % (brute, exact_det, "pass" if agree else "FAIL"))

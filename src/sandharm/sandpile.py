@@ -37,10 +37,11 @@ after the first round, rechecks only the neighbours of the sites that
 burnt in the round before, deduplicated without a sort.  It works in int32
 on heights clipped to [-1, 2d], which is exact because a site's count of
 unburnt neighbours lies in [0, 2d].  The number of recurrent configurations
-equals the determinant of the toppling matrix, computed here
-exactly (fraction-free elimination confined to the matrix's band, with the
-box laid out longest axis first) or in the log domain through the exact
-eigenvalues available on box windows.
+equals the determinant of the toppling matrix, computed here exactly (the
+longest axis eliminated, leaving one fraction-free elimination of an m x m
+matrix, m the product of the other sides) or in the log domain through the
+exact eigenvalues available on box windows.  The brute-force count burns
+every stable configuration of a small window, in uint8.
 
 The correction operator turns an arbitrary bounded integer field into one
 whose restriction to a centered box is recurrent by adding a multiple of
@@ -51,6 +52,7 @@ all-max) and one for the field plus enough multiples of that shift.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -615,103 +617,138 @@ def toppling_matrix(window, gamma):
     return mat
 
 
-def _banded_det(mat, band):
-    """Exact determinant of a positive definite integer matrix of half-bandwidth ``band``.
+def _positive_definite_det(mat):
+    """Exact determinant of a symmetric positive definite integer matrix, by fraction-free (Bareiss) elimination.
 
-    Fraction-free (Bareiss) elimination without pivoting: the pivot of step k
-    is the leading principal minor of order k + 1, positive for a positive
-    definite matrix, so a pivot <= 0 means the matrix is not (RuntimeError),
-    and each division by the previous pivot is exact.  An index more than
-    ``band`` past the pivot has a zero multiplier, so a step only rescales
-    its entries by pivot / previous pivot; by Sylvester's identity these
-    factors telescope, and the elimination keeps a (band + 1)-wide working
-    block whose entering row and column are scaled once, by the latest
-    pivot.  Each step costs O(band^2) big-integer operations on a numpy
-    object array of Python ints.
+    No pivoting: the pivot of step k is the leading principal minor of order
+    k + 1, positive for a positive definite matrix, so a pivot <= 0 means the
+    matrix is not (RuntimeError, a fault in the program), and each division by
+    the previous pivot is exact.  Each step keeps the trailing block
+    symmetric, so it computes the upper triangle and mirrors it: one
+    vectorized step per pivot, on numpy object arrays of Python ints.
     """
-    n = len(mat)
-    width = min(band + 1, n)
-    block = mat[:width, :width].astype(object)
+    a = np.array(mat, dtype=object)
     prev = 1
-    for k in range(n):
-        pivot = block[0, 0]
+    for k in range(len(a)):
+        pivot = a[0, 0]
         if pivot <= 0:
             raise RuntimeError("pivot %d at step %d: matrix is not positive definite" % (pivot, k))
-        rest = (pivot * block[1:, 1:] - np.multiply.outer(block[1:, 0], block[0, 1:])) // prev
+        i, j = np.triu_indices(len(a) - 1)
+        row = a[0, 1:]
+        upper = (pivot * a[1:, 1:][i, j] - row[i] * row[j]) // prev
+        a = np.empty((len(row),) * 2, dtype=object)
+        a[i, j] = a[j, i] = upper
         prev = pivot
-        m = k + width
-        if m < n:
-            block = np.empty((width, width), dtype=object)
-            block[:-1, :-1] = rest
-            block[-1, :] = mat[m, k + 1 : m + 1].astype(object) * pivot
-            block[:-1, -1] = mat[k + 1 : m, m].astype(object) * pivot
-        else:
-            block = rest
     return prev
 
 
-# largest window, in sites, for the exact determinant: its banded elimination
-# costs O(|E| b^2) big-integer operations, b the product of all sides but the
-# longest (0.05 s on 16x16, about 1 s on 7x7x7)
-EXACT_DET_MAX_SITES = 400
+def _longest_axis(shape):
+    """(n, cross): the box's longest side, and the other sides (one site, for a path)."""
+    n, *cross = sorted(shape, reverse=True)
+    return n, tuple(cross) or (1,)
+
+
+def _chebyshev_u(b, cross, gamma, n):
+    """p_n(B) for B = ``b``, the toppling matrix of the cross-section ``cross``: p_0 = I, p_1 = B, p_{k+1} = B p_k - p_{k-1}.
+
+    That is U_n(B/2), the Chebyshev polynomial of the second kind.  Each p_k
+    is a polynomial in the symmetric B, so B p_k = p_k B: with each row of
+    p_k laid out as a field on the cross-section, along a leading stack axis,
+    B p_k is the stencil ``laplacian`` of that stack (gamma times it minus its
+    shifted rows), not a dense product.  Python ints in object arrays, so
+    every entry is exact.
+    """
+    m = len(b)
+    prev, p = np.eye(m, dtype=np.int64).astype(object), b.astype(object)
+    for _ in range(n - 1):
+        prev, p = p, laplacian(p.reshape((m,) + cross), gamma, stacked=True).reshape(m, m) - prev
+    return p
 
 
 def toppling_determinant_exact(window, gamma):
-    """det of the toppling matrix as an exact integer (small windows).
+    """det of the toppling matrix as an exact integer, by eliminating the box's longest axis.
 
-    The determinant does not depend on the order of the axes, so the box is
-    laid out longest axis first: its lexicographic half-bandwidth is then the
-    product of the other sides.
+    Laid out along its longest side n, the toppling matrix is block
+    tridiagonal: each diagonal block is B, the toppling matrix gamma I - A of
+    the cross-section (the other sides, m sites), and each off-diagonal block
+    is -I.  Each -I is a unimodular pivot, so block elimination leaves
+    det L = det p_n(B) (``_chebyshev_u``), the determinant of one m x m
+    integer matrix.  B's eigenvalues exceed gamma - 2(d - 1) >= 2, and there
+    U_n(x/2) is positive (sinh((n + 1)t)/sinh t at x = 2 cosh t), so p_n(B)
+    is positive definite and its pivots are positive.  B's own elimination
+    checks that B is: for even n, p_n(-B) = p_n(B) would hide a sign fault.
+    ``check_exact_count`` bounds the work.
     """
-    check_threshold(window.dim, gamma)
-    if window.size > EXACT_DET_MAX_SITES:
-        raise ValueError("exact determinant limited to %d sites" % EXACT_DET_MAX_SITES)
-    shape = sorted(window.shape, reverse=True)
-    return _banded_det(toppling_matrix(BoxWindow.from_shape(shape), gamma), math.prod(shape[1:]))
+    check_exact_count(window, gamma)
+    n, cross = _longest_axis(window.shape)
+    b = toppling_matrix(BoxWindow.from_shape(cross), gamma)
+    _positive_definite_det(b)
+    return _positive_definite_det(_chebyshev_u(b, cross, gamma, n))
 
 
 def _burn_all(configs, adj):
-    """Vectorized burning test over many stable configs (rows of heights).
+    """Burning test of many configurations at once (rows of heights >= 0): True where every site burns.
 
     ``adj`` is the window's site adjacency matrix, -toppling_matrix(window, 0),
-    built once by the caller however many chunks it burns.  The alive-neighbour
-    counts are one float32 BLAS product per round.  They are at most 2d, so
-    float32 holds them exactly, and rounding a height to float32 is monotone,
-    so comparing it with a count gives the integer answer.
+    built once by the caller however many chunks it burns.  A site's count of
+    unburnt neighbours is at most its degree, its number of neighbours, so
+    clipping each height at its site's degree leaves every comparison
+    h >= count unchanged, and heights and counts fit uint8.  Laid out
+    site-major, one row per site, each round burns every alive site whose
+    height reaches its count, and takes each burnt row off its neighbours'
+    counts, once per adjacent pair.
     """
-    adj = adj.astype(np.float32, copy=False)
-    V = np.asarray(configs, dtype=np.float32)
-    alive = np.ones(V.shape, dtype=bool)
+    degree = adj.sum(axis=1).astype(np.uint8)
+    heights = np.ascontiguousarray(np.minimum(configs, degree).T, dtype=np.uint8)
+    count = np.repeat(degree[:, None], heights.shape[1], axis=1)
+    alive = np.ones(heights.shape, dtype=np.uint8)
+    burnt = np.empty(heights.shape, dtype=np.uint8)
+    pairs = list(zip(*np.nonzero(np.triu(adj))))
     for _ in range(len(adj)):
-        n_alive = alive.astype(np.float32) @ adj
-        eligible = alive & (V >= n_alive)
-        if not eligible.any():
+        np.greater_equal(heights, count, out=burnt)
+        burnt &= alive
+        if not burnt.any():
             break
-        alive &= ~eligible
-    return ~alive.any(axis=1)
+        alive ^= burnt
+        for i, j in pairs:
+            count[i] -= burnt[j]
+            count[j] -= burnt[i]
+    return ~alive.any(axis=0)
 
 
 def count_recurrent(window, gamma, backend="determinant"):
     """Number of recurrent configurations on the window, an exact integer; ``log_recurrent_count`` is its log.
 
     ``determinant`` is det of the toppling matrix (Dhar), by
-    ``toppling_determinant_exact``; ``bruteforce`` enumerates all gamma^|E|
-    stable configurations, in chunks of 2^16 built as the base-gamma digits
-    of an index range, and counts burning-test passes.
+    ``toppling_determinant_exact``; ``bruteforce`` runs the burning test on
+    every one of the gamma^|E| stable configurations, for gamma^|E| <= 10^7.
+    The test reads a height only up to its site's degree, so at each site the
+    heights from top = min(gamma - 1, degree) up burn alike: the enumeration
+    takes each site's height in [0, top], in uint8 chunks of at most 2^16
+    configurations built by ``np.indices``, and a configuration stands for
+    the product, over its sites at top, of gamma - top.
     """
     check_threshold(window.dim, gamma)
     size = window.size
     if backend == "bruteforce":
-        total = gamma**size
-        if total > 10**7:
+        if gamma**size > 10**7:
             raise ValueError("bruteforce limited to gamma^|E| <= 1e7")
-        place = gamma ** np.arange(size - 1, -1, -1, dtype=np.int64)
-        adj = -toppling_matrix(window, 0).astype(np.float32)
+        adj = -toppling_matrix(window, 0)
+        top = np.minimum(adj.sum(axis=1), gamma - 1)
+        # the trailing sites vary within a chunk: a degree is at most 8 here (|E| <= 23 leaves at most
+        # four sides above 1), so every site fits uint8 and the last one a chunk
+        inner = 1
+        while inner < size and math.prod(top[size - inner - 1 :] + 1) <= 1 << 16:
+            inner += 1
+        block = np.indices(tuple(top[size - inner :] + 1), dtype=np.uint8).reshape(inner, -1)
+        digits = np.empty((size, block.shape[1]), dtype=np.uint8)
+        digits[size - inner :] = block
         count = 0
-        chunk = 1 << 16
-        for start in range(0, total, chunk):
-            index = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            count += int(_burn_all(index[:, None] // place % gamma, adj).sum())
+        for outer in itertools.product(*(range(t + 1) for t in top[: size - inner])):
+            digits[: size - inner] = np.array(outer, dtype=np.uint8)[:, None]
+            recurrent = digits[:, _burn_all(digits.T, adj)]
+            # products and sums are at most gamma^|E| <= 10^7, so int64 holds them
+            count += int(np.where(recurrent == top[:, None], gamma - top[:, None], 1).prod(axis=0).sum())
         return count
     if backend == "determinant":
         return toppling_determinant_exact(window, gamma)
@@ -724,6 +761,32 @@ def check_log_count(window, gamma):
     if window.size > 10**6:
         raise ValueError("the log count is limited to 10^6 sites; a %s window has %d"
                          % ("x".join(map(str, window.shape)), window.size))
+
+
+# Largest work, m^3 b^2 + 1000 n (m b + 10^5), that ``check_exact_count`` admits.
+EXACT_COUNT_WORK = 15 * 10**12
+
+
+def check_exact_count(window, gamma):
+    """Refuse what ``toppling_determinant_exact`` cannot serve: a window whose count takes more work than EXACT_COUNT_WORK.
+
+    With n the longest side, m the product of the others and b the count's
+    bit length (from ``log_recurrent_count``, whose own refusals stand), the
+    elimination makes about m^3 / 6 steps on entries of up to b bits, each
+    quadratic in their length, and the recurrence n steps on m^2 entries of
+    up to b / m bits, each linear in their length, plus a fixed numpy cost.
+    The weights and the limit are measured: on a 2-core host with Python
+    3.11 the work costs 0.55-1.3e-13 s a unit, so the largest window served
+    takes 0.8-2 s.
+    """
+    bits = log_recurrent_count(window, gamma) / math.log(2)
+    n, cross = _longest_axis(window.shape)
+    m = math.prod(cross)
+    work = m**3 * bits**2 + 1000 * n * (m * bits + 10**5)
+    if work > EXACT_COUNT_WORK:
+        raise ValueError("the exact count is limited to work m^3 b^2 + 1000 n (m b + 10^5) <= %.3g, with n the "
+                         "longest side, m the product of the others and b the count's bits; a %s window at gamma "
+                         "%d has %.3g" % (EXACT_COUNT_WORK, "x".join(map(str, window.shape)), gamma, work))
 
 
 def log_recurrent_count(window, gamma):

@@ -1,12 +1,13 @@
 """Mutation catalogue: each check must be able to fail.
 
 Each mutant breaks one piece of the program in-process, by ``monkeypatch``
-(no source edits, no copies), and lists the cases it is run against, each a
-check on a small window.  A case the mutant leaves passing is a survivor.
-``KNOWN_SURVIVORS`` holds the survivors no check kills yet, and the test
-asserts that the observed survivors are exactly that set: a new survivor
-fails it, and so does a survivor a later change kills, until it is taken
-out of the set.  Every case passes on the unmutated program, so each kill
+(no source edits, no copies of the tree; a change inside a loop replaces
+that one function by a copy with the change), and lists the cases it is run
+against, each a check on a small window.  A case the mutant leaves passing
+is a survivor.  ``KNOWN_SURVIVORS`` holds the survivors no check kills yet,
+and the test asserts that the observed survivors are exactly that set: a
+new survivor fails it, and so does a survivor a later change kills, until
+it is taken out of the set.  Every case passes on the unmutated program, so each kill
 is the mutant's doing.
 
 Run with ``-s`` to see "k of m mutants killed" per paper claim.
@@ -78,6 +79,28 @@ def two_zeros_case():
     return "burning test 32x32 two adjacent zeros", run
 
 
+def exact_count_case(shape, gamma, check):
+    """The exact count on a box passes ``check(count, window, gamma)``."""
+    def run():
+        window = BoxWindow.from_shape(shape)
+        return check(sandpile.toppling_determinant_exact(window, gamma), window, gamma)
+
+    return "exact count %s gamma=%d" % ("x".join(map(str, shape)), gamma), run
+
+
+def matches_log(count, window, gamma):
+    return abs(math.log(count) - sandpile.log_recurrent_count(window, gamma)) <= 1e-12 * math.log(count)
+
+
+def bruteforce_case(shape, gamma):
+    """The brute-force count equals the exact count."""
+    def run():
+        window = BoxWindow.from_shape(shape)
+        return sandpile.count_recurrent(window, gamma, "bruteforce") == sandpile.toppling_determinant_exact(window, gamma)
+
+    return "bruteforce = determinant %s gamma=%d" % ("x".join(map(str, shape)), gamma), run
+
+
 CASES = dict([additivity_case(2, 4), additivity_case(2, 5), additivity_case(3, 6), additivity_case(3, 7),
               demo_case(2, 5, 0), suite_case("kernel", 2, 4), suite_case("kernel", 2, 5),
               suite_case("harmonicity", 2, 4), suite_case("harmonicity", 3, 6), suite_case("separation", 3, 6),
@@ -89,7 +112,10 @@ CASES = dict([additivity_case(2, 4), additivity_case(2, 5), additivity_case(3, 6
                              lambda rng: HeightConfig.delta(BoxWindow.from_shape((15, 15)), 4, (7, 7), 600)),
               stabilize_case("5x4x6 gamma=6", lambda rng: HeightConfig(BoxWindow.from_shape((5, 4, 6)), 6,
                                                                       rng.integers(0, 12, size=(5, 4, 6)))),
-              two_zeros_case()])
+              two_zeros_case(),
+              exact_count_case((1000,), 2, lambda count, window, gamma: count == 1001),
+              exact_count_case((16, 16), 4, matches_log),
+              bruteforce_case((5,), 3), bruteforce_case((3, 3), 5), bruteforce_case((2, 2, 2), 7)])
 
 
 def drop_outflow(monkeypatch):
@@ -177,6 +203,25 @@ def always_recurrent(monkeypatch):
     monkeypatch.setattr(sandpile, "_burn_rounds", lambda heights, alive: np.ones(heights.shape, dtype=np.int32))
 
 
+def chebyshev_plus(monkeypatch):
+    """p_{k+1} = B p_k + p_{k-1}: the axis reduction adds the step before instead of subtracting it."""
+    def plus(b, cross, gamma, n):
+        m = len(b)
+        prev, p = np.eye(m, dtype=np.int64).astype(object), b.astype(object)
+        for _ in range(n - 1):
+            prev, p = p, laplacian(p.reshape((m,) + cross), gamma, stacked=True).reshape(m, m) + prev
+        return p
+
+    monkeypatch.setattr(sandpile, "_chebyshev_u", plus)
+
+
+def clip_below_degree(monkeypatch):
+    """The brute force burns heights clipped one below the most neighbours a site has (2d - 1 on a full box)."""
+    burn_all = sandpile._burn_all
+    monkeypatch.setattr(sandpile, "_burn_all",
+                        lambda configs, adj: burn_all(np.minimum(configs, adj.sum(axis=1).max() - 1), adj))
+
+
 # name -> (the paper claim it guards, the patch, the cases it is run against)
 MUTANTS = {
     "outflow dropped": (
@@ -225,6 +270,18 @@ MUTANTS = {
         "stabilization",
         always_recurrent,
         ("burning test 32x32 two adjacent zeros",),
+    ),
+    "p_{k+1} = B p_k + p_{k-1}": (
+        "the recurrent count is det L",
+        chebyshev_plus,
+        ("exact count 1000 gamma=2", "exact count 16x16 gamma=4"),
+    ),
+    # in the critical case every height is below 2d already, so only gamma > 2d can show the clip
+    "brute force clips at 2d - 1": (
+        "the recurrent count is det L",
+        clip_below_degree,
+        ("bruteforce = determinant 5 gamma=3", "bruteforce = determinant 3x3 gamma=5",
+         "bruteforce = determinant 2x2x2 gamma=7"),
     ),
 }
 

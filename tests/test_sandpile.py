@@ -26,7 +26,7 @@ from sandharm.sandpile import (
     toppling_determinant_exact,
     toppling_matrix,
 )
-from sandharm.sandpile import _banded_det, _burn_all, _burn_rounds
+from sandharm.sandpile import _burn_all, _burn_rounds
 from sandharm.window import BoxWindow
 
 
@@ -224,6 +224,76 @@ def det_reference(mat):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _banded_det(mat, band):
+    """Exact determinant of a positive definite integer matrix of half-bandwidth ``band``.
+
+    Fraction-free (Bareiss) elimination without pivoting: the pivot of step k
+    is the leading principal minor of order k + 1, positive for a positive
+    definite matrix, so a pivot <= 0 means the matrix is not (RuntimeError),
+    and each division by the previous pivot is exact.  An index more than
+    ``band`` past the pivot has a zero multiplier, so a step only rescales
+    its entries by pivot / previous pivot; by Sylvester's identity these
+    factors telescope, and the elimination keeps a (band + 1)-wide working
+    block whose entering row and column are scaled once, by the latest
+    pivot.  Each step costs O(band^2) big-integer operations on a numpy
+    object array of Python ints.
+    """
+    n = len(mat)
+    width = min(band + 1, n)
+    block = mat[:width, :width].astype(object)
+    prev = 1
+    for k in range(n):
+        pivot = block[0, 0]
+        if pivot <= 0:
+            raise RuntimeError("pivot %d at step %d: matrix is not positive definite" % (pivot, k))
+        rest = (pivot * block[1:, 1:] - np.multiply.outer(block[1:, 0], block[0, 1:])) // prev
+        prev = pivot
+        m = k + width
+        if m < n:
+            block = np.empty((width, width), dtype=object)
+            block[:-1, :-1] = rest
+            block[-1, :] = mat[m, k + 1 : m + 1].astype(object) * pivot
+            block[:-1, -1] = mat[k + 1 : m, m].astype(object) * pivot
+        else:
+            block = rest
+    return prev
+
+
+def smith_invariants(mat):
+    """Invariant factors above 1 of a nonsingular integer matrix, by unimodular row and column operations.
+
+    Each pass moves the trailing block's smallest nonzero entry to the pivot
+    and reduces its row and column by it; a remainder is smaller, so the
+    passes end.  A pivot that does not divide the whole block takes in a row
+    that it does not divide, so the factors come out in divisibility order.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    factors = []
+    for k in range(n):
+        while True:
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(k, n) for j in range(k, n) if a[i][j])
+            a[k], a[i] = a[i], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            pivot = a[k][k]
+            for i in range(k + 1, n):
+                q = a[i][k] // pivot
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, n):
+                q = a[k][j] // pivot
+                for row in a:
+                    row[j] -= q * row[k]
+            if any(a[i][k] for i in range(k + 1, n)) or any(a[k][j] for j in range(k + 1, n)):
+                continue
+            stray = next((i for i in range(k + 1, n) if any(x % pivot for x in a[i][k + 1 :])), None)
+            if stray is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[stray])]
+        factors.append(abs(a[k][k]))
+    return [f for f in factors if f > 1]
 
 
 def burn_all_reference(configs, window):
@@ -915,10 +985,10 @@ def test_counts_are_exact_integers_and_the_log_a_float():
         for backend in backends:
             assert type(count_recurrent(w, 4, backend)) is int, (shape, backend)
         assert type(log_recurrent_count(w, 4)) is float
-    # 30x30 has no exact count (900 sites), but its log
-    with pytest.raises(ValueError, match="limited to %d sites" % sandpile.EXACT_DET_MAX_SITES):
-        count_recurrent(box(30, 30), 4)
-    assert log_recurrent_count(box(30, 30), 4) > 0
+    # 100x100 is over the exact count's work limit, but has its log
+    with pytest.raises(ValueError, match="limited to work .* a 100x100 window at gamma 4 has"):
+        count_recurrent(box(100, 100), 4)
+    assert log_recurrent_count(box(100, 100), 4) > 0
 
 
 @pytest.mark.parametrize(
@@ -955,7 +1025,7 @@ def test_bruteforce_matches_exact_determinant():
         assert count_recurrent(w, gamma, backend="bruteforce") == toppling_determinant_exact(w, gamma), shape
 
 
-def test_burn_all_float32_matches_int64_reference(rng):
+def test_burn_all_uint8_matches_int64_reference(rng):
     for shape in [(9,), (4, 5), (2, 7), (1, 3, 3), (3, 2, 2)]:
         w = BoxWindow.from_shape(shape)
         gamma = 2 * w.dim + 2
@@ -965,42 +1035,85 @@ def test_burn_all_float32_matches_int64_reference(rng):
         assert np.array_equal(_burn_all(V, -toppling_matrix(w, 0)), burn_all_reference(V, w))
 
 
-def test_banded_det_matches_full_elimination():
-    """Every box up to axis order, gamma = 2d..2d+2; at most 60 sites in d = 1, 48 in d = 2, 40 in d = 3.
+def test_axis_reduction_matches_full_elimination():
+    """Every box in every axis order, gamma = 2d..2d+2; at most 40 sites in d = 1, 36 in d = 2, 27 in d = 3.
 
-    ``toppling_determinant_exact`` gets the axes shortest first and must lay
-    them out itself; ``_banded_det`` runs on every axis order at gamma = 2d,
-    with that order's half-bandwidth, the product of all sides but the first.
+    ``toppling_determinant_exact`` must find the longest axis itself, and
+    the cross-section's layout follows the order it is given in.
     """
-    for d, max_sites in ((1, 60), (2, 48), (3, 40)):
+    for d, max_sites in ((1, 40), (2, 36), (3, 27)):
         for shape in sorted({tuple(sorted(s)) for s in box_shapes(d, max_sites)}):
             for gamma in range(2 * d, 2 * d + 3):
                 expected = det_reference(toppling_matrix(BoxWindow.from_shape(shape), gamma))
-                assert toppling_determinant_exact(BoxWindow.from_shape(shape), gamma) == expected, shape
-                if gamma > 2 * d:
-                    continue
                 for order in set(itertools.permutations(shape)):
-                    mat = toppling_matrix(BoxWindow.from_shape(order), gamma)
-                    assert _banded_det(mat, math.prod(order[1:])) == expected, order
+                    assert toppling_determinant_exact(BoxWindow.from_shape(order), gamma) == expected, (order, gamma)
+
+
+def test_banded_det_matches_full_elimination():
+    """``_banded_det`` on every axis order at gamma = 2d, with that order's half-bandwidth, the product of all sides but the first."""
+    for d, max_sites in ((1, 40), (2, 36), (3, 27)):
+        for shape in sorted({tuple(sorted(s)) for s in box_shapes(d, max_sites)}):
+            expected = det_reference(toppling_matrix(BoxWindow.from_shape(shape), 2 * d))
+            for order in set(itertools.permutations(shape)):
+                mat = toppling_matrix(BoxWindow.from_shape(order), 2 * d)
+                assert _banded_det(mat, math.prod(order[1:])) == expected, order
+    # the path with gamma = 2 has det n + 1; its leading n x n block is the path of n sites
+    path = toppling_matrix(box(100), 2)
+    for n in range(1, 101):
+        assert _banded_det(path[:n, :n], 1) == n + 1
 
 
 def test_exact_determinant_anchors():
-    # the path with gamma = 2 has det n + 1; its leading n x n block is the path of n sites
-    top = sandpile.EXACT_DET_MAX_SITES
-    path = toppling_matrix(box(top), 2)
-    assert toppling_determinant_exact(box(top), 2) == top + 1
-    for n in range(1, top):
-        assert _banded_det(path[:n, :n], 1) == n + 1
-    w = box(16, 16)
-    log_det = math.log(toppling_determinant_exact(w, 4))
-    assert abs(log_det - log_recurrent_count(w, 4)) <= 1e-12 * log_det
+    # the path with gamma = 2 has det n + 1, past 400 sites too
+    assert toppling_determinant_exact(box(1000), 2) == 1001
+    for shape, gamma in (((16, 16), 4), ((40, 40), 4), ((7, 7, 7), 6)):
+        w = BoxWindow.from_shape(shape)
+        log_det = math.log(toppling_determinant_exact(w, gamma))
+        assert abs(log_det - log_recurrent_count(w, gamma)) <= 1e-12 * log_det, shape
+
+
+def test_brute_force_domain_is_within_the_exact_count():
+    """``sandpile count --backend both`` compares with the exact count on every window the brute force admits.
+
+    gamma^|E| <= 10^7 leaves |E| <= 23, so at most four sides above 1; a side
+    of 1 adds no neighbour, so the count, and the work, are those of the box
+    without it.  Every box with |E| >= 2 runs at every admitted gamma, and a
+    single site at gamma = 2 and 10^7, since its work grows with gamma.
+    """
+    checked = 0
+    for d in (1, 2, 3, 4):
+        for shape in box_shapes(d, 23):
+            if min(shape) < 2:
+                continue
+            size = math.prod(shape)
+            for gamma in range(2 * d, math.floor(10 ** (7 / size)) + 2):
+                if gamma**size <= 10**7:
+                    sandpile.check_exact_count(BoxWindow.from_shape(shape), gamma)
+                    checked += 1
+    for gamma in (2, 10**7):
+        sandpile.check_exact_count(box(1), gamma)
+    assert checked > 3000
+
+
+@pytest.mark.parametrize("shape,gamma", [((2, 2), 4), ((2, 3), 4), ((3, 3), 4), ((3, 4), 5), ((2, 2, 2), 6)],
+                         ids=["2x2-4", "2x3-4", "3x3-4", "3x4-5", "2x2x2-6"])
+def test_axis_reduction_keeps_the_sandpile_group(shape, gamma):
+    # Z^E / L Z^E and Z^m / p_n(B) Z^m have the same invariant factors, not only the same order
+    n, cross = sandpile._longest_axis(shape)
+    b = toppling_matrix(BoxWindow.from_shape(cross), gamma)
+    full = smith_invariants(toppling_matrix(BoxWindow.from_shape(shape), gamma))
+    assert smith_invariants(sandpile._chebyshev_u(b, cross, gamma, n)) == full
+    assert math.prod(full) == toppling_determinant_exact(BoxWindow.from_shape(shape), gamma)
+    if shape == (2, 2):
+        assert full == [8, 24]
 
 
 def test_banded_det_rejects_indefinite_matrix():
-    # a non-positive pivot is an internal fault, not an input error
+    # a non-positive pivot is an internal fault, not an input error, here and in the exact count's elimination
     for mat in ([[1, 2], [2, 1]], [[0, 1], [1, 0]]):
-        with pytest.raises(RuntimeError, match="not positive definite"):
-            _banded_det(np.array(mat, dtype=np.int64), 1)
+        for det in (lambda a: _banded_det(a, 1), sandpile._positive_definite_det):
+            with pytest.raises(RuntimeError, match="not positive definite"):
+                det(np.array(mat, dtype=np.int64))
 
 
 def test_toppling_matrix_layout():
