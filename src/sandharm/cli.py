@@ -497,7 +497,7 @@ def cmd_count(ns):
     if ns.backend == "determinant":
         log_count = log_recurrent_count(window, gamma)
         try:
-            check_exact_count(window, gamma)
+            check_exact_count(window, gamma, log_count)
         except ValueError:
             pass  # over the exact count's work limit: the log alone
         else:

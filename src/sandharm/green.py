@@ -3,16 +3,16 @@
 The Green's function of the lattice Laplacian polynomial is computed as a
 Fourier integral over the d-torus,
 
-    w_n = int e^{-2 pi i <n,t>} / (gamma - 2 sum_j cos 2 pi t_j) dt,
+    w_n = int e^{-2 pi i <n,t>} / F(t) dt,   F(t) = (gamma - 2d) + sum_j 4 sin^2(pi t_j),
 
-with the integrand regularized by subtracting 1 from the numerator when
-gamma = 2d and d = 2.  For gamma > 2d the integrand is smooth and a plain
-tensor trapezoid rule is spectrally accurate.  At the critical value
-gamma = 2d the integrand has an integrable singularity at t = 0, handled by
-a polar patch: a smooth radial bump splits the integral into a C-infinity
-torus part, evaluated by the trapezoid rule, and a small disc/ball around
-the origin, evaluated in polar or spherical coordinates where the integrand
-is smooth again.
+F being ``window.lattice_symbol`` at 2 pi t, which does not cancel near
+t = 0, and the numerator less 1 when gamma = 2d and d = 2.  For
+gamma > 2d the integrand is smooth and a plain tensor trapezoid rule is
+spectrally accurate.  At the critical value gamma = 2d the integrand has
+an integrable singularity at t = 0, handled by a polar patch: a smooth
+radial bump splits the integral into a C-infinity torus part, evaluated
+by the trapezoid rule, and a small disc/ball around the origin, evaluated
+in polar or spherical coordinates where the integrand is smooth again.
 
 Only the coefficients a table uses are evaluated, and without an FFT.  The
 torus integrand is even in each coordinate, so the N^d trapezoid sum folds
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .window import BoxWindow, check_grid_points, laplacian, site_rows
+from .window import BoxWindow, check_grid_points, laplacian, lattice_symbol, site_rows
 
 BUMP_OUTER = 0.24
 BUMP_INNER = 0.08
@@ -198,9 +198,9 @@ def _smooth_part(d, gamma, N, radius, fn):
 
     Returns A with A[n] approximating the Fourier coefficient at n, for
     0 <= n_j <= radius, of (1-bump) fn(F) at gamma = 2d (the polar patch
-    adds the rest) and of fn(F) otherwise, with the value 0 where F = 0;
-    F(t) = gamma - 2 sum cos(2 pi t_j).  The values equal the real part of
-    the N^d DFT.
+    adds the rest) and of fn(F) otherwise, with the value 0 where F = 0,
+    for the module's symbol F.  The values equal the real part of the N^d
+    DFT.
 
     Both integrands are even in each coordinate, so only the octant
     {0..N//2}^d is sampled.  A_n = N^-d sum_k G_k cos(2 pi <n,k>/N) over the
@@ -222,7 +222,7 @@ def _smooth_part(d, gamma, N, radius, fn):
     h = N // 2 + 1
     k = np.arange(h)
     t = k / N
-    cos = -2.0 * np.cos(2 * np.pi * t)
+    theta = 2 * np.pi * t
     fold = np.where((k == 0) | (2 * k == N), 1.0, 2.0) / N
     C = fold * np.cos(2 * np.pi * (np.outer(np.arange(radius + 1), k) % N) / N)
     corner = int(np.count_nonzero(t < BUMP_OUTER)) if gamma == 2 * d else 0
@@ -232,7 +232,7 @@ def _smooth_part(d, gamma, N, radius, fn):
     partial = np.empty((h, (radius + 1) ** (d - 1)))
     for lo in range(0, h, rows):
         hi = min(h, lo + rows)
-        F = sum(np.meshgrid(*[cos] * (d - 1), cos[lo:hi], indexing="ij", sparse=True), float(gamma))
+        F = lattice_symbol(gamma, *np.meshgrid(*[theta] * (d - 1), theta[lo:hi], indexing="ij", sparse=True))
         G = np.zeros_like(F)
         fn(F, out=G, where=F != 0)
         if lo < corner:
@@ -253,7 +253,7 @@ def _leggauss(n, a, b):
 
 
 def _patch_nodes(d, gamma, n_r, n_ang):
-    """Nodes, weights, radii and symbol gamma - 2 sum cos(2 pi t_j) on the bump support,
+    """Nodes, weights, radii and the symbol F on the bump support,
     one node per orbit of the coordinate sign flips.
 
     Polar in d = 2, spherical in d = 3, the only dimensions the callers admit.
@@ -288,7 +288,7 @@ def _patch_nodes(d, gamma, n_r, n_ang):
             ]
         )
         jac = (RR**2 * (wr[:, None, None] * wc[None, :, None] * waz)).ravel()
-    return pts, jac, RR.ravel(), float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
+    return pts, jac, RR.ravel(), lattice_symbol(gamma, *(2 * np.pi * pts))
 
 
 def _patch_values(d, gamma, radius, n_r, n_ang):
@@ -648,7 +648,7 @@ def _entropy_pass(d, gamma, N, n_r, n_ang):
 
 
 def entropy_quadrature(d, gamma):
-    """Specific entropy integral log(gamma - 2 sum cos) over the torus.
+    """Specific entropy integral of log F over the torus.
 
     Critical integrands get the bump split (the radial log moment is a 1D
     integral, the rest is smooth); dissipative ones use the plain tensor

@@ -3,7 +3,7 @@
 A multiplier g in the summable ideal turns any bounded integer field v
 into the torus-valued field x_n = sum_k v_{n-k} (g* . w)_k (mod 1), which
 satisfies gamma.x_n = sum of neighbours (mod 1).  The kernel K = g* . w
-has the symbol S_g(t) = g(e^{it}) / f(t), f(t) = gamma - 2 sum_i cos t_i,
+has the symbol S_g(t) = g(e^{it}) / f(t), f = ``window.lattice_symbol``,
 bounded and continuous as g is in the summable ideal, with S_g(0) the
 integer -c/2 = ``multiplier_sum(g)`` on critical tables.  K is summable,
 so by Poisson summation the inverse DFT of S_g sampled on an N-torus is
@@ -36,7 +36,7 @@ import numpy as np
 from . import sandpile
 from .laurent import IdealCertificate, LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
 from .sandpile import HeightConfig, check_threshold
-from .window import BoxWindow, check_grid_points, laplacian, site_rows
+from .window import BoxWindow, check_grid_points, laplacian, lattice_symbol, site_rows
 
 # unit roundoff of float64
 _U = 2.0**-53
@@ -141,24 +141,28 @@ def _symbol(spec, period):
     24.1, Theorem 24.2) bounds a radix-2 FFT by ||y' - y||_2 <= log2(M)
     eta ||y||_2, eta < 7u.  Transform, product and inverse then leave
     ||x' - x||_2 <= ||v||_2 (||S||_inf (14 log2 M + 3) u + ||dS||_inf),
-    where the computed symbol is off by |dS| <= u (l1(g) (7 |j|_1 + d +
-    terms + 4) + (gamma + 20 d + f) |S|) / f (the phases j.t and f carry
-    errors of 2 pi |j|_1 u and (gamma + 20 d) u).  A site's error is below
-    the l2 norm, ||v||_2 <= sup sqrt(M), and pocketfft's mixed radices are
-    taken at twice the radix-2 constant: per unit sup, sqrt(M)
-    (||S||_inf (28 log2 M + 6) u + ||dS||_inf).
+    where the computed symbol is off by |dS| <= u l1(g) (7 |j|_1 + d +
+    terms + 4) / f + (d + 14) u |S|: the phases j.t carry 2 pi |j|_1 u, the
+    quotient u, and f an error of (d + 13) u f.  t_j is off by 4u relative
+    (1/N and k/N in ``fftfreq``, np.pi and 2 pi k/N), which sin(t_j / 2)
+    inherits as |t_j / 2| <= pi / 2; numpy's sin adds 1 ulp = 2u (its
+    validation set's tolerance); the square makes 2 (6u) + u; and the d
+    sums of ``lattice_symbol``'s nonnegative terms add u f each.  A site's
+    error is below the l2 norm, ||v||_2 <= sup sqrt(M), and pocketfft's
+    mixed radices are taken at twice the radix-2 constant: per unit sup,
+    sqrt(M) (||S||_inf (28 log2 M + 6) u + ||dS||_inf).
     """
     d = len(period)
     freqs = [np.fft.fftfreq(n) for n in period[:-1]] + [np.fft.rfftfreq(period[-1])]
     t = [2 * np.pi * k.reshape((-1,) + (1,) * (d - 1 - a)) for a, k in enumerate(freqs)]
     g_t = sum(c * math.prod(np.exp(1j * j * ta) for j, ta in zip(expo, t)) for expo, c in spec.g.items())
-    f = spec.gamma - 2 * sum(np.cos(ta) for ta in t)
+    f = lattice_symbol(spec.gamma, *t)
     origin = (0,) * d
     if spec.certificate is not None:
         f[origin] = 1.0  # 0/0 in the quotient; S_g(0) is set below
     s = g_t / f
     deg = max(sum(abs(j) for j in expo) for expo in spec.g.terms)
-    ds = _U * (spec.g.l1_norm() * (7 * deg + d + len(spec.g) + 4) + (spec.gamma + 20 * d + f) * np.abs(s)) / f
+    ds = _U * (spec.g.l1_norm() * (7 * deg + d + len(spec.g) + 4) / f + (d + 14) * np.abs(s))
     if spec.certificate is not None:
         s[origin] = -(spec.certificate.common_second_moment // 2)
         ds[origin] = 0.0

@@ -10,16 +10,15 @@ abelian property), and its odometer is the least nonnegative integer field
 whose toppling leaves the configuration stable (least action, Fey-Levine-
 Peres).  ``stabilize`` uses both: it topples a provable lower bound on the
 odometer in one step, exactly, in int64 (the continuous solve
-L^-1 (h - (gamma - 1)) by DST-I), finishes with red-black half-sweeps (one
-colour of a flat-index parity colouring at a time, about as many as full
-sweeps would take), and certifies minimality with a burning test on the
-odometer's support, untoppling any stuck set.  The result is exact
-whatever the head start's rounding, but ``_dst1`` still reproduces
-pocketfft's DST-I bit for bit, so the head start and the work done match
-the earlier transform.  The sweeps run in the narrowest of int16, int32
-and int64 that a bound on the residual odometer, about (gamma - 1)
-(n + 1)^2 / 8 for the shortest side n whatever the load, proves they fit;
-integer arithmetic that cannot overflow is exact, so all three agree.
+L^-1 (h - (gamma - 1)), ``window.box_green``), finishes with red-black
+half-sweeps (one colour of a flat-index parity colouring at a time, about
+as many as full sweeps would take), and certifies minimality with a
+burning test on the odometer's support, untoppling any stuck set.  The
+result is exact whatever the head start's rounding.  The sweeps run in
+the narrowest of int16, int32 and int64 that a bound on the residual
+odometer, about (gamma - 1) (n + 1)^2 / 8 for the shortest side n
+whatever the load, proves they fit; integer arithmetic that cannot
+overflow is exact, so all three agree.
 
 The kernels work on stacks: several configurations on one window, laid
 one after another along a leading axis, each with its own sink border,
@@ -39,9 +38,9 @@ on heights clipped to [-1, 2d], which is exact because a site's count of
 unburnt neighbours lies in [0, 2d].  The number of recurrent configurations
 equals the determinant of the toppling matrix, computed here exactly (the
 longest axis eliminated, leaving one fraction-free elimination of an m x m
-matrix, m the product of the other sides) or in the log domain through the
-exact eigenvalues available on box windows.  The brute-force count burns
-every stable configuration of a small window, in uint8.
+matrix, m the product of the other sides) or in the log domain, within
+1e-11 relative, through ``window.box_eigenvalues``.  The brute-force count
+burns every stable configuration of a small window, in uint8.
 
 The correction operator turns an arbitrary bounded integer field into one
 whose restriction to a centered box is recurrent by adding a multiple of
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import LaurentPoly
-from .window import BoxWindow, laplacian, neighbour_sum
+from .window import BoxWindow, box_eigenvalues, box_green, laplacian, neighbour_sum
 
 
 # -- height configurations ---------------------------------------------------
@@ -299,53 +298,15 @@ _INT64_LIMIT = 1 << 62
 _SWEEP_LIMITS = {np.int16: 1 << 14, np.int32: 1 << 30, np.int64: _INT64_LIMIT}
 
 
-def _box_eigenvalues(shape, gamma):
-    """Eigenvalues gamma - 2 sum cos(pi k_j/(s_j+1)) of the toppling matrix on a box.
-
-    The eigenvectors are products of sines, so DST-I diagonalizes the matrix.
-    """
-    grids = np.meshgrid(
-        *[2.0 * np.cos(np.pi * np.arange(1, s + 1) / (s + 1)) for s in shape],
-        indexing="ij",
-        sparse=True,
-    )
-    return float(gamma) - sum(grids)
-
-
-def _dst1(x, scale=1.0):
-    """Unnormalized DST-I of each member of a float stack, over every axis but the first, times ``scale``.
-
-    Bit for bit pocketfft's multi-axis DST-I of each member alone, forward
-    for scale 1 and inverse for scale 1/prod(2 (s + 1)) formed in long
-    double: the axes in increasing order, each transformed as minus the
-    imaginary part of the rfft of the odd extension [0, x, 0, -x reversed],
-    and the scale applied to the first transformed axis's output, where
-    pocketfft applies it (negation is exact, so one multiply by -scale does
-    both).  Each 1-d transform is computed alone, so stacking changes no
-    bit.  Returns a new C-ordered array.
-    """
-    for ax in range(1, x.ndim):
-        n = x.shape[ax]
-        lead = (slice(None),) * ax
-        odd = np.zeros(x.shape[:ax] + (2 * n + 2,) + x.shape[ax + 1 :])
-        odd[lead + (slice(1, n + 1),)] = x
-        np.negative(np.flip(x, ax), out=odd[lead + (slice(n + 2, None),)])
-        x = np.multiply(np.fft.rfft(odd, axis=ax).imag[lead + (slice(1, n + 1),)], -scale if ax == 1 else -1.0)
-    return x
-
-
 def _odometer_floor(heights, gamma):
     """Integer lower bound on the odometer that stabilizes each member of a stack of nonnegative heights.
 
     The odometer u satisfies L u = h - h_stable >= h - (gamma - 1), and
-    L^-1 is entrywise nonnegative, so u >= L^-1 (h - (gamma - 1)), solved
-    exactly up to rounding by DST-I.  The 1e-6 margin keeps the floor below
+    L^-1 is entrywise nonnegative, so u >= L^-1 (h - (gamma - 1)), exact up
+    to rounding from ``box_green``.  The 1e-6 margin keeps the floor below
     the true odometer; ``stabilize`` does not rely on it being exact.
     """
-    shape = heights.shape[1:]
-    rhs = _dst1(heights - (gamma - 1.0)) / _box_eigenvalues(shape, gamma)
-    scale = float(1 / np.longdouble(math.prod(2 * (s + 1) for s in shape)))
-    bound = np.floor(_dst1(rhs, scale) - 1e-6)
+    bound = np.floor(box_green(heights - (gamma - 1.0), gamma) - 1e-6)
     return np.maximum(bound, 0).astype(np.int64)
 
 
@@ -679,7 +640,7 @@ def toppling_determinant_exact(window, gamma):
     checks that B is: for even n, p_n(-B) = p_n(B) would hide a sign fault.
     ``check_exact_count`` bounds the work.
     """
-    check_exact_count(window, gamma)
+    check_exact_count(window, gamma, log_recurrent_count(window, gamma))
     n, cross = _longest_axis(window.shape)
     b = toppling_matrix(BoxWindow.from_shape(cross), gamma)
     _positive_definite_det(b)
@@ -767,19 +728,19 @@ def check_log_count(window, gamma):
 EXACT_COUNT_WORK = 15 * 10**12
 
 
-def check_exact_count(window, gamma):
+def check_exact_count(window, gamma, log_count):
     """Refuse what ``toppling_determinant_exact`` cannot serve: a window whose count takes more work than EXACT_COUNT_WORK.
 
     With n the longest side, m the product of the others and b the count's
-    bit length (from ``log_recurrent_count``, whose own refusals stand), the
-    elimination makes about m^3 / 6 steps on entries of up to b bits, each
+    bit length, from ``log_count`` (``log_recurrent_count``, whose refusals
+    stand), the elimination makes about m^3 / 6 steps on b-bit entries, each
     quadratic in their length, and the recurrence n steps on m^2 entries of
     up to b / m bits, each linear in their length, plus a fixed numpy cost.
     The weights and the limit are measured: on a 2-core host with Python
     3.11 the work costs 0.55-1.3e-13 s a unit, so the largest window served
     takes 0.8-2 s.
     """
-    bits = log_recurrent_count(window, gamma) / math.log(2)
+    bits = log_count / math.log(2)
     n, cross = _longest_axis(window.shape)
     m = math.prod(cross)
     work = m**3 * bits**2 + 1000 * n * (m * bits + 10**5)
@@ -792,7 +753,7 @@ def check_exact_count(window, gamma):
 def log_recurrent_count(window, gamma):
     """log of ``count_recurrent``: sum of logs of the toppling matrix's box eigenvalues, each above gamma - 2d >= 0."""
     check_log_count(window, gamma)
-    return float(np.log(_box_eigenvalues(window.shape, gamma)).sum())
+    return float(np.log(box_eigenvalues(window.shape, gamma)).sum())
 
 
 def finite_entropy_estimate(side, d, gamma):

@@ -1,4 +1,4 @@
-"""Axis-aligned boxes of lattice sites, and the nearest-neighbour stencil.
+"""Axis-aligned boxes of lattice sites, the nearest-neighbour stencil and its symbol.
 
 A BoxWindow is the finite set of integer points between two corners,
 inclusive.  Windows carry the geometry shared by the sandpile dynamics,
@@ -9,6 +9,8 @@ and the mapping between sites and array indices.
 the one operator behind toppling, recurrence, the Green's function and
 the harmonic model, to a field on a box; ``neighbour_sum`` is its
 off-diagonal part.  Both treat the field as zero outside the array.
+``lattice_symbol`` is L's Fourier side; the box's toppling matrix has it
+as its eigenvalues (``box_eigenvalues``), and ``box_green`` solves with it.
 
 ``check_grid_points`` is the one check of the grid-point budget, called
 where each grid is sized and before it is built.
@@ -148,3 +150,51 @@ def neighbour_sum(field, stacked=False):
 def laplacian(field, gamma, stacked=False):
     """Toppling-matrix product L field, with L = gamma I - A on the array's box (each member's, if ``stacked``)."""
     return gamma * field - neighbour_sum(field, stacked)
+
+
+def lattice_symbol(gamma, *angles):
+    """L's symbol gamma - 2 sum_j cos theta_j at the angles theta_j, one broadcastable array per axis; a new array.
+
+    Evaluated as (gamma - 2d) + sum_j 4 sin^2(theta_j / 2): the terms are
+    nonnegative and do not cancel near theta = 0, each formed in place.
+    """
+    f = float(gamma - 2 * len(angles))
+    for theta in angles:
+        term = np.multiply(theta, 0.5)
+        f = f + np.multiply(np.square(np.sin(term, out=term), out=term), 4.0, out=term)
+    return f
+
+
+def box_eigenvalues(shape, gamma):
+    """Eigenvalues of the toppling matrix on a box, diagonalized by DST-I: the symbol at theta_j = pi k_j / (s_j + 1)."""
+    angles = [np.pi * np.arange(1, s + 1) / (s + 1) for s in shape]
+    return lattice_symbol(gamma, *np.meshgrid(*angles, indexing="ij", sparse=True))
+
+
+def _dst1(x, scale=1.0):
+    """Unnormalized DST-I of each member of a float stack, over every axis but the first, times ``scale``.
+
+    Bit for bit pocketfft's multi-axis DST-I of each member alone, forward
+    for scale 1 and inverse for scale 1/prod(2 (s + 1)) formed in long
+    double: the axes in increasing order, each transformed as minus the
+    imaginary part of the rfft of the odd extension [0, x, 0, -x reversed],
+    and the scale applied to the first transformed axis's output, where
+    pocketfft applies it (negation is exact, so one multiply by -scale does
+    both).  Each 1-d transform is computed alone, so stacking changes no
+    bit.  Returns a new C-ordered array.
+    """
+    for ax in range(1, x.ndim):
+        n = x.shape[ax]
+        lead = (slice(None),) * ax
+        odd = np.zeros(x.shape[:ax] + (2 * n + 2,) + x.shape[ax + 1 :])
+        odd[lead + (slice(1, n + 1),)] = x
+        np.negative(np.flip(x, ax), out=odd[lead + (slice(n + 2, None),)])
+        x = np.multiply(np.fft.rfft(odd, axis=ax).imag[lead + (slice(1, n + 1),)], -scale if ax == 1 else -1.0)
+    return x
+
+
+def box_green(sources, gamma):
+    """L^-1 times each member of a float stack of sources on a box, by DST-I, the eigenvalues and the inverse DST-I."""
+    shape = sources.shape[1:]
+    scale = float(1 / np.prod([2 * (s + 1) for s in shape], dtype=np.longdouble))
+    return _dst1(_dst1(sources) / box_eigenvalues(shape, gamma), scale)

@@ -63,6 +63,22 @@ def test_count_both_backends_print_agreement(capsys):
     assert "pass" in out
 
 
+def test_count_takes_the_log_count_once(monkeypatch, capsys):
+    # the work rule reads the log the request printed; 1000x1000 is over the exact count's limit
+    calls = []
+    real = sandpile.log_recurrent_count
+
+    def counted(window, gamma):
+        calls.append(window.shape)
+        return real(window, gamma)
+
+    for module in (cli, sandpile):
+        monkeypatch.setattr(module, "log_recurrent_count", counted)
+    assert main(["sandpile", "count", "--window", "1000x1000", "--gamma", "4"]) == 0
+    assert calls == [(1000, 1000)]
+    assert capsys.readouterr().out == "log determinant = 1166809.90806 (exact eigenvalue product, fp rounding only)\n"
+
+
 def test_count_bruteforce_guard_is_input_error(capsys):
     assert main(["sandpile", "count", "--window", "6x6", "--gamma", "4", "--backend", "bruteforce"]) == 3
 

@@ -458,7 +458,12 @@ def _full_patch_nodes(d, gamma, n_r, n_ang):
         SS = np.sqrt(1.0 - CC**2)
         pts = np.stack([(RR * SS * np.cos(AA)).ravel(), (RR * SS * np.sin(AA)).ravel(), (RR * CC).ravel()])
         jac = (RR**2 * (wr[:, None, None] * wc[None, :, None] * waz)).ravel()
-    return pts, jac, RR.ravel(), float(gamma) - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0)
+    return pts, jac, RR.ravel(), _sin_form(gamma, pts)
+
+
+def _sin_form(gamma, pts):
+    """The symbol (gamma - 2d) + sum 4 sin^2(pi x_j) at the columns x of ``pts``, which has no cancellation near 0."""
+    return float(gamma - 2 * len(pts)) + (4.0 * np.sin(np.pi * pts) ** 2).sum(axis=0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -468,7 +473,7 @@ def test_separable_patch_matches_direct_sum(d):
     for radius, (n_r, n_ang) in [(3, (8, 6)), (8, green._default_patch_counts(d, fine=True))]:
         P = green._patch_values(d, gamma, radius, n_r, n_ang)
         pts, jac, rad, F = green._patch_nodes(d, gamma, n_r, n_ang)
-        assert np.array_equal(F, gamma - 2.0 * np.cos(2 * np.pi * pts).sum(axis=0))
+        assert np.array_equal(F, _sin_form(gamma, pts))
         pts, jac, rad, F = _full_patch_nodes(d, gamma, n_r, n_ang)
         wts = green._bump(rad) * jac / F
         for site in [(0, 0, 0), (1, 0, 0), (2, 3, 1), (3, 1, 2), (3, 3, 3), (radius, radius - 3, 2), (radius,) * 3]:

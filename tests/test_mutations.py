@@ -18,13 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from sandharm import checks, harmonic, sandpile
+from sandharm import checks, harmonic, sandpile, window
 from sandharm.harmonic import addition_operator_demo, standard_specs
 from sandharm.sandpile import HeightConfig
 from sandharm.window import BoxWindow, laplacian
 
 from test_harmonic import images_are_harmonic
-from test_sandpile import sweep_reference
+from test_sandpile import log_count_matches_the_path, sweep_reference
 
 
 def additivity_case(d, gamma):
@@ -115,6 +115,7 @@ CASES = dict([additivity_case(2, 4), additivity_case(2, 5), additivity_case(3, 6
               two_zeros_case(),
               exact_count_case((1000,), 2, lambda count, window, gamma: count == 1001),
               exact_count_case((16, 16), 4, matches_log),
+              ("log count path 10^6 gamma=2", lambda: log_count_matches_the_path(10**6)),
               bruteforce_case((5,), 3), bruteforce_case((3, 3), 5), bruteforce_case((2, 2, 2), 7)])
 
 
@@ -215,6 +216,12 @@ def chebyshev_plus(monkeypatch):
     monkeypatch.setattr(sandpile, "_chebyshev_u", plus)
 
 
+def cosine_symbol(monkeypatch):
+    """The symbol's per-axis term written 2 - 2 cos theta, which cancels near theta = 0."""
+    monkeypatch.setattr(window, "lattice_symbol",
+                        lambda gamma, *angles: float(gamma - 2 * len(angles)) + sum(2 - 2 * np.cos(a) for a in angles))
+
+
 def clip_below_degree(monkeypatch):
     """The brute force burns heights clipped one below the most neighbours a site has (2d - 1 on a full box)."""
     burn_all = sandpile._burn_all
@@ -275,6 +282,11 @@ MUTANTS = {
         "the recurrent count is det L",
         chebyshev_plus,
         ("exact count 1000 gamma=2", "exact count 16x16 gamma=4"),
+    ),
+    "symbol term 2 - 2 cos theta": (
+        "the recurrent count is det L",
+        cosine_symbol,
+        ("log count path 10^6 gamma=2",),
     ),
     # in the critical case every height is below 2d already, so only gamma > 2d can show the clip
     "brute force clips at 2d - 1": (

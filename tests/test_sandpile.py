@@ -778,8 +778,8 @@ def test_gross_head_start_overshoot_is_an_error(monkeypatch, rng):
     # the inverse DST left unscaled overshoots by prod 2 (s + 1) = 1156; the
     # certificate would untopple that one pass at a time, so stabilize refuses it
     def unscaled_floor(heights, gamma):
-        rhs = sandpile._dst1(heights - (gamma - 1.0)) / sandpile._box_eigenvalues(heights.shape[1:], gamma)
-        return np.maximum(np.floor(sandpile._dst1(rhs) - 1e-6), 0).astype(np.int64)
+        rhs = window._dst1(heights - (gamma - 1.0)) / window.box_eigenvalues(heights.shape[1:], gamma)
+        return np.maximum(np.floor(window._dst1(rhs) - 1e-6), 0).astype(np.int64)
 
     monkeypatch.setattr(sandpile, "_odometer_floor", unscaled_floor)
     w = box(16, 16)
@@ -814,7 +814,7 @@ def test_dst1_matches_pocketfft_dst_pair(rng):
     for shape in shapes:
         x = rng.normal(size=(3,) + shape) * 100.0
         scale = float(1 / np.longdouble(math.prod(2 * (s + 1) for s in shape)))
-        forward, inverse = sandpile._dst1(x), sandpile._dst1(x, scale)
+        forward, inverse = window._dst1(x), window._dst1(x, scale)
         assert forward.flags.c_contiguous and inverse.flags.c_contiguous
         gamma = 2 * len(shape) + 1
         heights = rng.integers(0, 40, size=(3,) + shape)
@@ -822,7 +822,7 @@ def test_dst1_matches_pocketfft_dst_pair(rng):
         for i in range(3):
             assert np.array_equal(forward[i], fft.dstn(x[i], type=1))
             assert np.array_equal(inverse[i], fft.idstn(x[i], type=1))
-            rhs = fft.dstn(heights[i] - (gamma - 1.0), type=1) / sandpile._box_eigenvalues(shape, gamma)
+            rhs = fft.dstn(heights[i] - (gamma - 1.0), type=1) / window.box_eigenvalues(shape, gamma)
             floor = np.maximum(np.floor(fft.idstn(rhs, type=1) - 1e-6), 0).astype(np.int64)
             assert np.array_equal(start[i], floor)
 
@@ -1072,6 +1072,29 @@ def test_exact_determinant_anchors():
         assert abs(log_det - log_recurrent_count(w, gamma)) <= 1e-12 * log_det, shape
 
 
+def log_count_matches_the_path(n):
+    """The log count of the gamma = 2 path of n sites, whose det is n + 1, within 1e-11 relative."""
+    return abs(log_recurrent_count(box(n), 2) - math.log(n + 1)) <= 1e-11 * math.log(n + 1)
+
+
+def test_log_count_of_long_paths_has_no_cancellation():
+    # the eigenvalues 2 - 2 cos(pi k/(n+1)) lose digits near k = 1: that form is 3.3e-9 off at
+    # n = 10^5 and 7.4e-7 at 10^6; the sin^2 form is 2.0e-13 and 7.8e-12 off
+    for n in (10**5, 10**6):
+        assert log_count_matches_the_path(n), n
+
+
+def test_box_green_solves_the_toppling_matrix(rng):
+    for shape, gamma in (((1,), 2), ((9,), 2), ((12,), 3), ((5, 7), 4), ((6, 6), 5), ((1, 8), 4),
+                         ((3, 4, 5), 6), ((4, 4, 4), 7)):
+        w = BoxWindow.from_shape(shape)
+        sources = rng.normal(size=(3,) + shape)
+        got = window.box_green(sources, gamma)
+        for member, source in zip(got, sources):
+            expected = np.linalg.solve(toppling_matrix(w, gamma), source.ravel()).reshape(shape)
+            assert np.max(np.abs(member - expected)) <= 1e-12 * np.max(np.abs(expected)), (shape, gamma)
+
+
 def test_brute_force_domain_is_within_the_exact_count():
     """``sandpile count --backend both`` compares with the exact count on every window the brute force admits.
 
@@ -1088,10 +1111,11 @@ def test_brute_force_domain_is_within_the_exact_count():
             size = math.prod(shape)
             for gamma in range(2 * d, math.floor(10 ** (7 / size)) + 2):
                 if gamma**size <= 10**7:
-                    sandpile.check_exact_count(BoxWindow.from_shape(shape), gamma)
+                    w = BoxWindow.from_shape(shape)
+                    sandpile.check_exact_count(w, gamma, log_recurrent_count(w, gamma))
                     checked += 1
     for gamma in (2, 10**7):
-        sandpile.check_exact_count(box(1), gamma)
+        sandpile.check_exact_count(box(1), gamma, log_recurrent_count(box(1), gamma))
     assert checked > 3000
 
 
