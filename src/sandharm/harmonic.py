@@ -10,8 +10,10 @@ so by Poisson summation the inverse DFT of S_g sampled on an N-torus is
 sum_z K(. + N z), and one real FFT pair computes the map of the
 N-periodic extension of v, exactly up to float rounding.  No Green's
 table is read.  ``xi_apply_stack`` maps a stack of fields on one torus,
-one FFT pair per run of them; a window request's aliasing table is built
-once per spec and torus.  A request is either:
+one FFT pair per run of them, in place: the transforms of ``irfftn(rfftn(.))``
+in their order.  A request holds the cached symbol, the grid and its spectrum
+(about the torus's float64 bytes each) and a window request's aliasing table,
+kept per spec and torus on the 1/2^d of the torus it reads.  A request is either:
 
 - periodic (a ``period`` given): err is the stated FFT rounding.  The
   identity comparisons run so, on a torus that holds their window and its
@@ -150,21 +152,27 @@ def _symbol(spec, period):
     sums of ``lattice_symbol``'s nonnegative terms add u f each.  A site's
     error is below the l2 norm, ||v||_2 <= sup sqrt(M), and pocketfft's
     mixed radices are taken at twice the radix-2 constant: per unit sup,
-    sqrt(M) (||S||_inf (28 log2 M + 6) u + ||dS||_inf).
+    sqrt(M) (||S||_inf (28 log2 M + 6) u + ||dS||_inf).  g's terms are
+    summed into S one at a time; the quotient and dS are formed in place.
     """
     d = len(period)
     freqs = [np.fft.fftfreq(n) for n in period[:-1]] + [np.fft.rfftfreq(period[-1])]
     t = [2 * np.pi * k.reshape((-1,) + (1,) * (d - 1 - a)) for a, k in enumerate(freqs)]
-    g_t = sum(c * math.prod(np.exp(1j * j * ta) for j, ta in zip(expo, t)) for expo, c in spec.g.items())
+    s = np.zeros(period[:-1] + (period[-1] // 2 + 1,), dtype=complex)
+    for expo, c in spec.g.items():
+        term = math.prod(np.exp(1j * j * ta) for j, ta in zip(expo, t))
+        s += np.multiply(term, c, out=term)
+        del term
     f = lattice_symbol(spec.gamma, *t)
     origin = (0,) * d
     if spec.certificate is not None:
-        f[origin] = 1.0  # 0/0 in the quotient; S_g(0) is set below
-    s = g_t / f
+        s[origin], f[origin] = -(spec.certificate.common_second_moment // 2), 1.0  # S_g(0) = -c/2 exactly
+    s /= f
     deg = max(sum(abs(j) for j in expo) for expo in spec.g.terms)
-    ds = _U * (spec.g.l1_norm() * (7 * deg + d + len(spec.g) + 4) / f + (d + 14) * np.abs(s))
+    ds = np.divide(spec.g.l1_norm() * (7 * deg + d + len(spec.g) + 4), f, out=f)
+    ds += (d + 14) * np.abs(s)
+    ds *= _U
     if spec.certificate is not None:
-        s[origin] = -(spec.certificate.common_second_moment // 2)
         ds[origin] = 0.0
     m = math.prod(period)
     rounding = math.sqrt(m) * (float(np.abs(s).max()) * (28 * math.log2(m) + 6) * _U + float(ds.max()))
@@ -177,7 +185,8 @@ class XiSpec:
 
     ``symbols`` caches, per torus shape, S_g on the rfftn grid with its
     rounding per unit sup (``_symbol``); ``alias_tables`` caches, per torus
-    shape, the window requests' ``_alias_table``.
+    shape, the window requests' ``_alias_table``, 1/2^d of the torus.  A
+    request adds its grid and spectrum, about the torus's float64 bytes each.
     """
 
     g: LaurentPoly
@@ -261,23 +270,34 @@ def _torus_index(window, period):
     return np.ix_(*[np.arange(l, h + 1) % n for l, h, n in zip(window.lo, window.hi, period)])
 
 
-def _alias_table(symbol, period):
-    """|K_{N/2} - K_N| on the N-torus, where K_N is the inverse DFT of the symbol.
+def _irfftn_into(spectrum, out, axes):
+    """``irfftn`` of ``spectrum`` over ``axes`` into ``out``, its transforms in its order, in place in ``spectrum``."""
+    for ax in axes[:-1]:
+        np.fft.ifft(spectrum, axis=ax, out=spectrum)
+    return np.fft.irfft(spectrum, n=out.shape[axes[-1]], axis=axes[-1], out=out)
 
-    By Poisson summation K_{N/2}(y) = sum_{z in {0,1}^d} K_N(y + z N/2), a
-    fold of K_N, and |K_{N/2} - K_N| is the kernel mass that wraps onto y
-    at half the torus side.
+
+def _alias_table(symbol, period):
+    """|K_{N/2} - K_N| at the differences |y_j| < N_j/4 of a window request's sites, y at offset y + N/4 - 1.
+
+    K_N is the inverse DFT of the symbol; by Poisson summation K_{N/2}(y) =
+    sum_{z in {0,1}^d} K_N(y + z N/2), a fold of K_N, and |K_{N/2} - K_N| is
+    the kernel mass that wraps onto y at half the torus side.
     """
-    k = np.fft.irfftn(symbol, s=period, axes=range(len(period)))
+    k = _irfftn_into(symbol.copy(), np.empty(period), range(len(period)))
     half = k.reshape([m for n in period for m in (2, n // 2)]).sum(axis=tuple(range(0, 2 * len(period), 2)))
-    return np.abs(np.tile(half, (2,) * len(period)) - k)
+    box = BoxWindow(tuple(1 - n // 4 for n in period), tuple(n // 4 - 1 for n in period))
+    table = half[_torus_index(box, [n // 2 for n in period])]
+    table -= k[_torus_index(box, period)]
+    return np.abs(table, out=table)
 
 
 def _alias_l1(spec, period, window, out_window):
-    """The l1 of the spec's cached ``_alias_table`` over the box of differences out_window - window."""
-    diffs = BoxWindow(tuple(a - b for a, b in zip(out_window.lo, window.hi)),
-                      tuple(a - b for a, b in zip(out_window.hi, window.lo)))
-    return float(spec.alias_table(period)[_torus_index(diffs, period)].sum())
+    """The l1 of the spec's cached ``_alias_table`` over the differences out_window - window, y at y + N/4 - 1."""
+    diffs = BoxWindow(tuple(a - b + n // 4 - 1 for a, b, n in zip(out_window.lo, window.hi, period)),
+                      tuple(a - b + n // 4 - 1 for a, b, n in zip(out_window.hi, window.lo, period)))
+    # a slice and one contiguous copy: a gather holds more, and a strided sum adds in another order
+    return float(np.ascontiguousarray(spec.alias_table(period)[BoxWindow.from_shape(period).slices(diffs)]).sum())
 
 
 def xi_apply(spec, v, out_window=None, period=None):
@@ -303,9 +323,9 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
     measured, not proved.  A call maps on one torus, ``period`` or the one
     its window requests share; window requests that need two are refused.
     A torus over the grid-point budget is refused before any grid is
-    built.  The members are mapped in ``sandpile.stack_runs``, one FFT pair
-    per run over the stacked grids.  The transform treats each line on its
-    own, so a stack gives each member's lone image bit for bit.
+    built, and the symbol and aliasing l1s before the grids.  The runs
+    of ``sandpile.stack_runs`` each take one in-place FFT pair; a line is
+    transformed alone, so a stack gives each member's lone image bit for bit.
     """
     configs = list(configs)
     if any(spec.dim != v.dim for v in configs):
@@ -328,17 +348,25 @@ def xi_apply_stack(spec, configs, out_windows=None, period=None):
     points = math.prod(period)
     check_grid_points(points, "a %s grid needs a %s torus of %d points" % (
         "x".join(map(str, configs[0].window.shape)), "x".join(map(str, period)), points))
+    symbol = spec.symbol(period)[0]
+    alias = {(v.window, w): _alias_l1(spec, period, v.window, w)
+             for v, w in zip(configs, out_windows) if window_requests}
     axes = range(1, spec.dim + 1)
     index = {w: _torus_index(w, period) for w in {v.window for v in configs} | set(out_windows)}
+    runs = sandpile.stack_runs(list(zip(configs, out_windows)), points)
+    grids = np.empty((len(runs[0]),) + period)
+    spectra = np.empty(grids.shape[:-1] + symbol.shape[-1:], dtype=complex)
     images = []
-    for run in sandpile.stack_runs(list(zip(configs, out_windows)), points):
-        grid = np.zeros((len(run),) + period)
+    for run in runs:
+        grid, spectrum = grids[: len(run)], spectra[: len(run)]
+        grid.fill(0.0)
         for member, (v, _) in zip(grid, run):
             member[index[v.window]] = v.heights
-        x = np.fft.irfftn(np.fft.rfftn(grid, axes=axes) * spec.symbol(period)[0], s=period, axes=axes)
-        for image, (v, w) in zip(x, run):
-            alias = _alias_l1(spec, period, v.window, w) if window_requests else 0.0
-            images.append(TorusPoint(w, image[index[w]], spec.field_err(np.abs(v.heights).max(), period, alias)))
+        np.multiply(np.fft.rfftn(grid, axes=axes, out=spectrum), symbol, out=spectrum)
+        _irfftn_into(spectrum, grid, axes)
+        for image, (v, w) in zip(grid, run):
+            err = spec.field_err(np.abs(v.heights).max(), period, alias.get((v.window, w), 0.0))
+            images.append(TorusPoint(w, image[index[w]], err))
     return images
 
 

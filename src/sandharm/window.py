@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest grid, in points, that one request may evaluate or hold.  Only
-# ``check_grid_points`` reads it.
+# Largest grid, in points, that one request may evaluate or hold; only
+# ``check_grid_points`` reads it.  A map request at the budget holds 420 MB: grid
+# 134, spectrum and symbol 135 each, alias box 16 (`xi apply` 64^3: maxrss 442 MB).
 GRID_POINT_BUDGET = 2**24
 
 

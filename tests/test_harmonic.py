@@ -5,6 +5,7 @@ recurrent patches, and additivity under the group operation."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,8 +79,13 @@ def kernel_beyond(spec, radius):
     period = window_period(BoxWindow.centered(spec.dim, radius))
     at_box = np.ix_(*[np.arange(-radius, radius + 1) % n for n in period])
     kernel = torus_kernel(spec, period)
-    alias = _alias_table(spec.symbol(period)[0], period)[at_box]
+    alias = _alias_table(spec.symbol(period)[0], period)[alias_offsets(radius, period)]
     return float(kernel.sum() - kernel[at_box].sum()), float(alias.sum())
+
+
+def alias_offsets(radius, period):
+    """Index arrays of the differences |y_j| <= radius in an alias box, y at offset y + N_j/4 - 1."""
+    return np.ix_(*[np.arange(-radius, radius + 1) + n // 4 - 1 for n in period])
 
 
 def test_valid_convolution_matches_fftconvolve(specs_d2, rng):
@@ -139,7 +145,7 @@ def test_shared_kernel_spectrum_is_bitwise_a_fresh_transform(specs_d2, rng, monk
 
 
 def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
-    calls = {"rfftn": 0, "irfftn": 0, "alias": 0}
+    calls = {"rfftn": 0, "irfft": 0, "alias": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -148,7 +154,8 @@ def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(harmonic.np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
-    monkeypatch.setattr(harmonic.np.fft, "irfftn", counted("irfftn", np.fft.irfftn))
+    # the inverse of a run or of an alias table ends in one real inverse along the last axis
+    monkeypatch.setattr(harmonic.np.fft, "irfft", counted("irfft", np.fft.irfft))
     monkeypatch.setattr(harmonic, "_alias_table", counted("alias", harmonic._alias_table))
 
     def calls_of(f, *args):
@@ -162,9 +169,9 @@ def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
     configs = [HeightConfig(window, 6, rng.integers(0, 6, size=window.shape)) for _ in range(30)]
     assert window_period(window) == (16,) * 3 and sandpile.STACK_SITES // 16**3 == 8
     # each alias table is one inverse transform of its own
-    assert calls_of(xi_apply_stack, spec, configs) == {"rfftn": 4, "irfftn": 4 + 1, "alias": 1}
-    assert calls_of(xi_apply_stack, spec, configs) == {"rfftn": 4, "irfftn": 4, "alias": 0}
-    assert calls_of(xi_apply_stack, spec, configs, None, (9, 9, 9)) == {"rfftn": 1, "irfftn": 1, "alias": 0}
+    assert calls_of(xi_apply_stack, spec, configs) == {"rfftn": 4, "irfft": 4 + 1, "alias": 1}
+    assert calls_of(xi_apply_stack, spec, configs) == {"rfftn": 4, "irfft": 4, "alias": 0}
+    assert calls_of(xi_apply_stack, spec, configs, None, (9, 9, 9)) == {"rfftn": 1, "irfft": 1, "alias": 0}
     # a separation pair: one run on the window torus, one alias table per spec
     for spec in standard_specs(3, 6):
         w = suite_window(3, 5)
@@ -172,8 +179,89 @@ def test_one_fft_pair_per_run_and_one_alias_table_per_torus(rng, monkeypatch):
         vp = HeightConfig(w, 6, v.heights - poly_heights(w, LaurentPoly(3, {(0, 0, 0): 1})))
         q = BoxWindow((0, 0, 0), (0, 0, 0))
         difference = separation_difference(v, vp, q)
-        assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfftn": 1 + 1, "alias": 1}
-        assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfftn": 1, "alias": 0}
+        assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfft": 1 + 1, "alias": 1}
+        assert calls_of(separation_check, spec, difference, w) == {"rfftn": 1, "irfft": 1, "alias": 0}
+
+
+def torus_alias_table(spec, period):
+    """|K_{N/2} - K_N| on the whole N-torus: the fold of K_N, tiled, minus K_N."""
+    d = len(period)
+    kernel = torus_kernel(spec, period)
+    half = kernel.reshape([m for n in period for m in (2, n // 2)]).sum(axis=tuple(range(0, 2 * d, 2)))
+    return np.abs(np.tile(half, (2,) * d) - kernel)
+
+
+def test_alias_table_is_the_torus_table_on_its_box():
+    # the differences |y_j| < N_j/4, gathered from the whole-torus table, bit for bit; on the tori of
+    # cubic and non-cubic windows, among them the 256^2 and 64^3 of a 64^2 and a 16^3 `xi apply`
+    shapes = {2: [(64, 64), (6, 5), (3, 9)], 3: [(16, 16, 16), (5, 3, 4), (2, 7, 3)]}
+    for d, gamma in ((2, 4), (2, 5), (3, 6), (3, 7)):
+        for spec in standard_specs(d, gamma):
+            for shape in shapes[d]:
+                period = window_period(BoxWindow.from_shape(shape))
+                box = np.ix_(*[np.arange(1 - n // 4, n // 4) % n for n in period])
+                table = _alias_table(spec.symbol(period)[0], period)
+                assert table.shape == tuple(n // 2 - 1 for n in period)
+                assert np.array_equal(table, torus_alias_table(spec, period)[box]), (spec.g, shape)
+
+
+def test_stack_images_are_the_fft_pair_bit_for_bit(rng, monkeypatch):
+    # each image of a window or periodic stack, values and err, is irfftn(rfftn(grid) * S) of its member
+    # alone read on its output window, with the whole-torus aliasing l1 for a window request; the
+    # stack split into runs of one, two and all of its members; periodic tori with odd last sides
+    def at(window, period):
+        return np.ix_(*[np.arange(l, h + 1) % n for l, h, n in zip(window.lo, window.hi, period)])
+
+    cases = [(standard_specs(2, 4)[1], (6, 5), [None, (9, 7)]), (XiSpec.build(None, 2, 5), (4, 7), [None, (8, 9)]),
+             (standard_specs(3, 6)[0], (4, 3, 5), [None, (7, 6, 5)]), (XiSpec.build(None, 3, 8), (3, 3, 3), [(4, 5, 7)])]
+    for spec, shape, periods in cases:
+        d = spec.dim
+        window = BoxWindow.from_shape(shape, lo=tuple(int(x) for x in rng.integers(-4, 4, size=d)))
+        configs = [HeightConfig(window, spec.gamma, rng.integers(-3, 9, size=shape)) for _ in range(5)]
+        outs = [window.intersection(window.shifted((k - 2,) + (1,) * (d - 1))) for k in range(5)]
+        for period in periods:
+            torus = period or window_period(window)
+            expected = []
+            for v, w in zip(configs, outs):
+                grid = np.zeros(torus)
+                grid[at(v.window, torus)] = v.heights
+                x = np.fft.irfftn(np.fft.rfftn(grid) * spec.symbol(torus)[0], s=torus, axes=range(d))
+                alias = 0.0
+                if period is None:
+                    diffs = BoxWindow(tuple(a - b for a, b in zip(w.lo, v.window.hi)),
+                                      tuple(a - b for a, b in zip(w.hi, v.window.lo)))
+                    alias = float(torus_alias_table(spec, torus)[at(diffs, torus)].sum())
+                expected.append(TorusPoint(w, x[at(w, torus)], spec.field_err(np.abs(v.heights).max(), torus, alias)))
+            for per_run in (1, 2, 5):
+                monkeypatch.setattr(sandpile, "STACK_SITES", per_run * math.prod(torus))
+                got = xi_apply_stack(XiSpec.build(spec.g, d, spec.gamma), configs, outs, period)
+                for x, e in zip(got, expected, strict=True):
+                    assert x.window == e.window and np.array_equal(x.values, e.values) and x.err == e.err
+
+
+def test_a_request_holds_the_symbol_and_two_work_arrays(rng):
+    # tracemalloc peaks of cold requests on a 16^3 grid, in float64 bytes of their 64^3 torus: the
+    # cached symbol (about 1), the grid and its spectrum (1 each), and a window request's alias box
+    window = BoxWindow.from_shape((16,) * 3)
+    v = HeightConfig(window, 6, rng.integers(0, 6, size=window.shape))
+    g = standard_polys(3)[0]
+    period = window_period(window)
+    torus_bytes = 8 * math.prod(period)
+    xi_apply(XiSpec.build(g, 3, 6), v, period=(16, 16, 16))  # numpy's FFT module and plans loaded
+
+    def peak(request):
+        tracemalloc.start()
+        try:
+            request()
+            return tracemalloc.get_traced_memory()[1] / torus_bytes
+        finally:
+            tracemalloc.stop()
+
+    assert period == (64,) * 3
+    assert peak(lambda: xi_apply(XiSpec.build(g, 3, 6), v)) <= 3.5
+    assert peak(lambda: xi_apply(XiSpec.build(g, 3, 6), v, period=period)) <= 3.5
+    spec = XiSpec.build(g, 3, 6)
+    assert peak(lambda: harmonic._symbol(spec, period)) <= 2.75
 
 
 def test_the_map_refuses_a_torus_over_the_budget(spec_d2, monkeypatch):
@@ -246,7 +334,7 @@ def test_standard_specs_one_per_generator(table_d2_g4, table_d2_g5, table_d3_g6,
             box = BoxWindow.centered(table.dim, mult.radius)
             period = window_period(box)
             at_box = np.ix_(*[np.arange(-mult.radius, mult.radius + 1) % n for n in period])
-            alias = _alias_table(spec.symbol(period)[0], period)[at_box]
+            alias = _alias_table(spec.symbol(period)[0], period)[alias_offsets(mult.radius, period)]
             gap = np.abs(torus_kernel(spec, period)[at_box] - mult.values)
             assert np.all(gap <= mult.entry_error + alias), spec.g
 
