@@ -35,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonic import (XiSpec, equivariance_residuals, harmonicity_residual, kernel_witness, point_distance, point_sum,
-                       poly_action, poly_label, separation_check, separation_difference, torus_distance, window_period,
+                       poly_action, separation_check, separation_difference, torus_distance, window_period,
                        xi_apply_stack)
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, poly_label
 from .sandpile import HeightConfig, group_add_stack, random_load, random_recurrent, stabilize_stack, with_outflow
 from .window import BoxWindow
 

@@ -17,6 +17,9 @@ Four command families:
 - ``ideal``: exact summability certificates and multiplier mass for
   inline polynomials, optionally with the kernel decay profile.
 
+``--g`` and ``--poly`` take a polynomial in the grammar of
+``sandharm.laurent.parse_poly``; its refusals are input errors.
+
 Exit codes: 0 success, 1 semantic negative (a forbidden configuration, a
 polynomial outside the ideal), 2 tolerance or suite failure, 3 malformed
 input, 4 internal fault (any other exception, printed with its type), 141
@@ -34,9 +37,7 @@ import errno
 import functools
 import io
 import json
-import math
 import os
-import re
 import sys
 import tempfile
 
@@ -58,13 +59,12 @@ from .green import (
 from .harmonic import (
     XiSpec,
     addition_operator_demo,
-    poly_label,
     standard_specs,
     torus_distance,
     window_period,
     xi_apply,
 )
-from .laurent import LaurentPoly, ideal_certificate, laplacian_poly, multiplier_sum, standard_polys
+from .laurent import ideal_certificate, multiplier_sum, parse_poly, poly_label
 from .sandpile import (
     HeightConfig,
     burning_test,
@@ -87,7 +87,7 @@ EXIT_PIPE = 128 + 13  # SIGPIPE
 
 
 class CliInputError(ValueError):
-    """Bad command line, grid file, or polynomial text (exit code 3)."""
+    """Bad command line or grid file (exit code 3)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,186 +197,6 @@ def _stem(path):
     base = os.fspath(path)
     root, ext = os.path.splitext(base)
     return root if ext else base
-
-
-# -- polynomial expressions ---------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\*\*|[-+*^()])")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise CliInputError("cannot read polynomial at %r" % text[pos:])
-            break
-        tok = m.group(1)
-        tokens.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return tokens
-
-
-def _name_poly(name, d, gamma):
-    """Resolve an alias: u1..ud, f, fg, or g1..gN."""
-    low = name.lower()
-    if low.startswith("u") and low[1:].isdigit():
-        axis = int(low[1:])
-        if not 1 <= axis <= d:
-            raise CliInputError("variable %s out of range for dimension %d" % (name, d))
-        return LaurentPoly.variable(d, axis - 1)
-    if low == "f":
-        return laplacian_poly(d)
-    if low == "fg":
-        if gamma is None:
-            raise CliInputError("alias fg needs --gamma")
-        return laplacian_poly(d, gamma)
-    if low.startswith("g") and low[1:].isdigit():
-        gens = standard_polys(d)
-        k = int(low[1:])
-        if not 1 <= k <= len(gens):
-            raise CliInputError(
-                "generator %s out of range; dimension %d has g1..g%d" % (name, d, len(gens))
-            )
-        return gens[k - 1]
-    raise CliInputError("unknown name %r (expected u<k>, f, fg or g<k>)" % name)
-
-
-# Largest power the polynomial reader expands: points in the result's Newton
-# box, and bits of its coefficients.
-POWER_MAX_POINTS = 4096
-POWER_MAX_BITS = 1024
-# Deepest nesting of parentheses and unary signs the recursive reader follows;
-# each level costs a few interpreter frames, so this stays far below Python's
-# recursion limit.
-POLY_MAX_DEPTH = 100
-
-
-def _poly_power(base, n):
-    """base^n, refusing before any multiplication a result too large to expand.
-
-    The result's Newton box holds at most prod_i (|n| span_i + 1) lattice
-    points, and its coefficients have at most |n| log2 l1(base) bits, since
-    the l1 norm is submultiplicative.  A power whose bounds exceed
-    POWER_MAX_POINTS points or POWER_MAX_BITS bits is an input error.
-    """
-    if base:
-        lo, hi = base.bounding_box()
-        points = math.prod(abs(n) * (h - l) + 1 for l, h in zip(lo, hi))
-        l1 = base.l1_norm()
-        if points > POWER_MAX_POINTS or (l1 > 1 and abs(n) > POWER_MAX_BITS / math.log2(l1)):
-            raise CliInputError(
-                "power ^%d is too large to expand: the result may exceed %d points in its Newton box "
-                "or %d-bit coefficients" % (n, POWER_MAX_POINTS, POWER_MAX_BITS)
-            )
-    if n >= 0:
-        return base**n
-    if len(base) == 1:
-        ((expo, coeff),) = base.terms.items()
-        if coeff in (1, -1):
-            inv = LaurentPoly.monomial(base.dim, tuple(-e for e in expo), coeff)
-            return inv ** (-n)
-    raise CliInputError("negative powers need a monomial with coefficient +-1")
-
-
-class _PolyReader:
-    """Recursive-descent reader for +, -, *, ^ and parentheses over u1..ud.
-
-    Each open parenthesis and each unary sign nests one level deeper; more
-    than POLY_MAX_DEPTH levels is an input error.
-    """
-
-    def __init__(self, tokens, d, gamma):
-        self.tokens = tokens
-        self.pos = 0
-        self.d = d
-        self.gamma = gamma
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok == "*":
-                self.take()
-                value = value * self.factor()
-            elif tok == "(" or (tok is not None and tok[0].isalpha()):
-                # implicit product, as in (1-u1)(1-u2) or 2u1
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self):
-        value = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise CliInputError("exponent must be an integer")
-            value = _poly_power(value, sign * int(tok))
-        return value
-
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise CliInputError("polynomial ends unexpectedly")
-        if tok in ("(", "-", "+"):
-            self.depth += 1
-            if self.depth > POLY_MAX_DEPTH:
-                raise CliInputError("polynomial nests parentheses and signs more than %d deep" % POLY_MAX_DEPTH)
-            if tok == "(":
-                value = self.expr()
-                if self.take() != ")":
-                    raise CliInputError("missing closing parenthesis")
-            else:
-                value = self.factor() if tok == "+" else -self.factor()
-            self.depth -= 1
-            return value
-        if tok.isdigit():
-            return LaurentPoly.constant(self.d, int(tok))
-        if tok[0].isalpha():
-            return _name_poly(tok, self.d, self.gamma)
-        raise CliInputError("unexpected token %r" % tok)
-
-
-def parse_poly(text, d, gamma=None):
-    """Laurent polynomial from an inline expression.
-
-    Understands integer coefficients, the variables u1..ud, the aliases
-    f (critical stencil), fg (stencil at --gamma) and g1..gN (standard
-    summable generators), with +, -, *, ^ and parentheses; juxtaposition
-    multiplies.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise CliInputError("empty polynomial")
-    reader = _PolyReader(tokens, d, gamma)
-    value = reader.expr()
-    if reader.pos != len(tokens):
-        raise CliInputError("trailing input %r" % " ".join(tokens[reader.pos :]))
-    return value
 
 
 # -- green --------------------------------------------------------------------

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .window import BoxWindow, check_grid_points, laplacian, lattice_symbol, site_rows
+from .window import BoxWindow, check_grid_points, check_threshold, laplacian, lattice_symbol, site_rows
 
 BUMP_OUTER = 0.24
 BUMP_INNER = 0.08
@@ -343,11 +343,10 @@ def _table_pass(d, gamma, radius, N, fine):
 
 
 def _check_domain(d, gamma):
-    """Refuse what the quadrature and the oracle cannot serve: d < 2, gamma < 2d, critical d outside {2, 3}."""
+    """Refuse what the quadrature and oracle cannot serve: d < 2, gammas ``check_threshold`` refuses, critical d > 3."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    if gamma < 2 * d:
-        raise ValueError("gamma must be at least 2d")
+    check_threshold(d, gamma)
     if gamma == 2 * d and d not in (2, 3):
         raise ValueError("critical gamma = 2d is served for d in {2, 3} only")
 

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import sandpile
 from .laurent import IdealCertificate, LaurentPoly, divide_by, ideal_certificate, laplacian_poly, standard_polys
-from .sandpile import HeightConfig, check_threshold
-from .window import BoxWindow, check_grid_points, laplacian, lattice_symbol, site_rows
+from .sandpile import HeightConfig
+from .window import BoxWindow, check_grid_points, check_threshold, laplacian, lattice_symbol, site_rows
 
 # unit roundoff of float64
 _U = 2.0**-53
@@ -48,13 +48,6 @@ def torus_distance(a, b=0.0):
     """Elementwise distance on the circle of circumference 1."""
     r = np.mod(np.asarray(a, dtype=float) - b, 1.0)
     return np.minimum(r, 1.0 - r)
-
-
-def poly_label(g):
-    """One-line tag for report keys: the exponent:coefficient list."""
-    return "; ".join(
-        "%s:%d" % (",".join(str(e) for e in exp), coeff) for exp, coeff in g.items()
-    )
 
 
 def _wrap_unit(values):

@@ -17,12 +17,33 @@ integer moment conditions on the coefficients:
 When all four hold, the common second moment c = sum_k g_k k_i^2 is
 independent of the axis i and the total mass of the multiplier field
 equals -c/2, an integer.
+
+A polynomial's text has its one home here.  ``parse_poly(text, d, gamma)``
+reads integers, the variables u1..ud, the aliases f (``laplacian_poly(d)``),
+fg (at ``gamma``) and g1..gN (``standard_polys(d)``), + - * ^ ** and
+parentheses; juxtaposition multiplies, as in 2(1-u1)(1-u2).  ``**`` is the
+one power rule: a negative power needs a unit (a monomial with coefficient
++-1), and a power over POWER_MAX_POINTS Newton-box points or POWER_MAX_BITS
+coefficient bits is refused before any multiplication.  Nesting deeper than
+POLY_MAX_DEPTH is refused; every refusal is a ValueError.  ``repr`` prints
+the form ``parse_poly`` reads; ``poly_label`` prints report tags and
+``to_text`` one ``k1 ... kd : c`` line per term.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
+
+# Largest power ``**`` expands: points in its Newton box, bits of its coefficients.
+POWER_MAX_POINTS = 4096
+POWER_MAX_BITS = 1024
+# Deepest nesting of parentheses and unary signs the recursive reader follows;
+# each level costs a few interpreter frames, so this stays far below Python's
+# recursion limit.
+POLY_MAX_DEPTH = 100
 
 
 class LaurentPoly:
@@ -95,6 +116,7 @@ class LaurentPoly:
         return sorted(self.terms.items())
 
     def __repr__(self):
+        """``LaurentPoly(d, <expression>)``, the expression in the form ``parse_poly`` reads."""
         if not self.terms:
             return "LaurentPoly(%d, 0)" % self.dim
         bits = []
@@ -155,10 +177,29 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = LaurentPoly.one(self.dim)
+        """self^n; n < 0 needs a unit, and a result too large to expand is refused before any multiplication.
+
+        The result's Newton box holds at most prod_i (|n| span_i + 1) points,
+        and its coefficients have at most |n| log2 l1(self) bits, since the l1
+        norm is submultiplicative; either bound over its limit is refused.
+        """
+        if self:
+            lo, hi = self.bounding_box()
+            points = math.prod(abs(n) * (h - l) + 1 for l, h in zip(lo, hi))
+            l1 = self.l1_norm()
+            if points > POWER_MAX_POINTS or (l1 > 1 and abs(n) > POWER_MAX_BITS / math.log2(l1)):
+                raise ValueError(
+                    "power ^%d is too large to expand: the result may exceed %d points in its Newton box "
+                    "or %d-bit coefficients" % (n, POWER_MAX_POINTS, POWER_MAX_BITS)
+                )
         base = self
+        if n < 0:
+            if len(self) != 1 or self.l1_norm() != 1:
+                raise ValueError("negative powers need a monomial with coefficient +-1")
+            ((expo, coeff),) = self.terms.items()
+            base = LaurentPoly.monomial(self.dim, tuple(-e for e in expo), coeff)
+            n = -n
+        out = LaurentPoly.one(self.dim)
         while n:
             if n & 1:
                 out = out * base
@@ -363,3 +404,142 @@ def divide_by(g, f):
             else:
                 del rem[key]
     return LaurentPoly(g.dim, quot).shifted(tuple(a - b for a, b in zip(glo, flo)))
+
+
+# -- text --------------------------------------------------------------------
+
+
+def poly_label(g):
+    """One-line tag for report keys: the exponent:coefficient list."""
+    return "; ".join("%s:%d" % (",".join(str(e) for e in exp), coeff) for exp, coeff in g.items())
+
+
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\*\*|[-+*^()])")
+
+
+def _tokenize(text):
+    tokens, pos = [], 0
+    while pos < len(text) and (m := _TOKEN.match(text, pos)):
+        tokens.append("^" if m.group(1) == "**" else m.group(1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError("cannot read polynomial at %r" % text[pos:])
+    return tokens
+
+
+def _name_poly(name, d, gamma):
+    """Resolve an alias: u1..ud, f, fg, or g1..gN."""
+    low = name.lower()
+    if low.startswith("u") and low[1:].isdigit():
+        axis = int(low[1:])
+        if not 1 <= axis <= d:
+            raise ValueError("variable %s out of range for dimension %d" % (name, d))
+        return LaurentPoly.variable(d, axis - 1)
+    if low == "f":
+        return laplacian_poly(d)
+    if low == "fg":
+        if gamma is None:
+            raise ValueError("alias fg needs --gamma")
+        return laplacian_poly(d, gamma)
+    if low.startswith("g") and low[1:].isdigit():
+        gens = standard_polys(d)
+        k = int(low[1:])
+        if not 1 <= k <= len(gens):
+            raise ValueError("generator %s out of range; dimension %d has g1..g%d" % (name, d, len(gens)))
+        return gens[k - 1]
+    raise ValueError("unknown name %r (expected u<k>, f, fg or g<k>)" % name)
+
+
+class _PolyReader:
+    """Recursive-descent reader for +, -, *, ^ and parentheses over u1..ud.
+
+    Each open parenthesis and each unary sign nests one level deeper; more
+    than POLY_MAX_DEPTH levels is refused.
+    """
+
+    def __init__(self, tokens, d, gamma):
+        self.tokens = tokens
+        self.pos = 0
+        self.d = d
+        self.gamma = gamma
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok == "*":
+                self.take()
+                value = value * self.factor()
+            elif tok == "(" or (tok is not None and tok[0].isalpha()):
+                # implicit product, as in (1-u1)(1-u2) or 2u1
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self):
+        value = self.atom()
+        if self.peek() == "^":
+            self.take()
+            sign = 1
+            if self.peek() == "-":
+                self.take()
+                sign = -1
+            tok = self.take()
+            if tok is None or not tok.isdigit():
+                raise ValueError("exponent must be an integer")
+            value = value ** (sign * int(tok))
+        return value
+
+    def atom(self):
+        tok = self.take()
+        if tok is None:
+            raise ValueError("polynomial ends unexpectedly")
+        if tok in ("(", "-", "+"):
+            self.depth += 1
+            if self.depth > POLY_MAX_DEPTH:
+                raise ValueError("polynomial nests parentheses and signs more than %d deep" % POLY_MAX_DEPTH)
+            if tok == "(":
+                value = self.expr()
+                if self.take() != ")":
+                    raise ValueError("missing closing parenthesis")
+            else:
+                value = self.factor() if tok == "+" else -self.factor()
+            self.depth -= 1
+            return value
+        if tok.isdigit():
+            return LaurentPoly.constant(self.d, int(tok))
+        if tok[0].isalpha():
+            return _name_poly(tok, self.d, self.gamma)
+        raise ValueError("unexpected token %r" % tok)
+
+
+def parse_poly(text, d, gamma=None):
+    """Laurent polynomial in d variables from an inline expression, in the grammar of the module docstring.
+
+    ``gamma`` is the threshold the alias fg reads.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty polynomial")
+    reader = _PolyReader(tokens, d, gamma)
+    value = reader.expr()
+    if reader.pos != len(tokens):
+        raise ValueError("trailing input %r" % " ".join(tokens[reader.pos :]))
+    return value

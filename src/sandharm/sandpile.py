@@ -58,18 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import LaurentPoly
-from .window import BoxWindow, box_eigenvalues, box_green, laplacian, neighbour_sum
+from .window import BoxWindow, box_eigenvalues, box_green, check_threshold, laplacian, neighbour_sum
 
 
 # -- height configurations ---------------------------------------------------
-
-
-def check_threshold(d, gamma):
-    """The one rule for a toppling threshold on Z^d: gamma >= 2d, and gamma fits in int64."""
-    if gamma < 2 * d:
-        raise ValueError("gamma must be at least 2d")
-    if gamma >= 1 << 63:
-        raise ValueError("gamma %d does not fit in int64" % gamma)
 
 
 @dataclass

@@ -13,7 +13,9 @@ off-diagonal part.  Both treat the field as zero outside the array.
 as its eigenvalues (``box_eigenvalues``), and ``box_green`` solves with it.
 
 ``check_grid_points`` is the one check of the grid-point budget, called
-where each grid is sized and before it is built.
+where each grid is sized and before it is built.  ``check_threshold`` is the
+one threshold rule, gamma >= 2d and gamma in int64, for every layer that
+takes a gamma: the sandpile, the Green's function and the covering map.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def check_grid_points(points, needs):
     """Refuse a grid of ``points`` points over GRID_POINT_BUDGET; ``needs`` says what needs them."""
     if points > GRID_POINT_BUDGET:
         raise ValueError("%s, over the budget of %d points" % (needs, GRID_POINT_BUDGET))
+
+
+def check_threshold(d, gamma):
+    """The one rule for a toppling threshold on Z^d: gamma >= 2d, and gamma fits in int64."""
+    if gamma < 2 * d:
+        raise ValueError("gamma must be at least 2d")
+    if gamma >= 1 << 63:
+        raise ValueError("gamma %d does not fit in int64" % gamma)
 
 
 @dataclass(frozen=True)

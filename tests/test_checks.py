@@ -8,9 +8,9 @@ import pytest
 
 from sandharm import checks, harmonic, sandpile
 from sandharm.harmonic import (XiSpec, equivariance_residual, harmonicity_residual, kernel_witness,
-                               point_distance, point_sum, poly_action, poly_label, standard_specs, torus_distance,
+                               point_distance, point_sum, poly_action, standard_specs, torus_distance,
                                xi_apply)
-from sandharm.laurent import LaurentPoly
+from sandharm.laurent import LaurentPoly, poly_label
 from sandharm.sandpile import HeightConfig, group_add, random_recurrent, stabilize, with_outflow
 from sandharm.window import BoxWindow
 

@@ -20,12 +20,13 @@ import pytest
 import sandharm.checks as checks
 import sandharm.cli as cli
 import sandharm.green as green
+import sandharm.laurent as laurent
 import sandharm.sandpile as sandpile
 import sandharm.window as window
-from sandharm.cli import main, parse_poly
+from sandharm.cli import main
 from sandharm.green import GreenTable
 from sandharm.harmonic import TorusPoint
-from sandharm.laurent import LaurentPoly, laplacian_poly, standard_polys
+from sandharm.laurent import LaurentPoly, laplacian_poly, parse_poly, standard_polys
 from sandharm.sandpile import HeightConfig
 from sandharm.window import BoxWindow
 
@@ -87,6 +88,14 @@ def test_count_gamma_beyond_int64_is_input_error(capsys):
     big = str(10**20)
     assert main(["sandpile", "count", "--window", "2x2", "--gamma", big, "--backend", "determinant"]) == 3
     assert "does not fit in int64" in capsys.readouterr().err
+
+
+def test_green_gamma_beyond_int64_is_input_error(tmp_path, capsys):
+    # the threshold rule of every layer: refused before the quadrature, as sandpile entropy refuses it
+    out = tmp_path / "g.csv"
+    assert main(["green", "--d", "2", "--gamma", str(10**20), "--radius", "4", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: gamma %d does not fit in int64\n" % 10**20)
+    assert not list(tmp_path.iterdir())
 
 
 def test_count_bad_window_spec():
@@ -652,23 +661,23 @@ def test_huge_powers_are_refused_before_multiplying(monkeypatch, capsys, poly):
     assert main(["ideal", "--poly", poly, "--d", "2"]) == 3
     err = capsys.readouterr().err
     assert "too large to expand" in err
-    assert "%d points" % cli.POWER_MAX_POINTS in err and "%d-bit" % cli.POWER_MAX_BITS in err
+    assert "%d points" % laurent.POWER_MAX_POINTS in err and "%d-bit" % laurent.POWER_MAX_BITS in err
 
 
 def test_poly_nesting_depth_is_bounded(capsys):
-    deep = "(" * cli.POLY_MAX_DEPTH + "u1-1" + ")" * cli.POLY_MAX_DEPTH
+    deep = "(" * laurent.POLY_MAX_DEPTH + "u1-1" + ")" * laurent.POLY_MAX_DEPTH
     assert parse_poly(deep, 2) == LaurentPoly.variable(2, 0) - 1
-    over = cli.POLY_MAX_DEPTH + 1
+    over = laurent.POLY_MAX_DEPTH + 1
     for argv in (["--poly", "(" * over + "u1" + ")" * over], ["--poly", "(" * 2000 + "u1" + ")" * 2000],
                  ["--poly=" + "-" * 1000 + "u1"]):
         assert main(["ideal", "--d", "2"] + argv) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "more than %d deep" % cli.POLY_MAX_DEPTH in err
+        assert err.count("\n") == 1 and "more than %d deep" % laurent.POLY_MAX_DEPTH in err
 
 
 def test_poly_depth_refusal_covers_xi_multipliers(table_csv, capsys):
     assert main(["xi", "demo-addition", "--d", "2", "--table", table_csv, "--g", "(" * 2000 + "g1" + ")" * 2000]) == 3
-    assert "more than %d deep" % cli.POLY_MAX_DEPTH in capsys.readouterr().err
+    assert "more than %d deep" % laurent.POLY_MAX_DEPTH in capsys.readouterr().err
 
 
 def _no_temp_files(directory):

@@ -23,7 +23,6 @@ from sandharm.harmonic import (
     point_distance,
     point_sum,
     poly_action,
-    poly_label,
     separation_check,
     separation_difference,
     shifted_config,
@@ -34,7 +33,7 @@ from sandharm.harmonic import (
     xi_apply_stack,
 )
 from sandharm.harmonic import _alias_table
-from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, multiplier_sum, standard_polys
+from sandharm.laurent import LaurentPoly, divide_by, laplacian_poly, multiplier_sum, poly_label, standard_polys
 from sandharm.sandpile import (
     HeightConfig,
     add_poly,

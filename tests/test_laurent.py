@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandharm.laurent import (
@@ -11,6 +11,7 @@ from sandharm.laurent import (
     ideal_certificate,
     laplacian_poly,
     multiplier_sum,
+    parse_poly,
     standard_polys,
 )
 from sandharm.window import BoxWindow
@@ -78,6 +79,37 @@ def test_power_matches_repeated_products():
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         (one2 + u(2, 0)) ** -1
+
+
+def test_negative_powers_invert_units():
+    assert u(2, 0) ** -3 * u(2, 0) ** 3 == one2
+    assert (-u(2, 0) * u(2, 1) ** 2) ** -1 == LaurentPoly.monomial(2, (-1, -2), -1)
+
+
+@pytest.mark.parametrize("base, n", [(one2 - u(2, 0), 10**20), (one2 - u(2, 0) - u(2, 1), 100)])
+def test_huge_powers_are_refused_before_multiplying(monkeypatch, base, n):
+    def no_mul(self, other):
+        raise AssertionError("multiplied a power that must be refused")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_mul)
+    with pytest.raises(ValueError, match="too large to expand"):
+        base**n
+
+
+def polys(d):
+    """Up to 6 terms with exponents in [-3, 3] and coefficients in [-5, 5] (zero ones dropped)."""
+    term = st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-5, 5))
+    return st.builds(lambda terms: LaurentPoly(d, dict(terms)), st.lists(term, max_size=6))
+
+
+@given(st.integers(1, 3).flatmap(polys))
+@example(LaurentPoly.zero(2))
+@settings(max_examples=200, deadline=None)
+def test_parse_poly_reads_repr_back(p):
+    head = "LaurentPoly(%d, " % p.dim
+    text = repr(p)
+    assert text.startswith(head) and text.endswith(")")
+    assert parse_poly(text[len(head) : -1], p.dim) == p
 
 
 small_polys = st.builds(
